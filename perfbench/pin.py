@@ -28,6 +28,7 @@ def main() -> int:
         try:
             state = wl.setup(name, wl.DEFAULT_SEED, workdir)
             if mode == "warm":
+                wl.populate(state, workdir)
                 (op,) = wl.warm_ops(state, 1)
                 if op.errors:
                     raise RuntimeError(f"{name}: {op.errors}")

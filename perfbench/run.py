@@ -28,13 +28,17 @@ import tempfile  # noqa: E402
 from dataclasses import dataclass, field  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import hostspeed  # noqa: E402
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 #: Scratch space for cache roots, results and span files (git-ignored).
 WORK = ROOT / ".perfbench"
 PINS = HERE / "pins.json"
 #: Fresh processes timed for ``setup_s``; the median is reported.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 7
+#: Host-speed probes taken after each set-up sample.
+SETUP_PROBES = 5
 #: Samples a reported tail percentile must leave beyond it.
 TAIL_BEYOND = 10
 
@@ -61,6 +65,13 @@ class Window:
     fingerprints: list = field(default_factory=list)  # per op
     errors: list = field(default_factory=list)  # per failed op
     raised: int = 0  # cells that raised instead of completing an op
+    speed: hostspeed.Sampler = field(default_factory=hostspeed.Sampler)
+
+    @property
+    def scaled(self) -> list:
+        """Op seconds at the reference host speed (see hostspeed.py)."""
+        k = self.speed.scale()
+        return [s * k for s in self.seconds]
 
     @property
     def attempted(self) -> int:
@@ -69,12 +80,18 @@ class Window:
 
 def run_window(wl, state, workdir: Path, seed: int, n_ops: int, pins: dict,
                on_op=None, after_ops=None) -> Window:
-    """Run ``n_ops`` ops (whole passes), call ``after_ops``, then check
-    every op."""
+    """Run ``n_ops`` ops (whole passes), probing host speed between them,
+    call ``after_ops``, then check every op."""
     win = Window()
     name = state.name
+
+    def between_ops(k):
+        if on_op is not None:
+            on_op(k)
+        win.speed.between_ops()
+
     if state.mode == "warm":
-        ops = wl.warm_ops(state, n_ops, on_op)
+        ops = wl.warm_ops(state, n_ops, between_ops)
         if after_ops is not None:
             after_ops()
         for op in ops:
@@ -86,7 +103,7 @@ def run_window(wl, state, workdir: Path, seed: int, n_ops: int, pins: dict,
             if op.errors:
                 win.errors.append("; ".join(op.errors))
         return win
-    ops, raised = wl.cold_ops(state, workdir, n_ops, on_op)
+    ops, raised = wl.cold_ops(state, workdir, n_ops, between_ops)
     if after_ops is not None:
         after_ops()
     win.errors += raised
@@ -115,14 +132,16 @@ def tail(values: list) -> tuple[float, float]:
     return ordered[n - TAIL_BEYOND - 1], 100.0 * (n - TAIL_BEYOND) / n
 
 
-def setup_sample(args) -> float:
-    """Time set-up in a fresh process: imports, load, expand, warm-up."""
+def setup_sample(args) -> tuple[float, float]:
+    """Time set-up in a fresh process: imports, load, expand, warm-up.
+    Returns ``(measured s, s at the reference host speed)``."""
     cmd = [
         sys.executable, str(Path(__file__).resolve()),
         "--workload", args.workload, "--seed", str(args.seed), "--setup-only",
     ]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])["setup_s"]
+    sample = json.loads(out.stdout.strip().splitlines()[-1])
+    return sample["setup_s"], sample["setup_s"] * sample["scale"]
 
 
 def _filesystem(path: Path) -> str:
@@ -141,21 +160,17 @@ def _filesystem(path: Path) -> str:
 
 
 def _git_commit() -> str:
-    """HEAD of the checkout, read from ``.git`` without running git."""
-    git = ROOT / ".git"
+    """HEAD of the checkout, or ``unknown`` outside a git repository.
+    Git is pointed at the checkout's own ``.git``, so it never searches
+    the directories above it."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        out = subprocess.run(
+            ["git", "--git-dir", str(ROOT / ".git"), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
 
 
 def host_facts(seed: int) -> dict:
@@ -172,21 +187,29 @@ def host_facts(seed: int) -> dict:
 
 
 def end_to_end(args, win: Window) -> tuple[dict, list]:
-    busy = sum(win.seconds)
-    tail_s, pct = tail(win.seconds)
+    """The end-to-end metrics; timings at the reference host speed."""
+    scaled = win.scaled
+    busy = sum(scaled)
+    tail_s, pct = tail(scaled)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     samples = [setup_sample(args) for _ in range(SETUP_SAMPLES)]
     metrics = {
-        "setup_s": {"value": statistics.median(samples), "unit": "s"},
+        "setup_s": {"value": statistics.median(s for _, s in samples), "unit": "s"},
         "cells_per_s": {"value": win.cells / busy, "unit": "1/s"},
-        "op_p50_ms": {"value": 1e3 * statistics.median(win.seconds), "unit": "ms"},
+        "op_p50_ms": {"value": 1e3 * statistics.median(scaled), "unit": "ms"},
         "op_tail_ms": {"value": 1e3 * tail_s, "unit": "ms"},
         "peak_rss_mb": {"value": rss_mb, "unit": "MB"},
     }
+    raw = win.seconds
     notes = [
-        f"window: {len(win.seconds)} ops, {win.cells} cells, {busy:.3f} s busy",
-        f"setup samples (s): {', '.join(f'{s:.4f}' for s in samples)}",
-        f"op_tail_ms is p{pct:.1f} of {len(win.seconds)} ops ({TAIL_BEYOND} beyond it)",
+        f"window: {len(raw)} ops, {win.cells} cells, {sum(raw):.3f} s busy as measured",
+        f"host-speed scale {win.speed.scale():.4f} from {len(win.speed.samples)} probes",
+        "as measured: cells_per_s {:.4f}, op_p50_ms {:.3f}, op_tail_ms {:.3f}".format(
+            win.cells / sum(raw), 1e3 * statistics.median(raw), 1e3 * tail(raw)[0]
+        ),
+        "setup samples (s, measured/scaled): "
+        + ", ".join(f"{m:.4f}/{s:.4f}" for m, s in samples),
+        f"op_tail_ms is p{pct:.1f} of {len(raw)} ops ({TAIL_BEYOND} beyond it)",
     ]
     return metrics, notes
 
@@ -211,11 +234,12 @@ def traced(args, wl, state, workdir: Path, pins: dict, first: Window) -> tuple[d
         tracer.uninstall()
     if win.fingerprints != first.fingerprints:
         win.errors.append("traced ops produced other artifacts than untraced ones")
-    overhead = sum(win.seconds) / sum(first.seconds) - 1.0
-    metrics = layer_metrics(tracer, overhead)
-    notes = [self_time_table(tracer)]
+    overhead = sum(win.scaled) / sum(first.scaled) - 1.0
+    times = layer_times(tracer)
+    metrics = layer_metrics(times, tracer.counts, overhead)
+    notes = [self_time_table(times)]
     notes += self_checks(state.name, metrics, win)
-    busy, selfs, calls = layer_times(tracer)
+    busy, selfs, calls = times
     tracer.write(
         WORK / f"trace-{args.workload}-seed{args.seed}.json",
         {"workload": args.workload, "seed": args.seed, "op_seconds": win.seconds,
@@ -266,8 +290,12 @@ def main(argv=None) -> int:
     try:
         state = wl.setup(args.workload, args.seed, workdir)
         if args.setup_only:
-            print(json.dumps({"setup_s": time.perf_counter() - _T0}))
+            setup_s = time.perf_counter() - _T0
+            scale = hostspeed.scale([hostspeed.probe() for _ in range(SETUP_PROBES)])
+            print(json.dumps({"setup_s": setup_s, "scale": scale}))
             return 0
+        if state.mode == "warm":
+            wl.populate(state, workdir)
         pins = json.loads(PINS.read_text())
         n_ops = wl.window_ops(args.workload, state.n_cells, args.seconds)
         win = run_window(wl, state, workdir, args.seed, n_ops, pins)

@@ -206,10 +206,10 @@ def layer_times(tracer: Tracer) -> tuple[dict, dict, dict]:
     return busy, selfs, calls
 
 
-def layer_metrics(tracer: Tracer, overhead_frac: float) -> dict:
-    """The per-layer metrics named in BENCHMARK.json, with units."""
-    busy, selfs, calls = layer_times(tracer)
-    c = tracer.counts
+def layer_metrics(times: tuple[dict, dict, dict], c: Counter, overhead_frac: float) -> dict:
+    """The per-layer metrics named in BENCHMARK.json, with units, from
+    :func:`layer_times` and the tracer's counts."""
+    busy, selfs, calls = times
 
     def ratio(num, den):
         return num / den if den else 0.0
@@ -256,9 +256,9 @@ def layer_metrics(tracer: Tracer, overhead_frac: float) -> dict:
     return {k: {"value": v, "unit": u} for k, (v, u) in values.items()}
 
 
-def self_time_table(tracer: Tracer) -> str:
+def self_time_table(times: tuple[dict, dict, dict]) -> str:
     """Human-readable per-layer busy/self/calls table, busiest first."""
-    busy, selfs, calls = layer_times(tracer)
+    busy, selfs, calls = times
     lines = [f"{'layer':<26}{'busy s':>10}{'self s':>10}{'calls':>10}"]
     for name in sorted(busy, key=busy.get, reverse=True):
         lines.append(f"{name:<26}{busy[name]:>10.3f}{selfs[name]:>10.3f}{calls[name]:>10d}")

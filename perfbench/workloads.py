@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import report
+from repro.campaign.manifest import MANIFEST_DIRNAME
 from repro.runner import ResultCache, run_cell
 
 #: fig07's 16x22 mesh, patterns and trace length with links of 2 flits/s
@@ -64,9 +66,14 @@ WORKLOADS = {
 }
 
 #: Workloads whose campaign gets a seed axis of this many values.  More
-#: replicas average a run over more traces; a congested pass is then about
-#: one window long and a drain pass about half of one.
-REPLICAS = {"congested-cold": 3, "fairness-drain": 2}
+#: replicas average a run over more traces, so one seed's costlier cells
+#: move the window's median and tail less; a pass of either is then about
+#: one window long.
+REPLICAS = {"congested-cold": 3, "fairness-drain": 4}
+#: Distance between the seeds of one replicated run.  ``--seed`` values
+#: below it get disjoint seed sets, so runs at consecutive ``--seed``
+#: values share no trace and one costly trace moves one run, not several.
+SEED_STRIDE = 1000
 
 #: Seconds one pass took when the benchmark was defined (2-CPU VM, this
 #: repository's first benchmark commit).  A window of ``--seconds`` is the
@@ -75,7 +82,7 @@ REPLICAS = {"congested-cold": 3, "fairness-drain": 2}
 NOMINAL_PASS_S = {
     "fig07-cold": 14.0,
     "congested-cold": 15.0,
-    "fairness-drain": 5.0,
+    "fairness-drain": 10.0,
     "fairness-warm": 0.3,
 }
 
@@ -84,19 +91,6 @@ def window_ops(name: str, n_cells: int, seconds: float) -> int:
     """Ops in a window of about ``seconds``: whole passes, at least one."""
     passes = max(1, round(seconds / NOMINAL_PASS_S[name]))
     return passes if WORKLOADS[name] == "warm" else passes * n_cells
-
-#: Axis order of each cold workload's campaign, outermost first.  The
-#: cells are the campaign's own; only their execution order changes.  The
-#: axes that set a cell's cost most (pattern, machine, workload) vary
-#: fastest, so a slow spell of the host lands on every kind of cell alike
-#: instead of on one block of them.
-AXIS_ORDER = {
-    "fig07-cold": ("mesh", "allocator", "load", "pattern"),
-    "congested-cold": ("seed", "mesh", "allocator", "load", "pattern"),
-    "fairness-drain": (
-        "seed", "pattern", "load", "allocator", "scheduler", "workload", "topology",
-    ),
-}
 
 
 def make_campaign(name: str, seed: int):
@@ -109,14 +103,10 @@ def make_campaign(name: str, seed: int):
     else:
         base = load_campaign(bundled_campaign_path("fig07" if name == "fig07-cold" else "fairness"))
     if name in REPLICAS:
-        seeds = [seed + i for i in range(REPLICAS[name])]
+        seeds = [seed + SEED_STRIDE * i for i in range(REPLICAS[name])]
         campaign = dataclasses.replace(base, axes={"seed": seeds, **base.axes})
     else:
         campaign = dataclasses.replace(base, defaults={**base.defaults, "seed": seed})
-    if name in AXIS_ORDER:
-        axes = {axis: campaign.axes[axis] for axis in AXIS_ORDER[name]}
-        assert axes.keys() == campaign.axes.keys()
-        campaign = dataclasses.replace(campaign, axes=axes)
     campaign.validate()
     return campaign
 
@@ -129,25 +119,44 @@ class Setup:
     mode: str
     campaign: object
     n_cells: int
-    #: fairness-warm only: the warm cache root and the cold-computed
-    #: results every warm pass must decode back to.
+    #: fairness-warm only (see :func:`populate`): the warm cache root, a
+    #: copy of its campaign manifests as the cold populate left them, and
+    #: the cold-computed results every warm pass must decode back to.
     serve_root: Path | None = None
+    manifest_copy: Path | None = None
     reference: list = field(default_factory=list)
 
 
 def setup(name: str, seed: int, workdir: Path) -> Setup:
     """Campaign load and expand plus one warm-up cell in a throwaway
-    cache root; ``fairness-warm`` also populates its serving cache cold."""
+    cache root -- what every CLI run of the campaign pays."""
     campaign = make_campaign(name, seed)
     scratch = ResultCache(tempfile.mkdtemp(prefix="warmup-", dir=workdir))
     expansion = expand(campaign, store=scratch.traces)
     scratch.put(run_cell(expansion.cells[0].spec, store=scratch.traces))
-    state = Setup(name, WORKLOADS[name], campaign, len(expansion.cells))
-    if state.mode == "warm":
-        state.serve_root = Path(tempfile.mkdtemp(prefix="serve-", dir=workdir))
-        cold = run_campaign(campaign, ResultCache(state.serve_root), jobs=1, tier="inline")
-        state.reference = cold.results
-    return state
+    return Setup(name, WORKLOADS[name], campaign, len(expansion.cells))
+
+
+def populate(state: Setup, workdir: Path) -> None:
+    """Compute the warm workload's serving cache cold, once, untimed.
+
+    The cold populate is the work ``fairness-drain`` times; a warm CLI run
+    does not pay it, so it is neither in ``setup_s`` nor in the window.
+    """
+    state.serve_root = Path(tempfile.mkdtemp(prefix="serve-", dir=workdir))
+    cold = run_campaign(state.campaign, ResultCache(state.serve_root), jobs=1, tier="inline")
+    state.reference = cold.results
+    state.manifest_copy = workdir / "serve-manifests"
+    shutil.copytree(state.serve_root / MANIFEST_DIRNAME, state.manifest_copy)
+
+
+def _restore_manifests(state: Setup) -> None:
+    """Put back the manifests the cold populate left.  Every run appends a
+    run record that each later flush rewrites, so without this each warm
+    pass would flush a longer manifest than the one before it."""
+    live = state.serve_root / MANIFEST_DIRNAME
+    shutil.rmtree(live)
+    shutil.copytree(state.manifest_copy, live)
 
 
 @dataclass
@@ -173,7 +182,8 @@ def cold_ops(state: Setup, workdir: Path, n_ops: int, on_op=None) -> tuple[list[
     Whole passes keep the op mix of every window the same full grid.  Op
     durations are the intervals between cell completions, so the first
     op of a pass also carries the pass's expand and manifest open.
-    ``on_op(n_ops)`` runs after each op.  Returns the ops and the errors
+    ``on_op(n_ops)`` runs after each op, outside the op durations.
+    Returns the ops and the errors
     raised by cells (each a failed op that ends the window).
     """
     ops: list[CellOp] = []
@@ -186,9 +196,9 @@ def cold_ops(state: Setup, workdir: Path, n_ops: int, on_op=None) -> tuple[list[
             nonlocal last
             now = time.perf_counter()
             ops.append(CellOp(now - last, result, root))
-            last = now
             if on_op is not None:
                 on_op(len(ops))
+            last = time.perf_counter()
 
         try:
             if state.mode == "drain":
@@ -216,6 +226,7 @@ def warm_ops(state: Setup, n_ops: int, on_op=None) -> list[PassOp]:
     the cold-computed reference outside its timed span."""
     ops: list[PassOp] = []
     while True:
+        _restore_manifests(state)
         start = time.perf_counter()
         cache = ResultCache(state.serve_root)
         run = run_campaign(state.campaign, cache, jobs=1, tier="inline")
