@@ -6,17 +6,24 @@ campaign:
 
 * expansion (parse + validate + cross-product + digests) is
   milliseconds,
-* a warm ``run_campaign`` -- expansion, manifest bookkeeping with a
-  flush per cell, and the engine's cache pass -- stays within a small
-  factor of a warm ``run_many`` over the identical specs,
+* a warm ``run_campaign`` -- expansion, manifest bookkeeping and the
+  engine's cache pass -- stays within a small factor of a warm
+  ``run_many`` over the identical specs,
 * on a cold 100-tiny-cell campaign the default ``auto`` execution tier
   is >=2x faster than forcing the Pool path (``tier="process"``): the
-  tier refactor's headline claim, at the campaign level.
+  tier refactor's headline claim, at the campaign level,
+* a cold 2-runner ``drain`` beats a single-runner ``run`` >=1.8x.
+
+The two wall-clock ratios are ``timing`` tests (see ``conftest.py``):
+they run in the benchmarks CI job on >= 4 cores, while their
+correctness halves run everywhere.
 """
 
 from __future__ import annotations
 
 import time
+
+import pytest
 
 from repro.campaign import expand, loads_campaign, run_campaign
 from repro.runner import ResultCache, run_many
@@ -131,40 +138,59 @@ def _tiny_campaign(tmp_path, monkeypatch, stores=()):
     return loads_campaign(TINY_CAMPAIGN_TEXT.format(digest=digest))
 
 
+def _auto_vs_forced_process(campaign):
+    """Cold cache-less runs of ``campaign`` through ``auto`` and the
+    forced ``process`` tier: ``(auto run, forced run, auto s, forced s)``,
+    each time the best of two."""
+    run_campaign(campaign)  # absorb one-time import/numpy warm-up
+    auto_s, forced_s = float("inf"), float("inf")
+    for _ in range(2):
+        start = time.perf_counter()
+        auto = run_campaign(campaign, jobs=TINY_JOBS, tier="auto")
+        auto_s = min(auto_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        forced = run_campaign(campaign, jobs=TINY_JOBS, tier="process")
+        forced_s = min(forced_s, time.perf_counter() - start)
+    return auto, forced, auto_s, forced_s
+
+
 class TestTierCampaignBench:
     def test_auto_tier_cold_campaign_2x_over_forced_process(
         self, tmp_path, monkeypatch
     ):
-        """The tentpole acceptance claim: a cold 100-tiny-cell campaign
-        runs >=2x faster through ``auto`` (probe -> inline) than through
-        the forced ``process`` tier, with identical results.
+        """Correctness half of the tentpole claim: a cold 100-tiny-cell
+        campaign resolves ``auto`` to inline (probe -> inline), forcing
+        ``process`` really uses the Pool, and both give identical
+        results.  The >=2x wall-clock half is
+        :meth:`test_wall_clock_auto_tier_cold_campaign_2x_over_forced_process`.
 
         Run without artifact persistence so the comparison isolates
         *dispatch* -- the thing tiers control; artifact/manifest writes
         cost the same in every tier (the cached variant below reports
-        that picture).  Hard-asserted only where a Pool cannot amortize
-        (few cores), matching the engine benchmarks' gating.
+        that picture).
         """
-        import multiprocessing
-
-        campaign = _tiny_campaign(tmp_path, monkeypatch)
-        run_campaign(campaign)  # absorb one-time import/numpy warm-up
-
-        auto_s, forced_s = float("inf"), float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            auto = run_campaign(campaign, jobs=TINY_JOBS, tier="auto")
-            auto_s = min(auto_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            forced = run_campaign(campaign, jobs=TINY_JOBS, tier="process")
-            forced_s = min(forced_s, time.perf_counter() - start)
-
+        auto, forced, _, _ = _auto_vs_forced_process(
+            _tiny_campaign(tmp_path, monkeypatch)
+        )
         assert auto.tier_decision is not None and auto.tier_decision.tier == "inline"
         assert forced.tier_decision is not None
         assert forced.tier_decision.tier == "process"
         assert len(auto.results) == 100
         assert [r.summary for r in auto.results] == [r.summary for r in forced.results]
 
+    @pytest.mark.timing
+    def test_wall_clock_auto_tier_cold_campaign_2x_over_forced_process(
+        self, tmp_path, monkeypatch
+    ):
+        """The cold 100-tiny-cell campaign runs >=2x faster through
+        ``auto`` than through the forced ``process`` tier.  Asserted only
+        where a Pool cannot amortize (at most 4 cores), matching the
+        engine benchmarks' gating."""
+        import multiprocessing
+
+        auto, _, auto_s, forced_s = _auto_vs_forced_process(
+            _tiny_campaign(tmp_path, monkeypatch)
+        )
         speedup = forced_s / auto_s if auto_s > 0 else float("inf")
         print(
             f"\ncold 100-tiny-cell campaign: auto {auto_s * 1e3:.0f} ms "
@@ -222,52 +248,59 @@ seed = [1, 2, 3, 4, 5]
 """
 
 
+def _solo_run_and_fleet_drain(tmp_path, n_jobs: int):
+    """A cold single-runner ``run --jobs 1`` and a cold 2-runner ``drain``
+    of the same 100-cell campaign, both through the CLI so every real
+    cost counts: process start-up, manifest flushes, lease traffic.
+
+    Returns ``(campaign text, solo root, fleet root, solo s, fleet s)``.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    campaign_text = DRAIN_CAMPAIGN_TEXT.format(n_jobs=n_jobs)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    campaign_file = tmp_path / "drain100.toml"
+    campaign_file.write_text(campaign_text)
+    solo_root = tmp_path / "solo"
+    fleet_root = tmp_path / "fleet"
+
+    def _cli(*args) -> float:
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "repro.campaign", *args],
+            env=env, check=True, capture_output=True,
+        )
+        return time.perf_counter() - start
+
+    solo_s = _cli(
+        "run", str(campaign_file), "--jobs", "1",
+        "--cache-dir", str(solo_root), "--quiet",
+    )
+    fleet_s = _cli(
+        "drain", str(campaign_file), "--runners", "2",
+        "--cache-dir", str(fleet_root), "--quiet",
+    )
+    return campaign_text, solo_root, fleet_root, solo_s, fleet_s
+
+
 class TestDrainBench:
-    def test_cold_two_runner_drain_beats_single_runner_run(self, tmp_path):
-        """The tentpole acceptance pin: a cold 2-runner ``drain`` of a
-        100-cell campaign beats a single-runner ``run --jobs 1`` on
-        wall clock (>=1.8x where a second core exists), with
-        byte-identical artifacts and cache keys across the two roots and
-        **zero duplicated compute** between the runners.
-
-        Both sides go through the CLI so the comparison includes every
-        real cost: process start-up, manifest flushes, lease traffic.
+    def test_cold_two_runner_drain_matches_single_runner_run(self, tmp_path):
+        """Correctness half of the drain claim: a cold 2-runner ``drain``
+        of a 100-cell campaign leaves byte-identical artifacts and cache
+        keys to a single-runner ``run --jobs 1``, with **zero duplicated
+        compute** between the runners.  Tiny cells keep it fast; the
+        >=1.8x wall-clock half is
+        :meth:`test_wall_clock_two_runner_drain_beats_single_runner_run`.
         """
-        import multiprocessing
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         from repro.campaign import expand
         from repro.campaign.manifest import CampaignManifest, manifest_path
 
-        measure_speedup = multiprocessing.cpu_count() >= 2
-        campaign_text = DRAIN_CAMPAIGN_TEXT.format(
-            n_jobs=400 if measure_speedup else 10
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        campaign_file = tmp_path / "drain100.toml"
-        campaign_file.write_text(campaign_text)
-        solo_root = tmp_path / "solo"
-        fleet_root = tmp_path / "fleet"
-
-        def _cli(*args) -> float:
-            start = time.perf_counter()
-            subprocess.run(
-                [sys.executable, "-m", "repro.campaign", *args],
-                env=env, check=True, capture_output=True,
-            )
-            return time.perf_counter() - start
-
-        solo_s = _cli(
-            "run", str(campaign_file), "--jobs", "1",
-            "--cache-dir", str(solo_root), "--quiet",
-        )
-        fleet_s = _cli(
-            "drain", str(campaign_file), "--runners", "2",
-            "--cache-dir", str(fleet_root), "--quiet",
+        campaign_text, solo_root, fleet_root, _, _ = _solo_run_and_fleet_drain(
+            tmp_path, n_jobs=10
         )
 
         # byte-identical artifacts and cache keys across the two roots
@@ -291,15 +324,25 @@ class TestDrainBench:
         assert sum(r["misses"] for r in drain_runs) == 100
         assert {r["runner"] for r in drain_runs} == set(manifest.runners)
 
+    @pytest.mark.timing
+    def test_wall_clock_two_runner_drain_beats_single_runner_run(self, tmp_path):
+        """A cold 2-runner ``drain`` of 100 ~150 ms cells beats a
+        single-runner ``run --jobs 1`` by >=1.8x on wall clock: compute
+        dominates the fleet's extra start-up and lease overhead."""
+        _, solo_root, fleet_root, solo_s, fleet_s = _solo_run_and_fleet_drain(
+            tmp_path, n_jobs=400
+        )
+        solo_files = {p.name: p.read_bytes() for p in solo_root.glob("*.json.gz")}
+        fleet_files = {p.name: p.read_bytes() for p in fleet_root.glob("*.json.gz")}
+        assert len(solo_files) == 100 and solo_files == fleet_files
+
         speedup = solo_s / fleet_s if fleet_s > 0 else float("inf")
         print(
             f"\ncold 100-cell campaign: single-runner run {solo_s:.2f}s, "
-            f"2-runner drain {fleet_s:.2f}s, speedup {speedup:.2f}x "
-            f"(runners: {sorted(manifest.runners)})"
+            f"2-runner drain {fleet_s:.2f}s, speedup {speedup:.2f}x"
         )
-        if measure_speedup:
-            assert speedup >= 1.8, (
-                f"2-runner drain should beat single-runner run >=1.8x "
-                f"on a multi-core host, got {speedup:.2f}x "
-                f"({fleet_s:.2f}s vs {solo_s:.2f}s)"
-            )
+        assert speedup >= 1.8, (
+            f"2-runner drain should beat single-runner run >=1.8x "
+            f"on a multi-core host, got {speedup:.2f}x "
+            f"({fleet_s:.2f}s vs {solo_s:.2f}s)"
+        )

@@ -18,10 +18,10 @@ filesystem:
   (:class:`FileLock`), so two runners never both adopt the same dead
   runner's cell: the stealer re-reads the lease inside the lock,
   unlinks it only if still expired, and re-claims with ``O_EXCL``.
-* **Release** unlinks the lease after the cell's completion is flushed
-  to the campaign manifest, in that order -- a crash between the two
-  at worst leaks a lease over a *done* cell, which the next claimer
-  detects from the manifest and skips.
+* **Release** unlinks a batch's leases after the one manifest flush
+  that records the batch's completions, in that order -- a crash
+  between the two at worst leaks leases over *done* cells, which the
+  next claimer detects from the manifest and skips.
 
 Completion itself is never recorded here: the manifest (and the
 content-addressed artifact cache under it) stays the source of truth,

@@ -4,11 +4,16 @@ A campaign run writes ``<cache-root>/campaigns/<name>-<digest12>.json``
 recording, per cell digest, whether the cell completed, whether it came
 from the artifact cache, and its compute time -- plus one entry per
 ``run`` invocation with wall time and hit/miss counts.  The file is
-flushed through a temp file + :func:`os.replace` after every completed
-cell, so an interrupted run leaves a valid manifest behind and the next
-``run`` resumes exactly where it stopped (completed cells are warm in
-the artifact cache; the manifest is what lets ``status`` say so without
-touching a single artifact).
+written through a temp file + :func:`os.replace`: a ``run`` flushes it
+at most once per second while cells complete and once more when it
+ends (normally or by an exception), a ``drain`` runner once per claim
+batch.  An interrupted run therefore leaves a valid manifest behind and
+the next ``run`` resumes where it stopped.  Completion itself is
+durable in the content-addressed artifact cache the moment a cell's
+artifact lands, so a cell whose record a crash kept out of the manifest
+is merely served as a cache hit on the next run -- never recomputed.
+The manifest is what lets ``status`` report progress without touching
+a single artifact.
 
 The filename carries the first 12 hex chars of the campaign digest, so
 editing a campaign (or re-scaling it) starts a fresh manifest instead of

@@ -4,11 +4,12 @@
 share: expand the campaign (interning workloads into the cache's store),
 open the resumable manifest, fan the pending cells out through
 :func:`repro.runner.run_many`, and record per-cell completion as results
-land.  Because the engine's artifact cache is content-addressed by spec,
-resumption needs no special machinery: re-running a half-finished
-campaign turns every previously completed cell into a cache hit, and the
-manifest is what makes that state *visible* (``status``) without opening
-a single artifact.
+land (flushed to disk at most once per :data:`FLUSH_INTERVAL_S` and once
+when the run ends, however it ends).  Because the engine's artifact
+cache is content-addressed by spec, resumption needs no special
+machinery: re-running a half-finished campaign turns every previously
+completed cell into a cache hit, and the manifest is what makes that
+state *visible* (``status``) without opening a single artifact.
 
 :func:`drain_campaign` is the cooperative counterpart: N runner
 processes pointed at one cache root partition the pending cells through
@@ -120,15 +121,34 @@ class CampaignRun:
         )
 
 
-def _artifact_exists(cache: ResultCache | None, cell: CampaignCell) -> bool:
-    """Cheap existence check for a cell's cached artifact (no decode)."""
-    if cache is None:
-        return False
-    try:
-        key = cache.key_for(cell.spec)
-    except KeyError:  # ref spec whose trace left the store
-        return False
-    return any(path.is_file() for path in cache._candidate_paths(key))
+#: Least seconds between two manifest flushes of one ``run_campaign``.
+#: Completion is durable in the content-addressed cache as soon as a
+#: cell's artifact lands, so a flush lost to a crash only turns the
+#: cell into a cache hit on the next run.
+FLUSH_INTERVAL_S = 1.0
+
+
+def _artifact_probe(cache: ResultCache | None) -> Callable[[CampaignCell], bool]:
+    """``exists(cell)``: whether the cell's artifact is on disk (no decode).
+
+    Each cell's cache key (a canonical-JSON hash) is computed once per
+    probe, however often the cell is checked; the file is stat'ed on
+    every call.
+    """
+    keys: dict[str, str] = {}
+
+    def exists(cell: CampaignCell) -> bool:
+        if cache is None:
+            return False
+        key = keys.get(cell.digest)
+        if key is None:
+            try:
+                key = keys[cell.digest] = cache.key_for(cell.spec)
+            except KeyError:  # ref spec whose trace left the store
+                return False
+        return cache.artifact_exists(key)
+
+    return exists
 
 
 def run_campaign(
@@ -189,51 +209,58 @@ def run_campaign(
         # manifest can outlive artifacts (prune/vacuum), and a limited
         # run must not skip cells it would have to recompute.
         done = manifest.done_digests()
+        exists = _artifact_probe(cache)
         selected = [
-            c
-            for c in expansion.cells
-            if c.digest not in done or not _artifact_exists(cache, c)
+            c for c in expansion.cells if c.digest not in done or not exists(c)
         ][:limit]
 
     by_digest = {c.digest: c for c in selected}
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
+    decisions: list = []
+    start = last_flush = time.perf_counter()
 
     def on_cell(done_n: int, total: int, result: CellResult) -> None:
+        nonlocal last_flush
         digest = cell_digest(result.spec)
         cell = by_digest.get(digest)
         if cell is not None:
             manifest.mark_done(
                 digest, cell.coords, cached=result.cached, elapsed=result.elapsed
             )
-            manifest.flush()
+            now = time.perf_counter()
+            if now - last_flush >= FLUSH_INTERVAL_S:
+                manifest.flush()
+                last_flush = now
         if progress is not None:
             progress(done_n, total, result)
 
-    decisions: list = []
-    start = time.perf_counter()
-    results = run_many(
-        [c.spec for c in selected],
-        jobs=jobs,
-        cache=cache,
-        progress=on_cell,
-        tier=tier,
-        est_cell_s=manifest.mean_compute_seconds(),
-        on_decision=decisions.append,
-    )
-    wall = time.perf_counter() - start
-    hits = (cache.hits - hits0) if cache is not None else 0
-    misses = (cache.misses - misses0) if cache is not None else len(selected)
-    decision = decisions[0] if decisions else None
-    manifest.record_run(
-        wall,
-        hits=hits,
-        misses=misses,
-        n_selected=len(selected),
-        limit=limit,
-        tier=decision.tier if decision is not None else None,
-    )
-    manifest.flush()
+    try:
+        results = run_many(
+            [c.spec for c in selected],
+            jobs=jobs,
+            cache=cache,
+            progress=on_cell,
+            tier=tier,
+            est_cell_s=manifest.mean_compute_seconds(),
+            on_decision=decisions.append,
+        )
+        wall = time.perf_counter() - start
+        hits = (cache.hits - hits0) if cache is not None else 0
+        misses = (cache.misses - misses0) if cache is not None else len(selected)
+        decision = decisions[0] if decisions else None
+        manifest.record_run(
+            wall,
+            hits=hits,
+            misses=misses,
+            n_selected=len(selected),
+            limit=limit,
+            tier=decision.tier if decision is not None else None,
+        )
+    finally:
+        # One flush however the run ends: an interrupted run still
+        # records every cell it completed.
+        manifest.flush()
     return CampaignRun(
         expansion=expansion,
         selected=selected,
@@ -335,9 +362,9 @@ def drain_campaign(
     The lease/claim protocol (:mod:`repro.campaign.lease`) partitions the
     pending cells among every runner process pointed at the same cache
     root: claim a batch of unleased pending cells (O_EXCL -- no two
-    runners get the same cell), run it through the engine, flush each
-    completion to the shared manifest, release the leases, repeat until
-    the *campaign* is done -- including cells other runners complete,
+    runners get the same cell), run it through the engine, flush the
+    batch's completions to the shared manifest in one write, release the
+    batch's leases, repeat until the *campaign* is done -- including cells other runners complete,
     which become visible through manifest refreshes between batches.  A
     heartbeat thread keeps this runner's leases fresh; leases whose
     runner died (SIGKILL -- no heartbeats for ``lease_ttl``) are stolen
@@ -388,6 +415,8 @@ def drain_campaign(
     cells = {c.digest: c for c in expansion.cells}
     total = len(expansion.cells)
     completed = 0
+    # The pending scan below re-checks every done cell once per batch.
+    has_artifact = _artifact_probe(cache)
 
     segment = (
         _cut_drain_segment(cache, expansion)
@@ -408,6 +437,8 @@ def drain_campaign(
 
     results: list[CellResult] = []
     decisions: list[TierDecision] = []
+    # Cells marked done in memory but not yet flushed (their leases held).
+    unflushed: list[str] = []
     hits0, misses0 = cache.hits, cache.misses
     n_stolen = n_batches = 0
     start = time.perf_counter()
@@ -418,7 +449,7 @@ def drain_campaign(
             pending = [
                 c
                 for c in expansion.cells
-                if c.digest not in done or not _artifact_exists(cache, c)
+                if c.digest not in done or not has_artifact(c)
             ]
             if not pending:
                 break
@@ -446,11 +477,7 @@ def drain_campaign(
                         elapsed=result.elapsed,
                         runner=runner_id,
                     )
-                    manifest.flush()
-                    # Release strictly after the flush: a crash between
-                    # the two leaks a lease over a done cell, never a
-                    # released lease over an unrecorded one.
-                    leases.release(digest)
+                    unflushed.append(digest)
                 completed += 1
                 if progress is not None:
                     progress(completed, total, result)
@@ -467,9 +494,18 @@ def drain_campaign(
                     segment_path=segment,
                 )
             )
+            # One flush per batch, and release strictly after it: a crash
+            # between the two leaks leases over done cells, never a
+            # released lease over an unrecorded one.
+            manifest.flush()
+            for digest in unflushed:
+                leases.release(digest)
+            unflushed.clear()
     finally:
         stop.set()
         beater.join(timeout=5.0)
+        if unflushed:
+            manifest.flush()
         leases.release_all()
         if segment is not None:
             try:

@@ -29,6 +29,11 @@ compare.  (Across machines the decompressed payload is still identical,
 but the compressed bytes are only guaranteed per zlib build --
 different zlib implementations may emit different streams for the same
 input.)
+
+A :class:`ResultCache` memoises the results its ``get`` decoded (up to
+:data:`DECODED_MEMO_CAP`), so a campaign run followed by its reports
+reads and decodes each artifact once.  Every ``get`` still stats the
+file and re-decodes it when its ``(mtime_ns, size, inode)`` changed.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import stat
 import time
+from collections import OrderedDict
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.runner.spec import (
@@ -66,6 +73,26 @@ CACHE_FORMAT = 2
 
 #: Schema versions :class:`ResultCache` can still read.
 READABLE_FORMATS = (1, CACHE_FORMAT)
+
+#: Decoded results one :class:`ResultCache` keeps for repeat ``get`` calls
+#: (a warm campaign run and its reports read every cell more than once).
+DECODED_MEMO_CAP = 256
+
+
+def _file_signature(path: Path) -> tuple[int, int, int] | None:
+    """``(st_mtime_ns, st_size, st_ino)`` of a regular file, else ``None``.
+
+    Any rewrite of an artifact -- :meth:`ResultCache.put` and ``vacuum
+    --repack`` both land through :func:`os.replace` -- changes the
+    inode, so a decode memoised under an older signature is never served.
+    """
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return (st.st_mtime_ns, st.st_size, st.st_ino)
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +228,11 @@ class ResultCache:
         self.traces = TraceStore(self.root / TRACE_STORE_DIRNAME)
         self.hits = 0
         self.misses = 0
+        # artifact path -> (file signature, decoded result); filled by
+        # hits only, evicted least recently used.
+        self._decoded: OrderedDict[Path, tuple[tuple[int, int, int], CellResult]] = (
+            OrderedDict()
+        )
 
     # -- key/path ------------------------------------------------------
     def key_for(self, spec: ExperimentSpec) -> str:
@@ -215,12 +247,23 @@ class ResultCache:
         # Current format first, then the pre-refactor plain-JSON name.
         return (self.root / f"{key}.json.gz", self.root / f"{key}.json")
 
+    def artifact_exists(self, key: str) -> bool:
+        """Whether an artifact file for cache key ``key`` exists (no decode)."""
+        return any(
+            _file_signature(path) is not None for path in self._candidate_paths(key)
+        )
+
     # -- read ----------------------------------------------------------
     def get(self, spec: ExperimentSpec) -> CellResult | None:
-        """Cached result for ``spec``, or ``None`` (counted as a miss)."""
+        """Cached result for ``spec``, or ``None`` (counted as a miss).
+
+        A file decoded before is served from this instance's memo as long
+        as its ``(mtime_ns, size, inode)`` signature is unchanged; every
+        call returns its own :class:`CellResult` and ``jobs`` list.
+        """
         result = None
         for path in self._candidate_paths(self.key_for(spec)):
-            result = self._load(path, expect=spec)
+            result = self._get_path(path, spec)
             if result is not None:
                 break
         if result is None:
@@ -228,6 +271,27 @@ class ResultCache:
         else:
             self.hits += 1
         return result
+
+    def _get_path(self, path: Path, spec: ExperimentSpec) -> CellResult | None:
+        """Validated result stored at ``path``, through the decode memo."""
+        signature = _file_signature(path)
+        if signature is None:
+            return None
+        entry = self._decoded.get(path)
+        if entry is not None and entry[0] == signature:
+            self._decoded.move_to_end(path)
+            result = entry[1]
+            if result.spec.with_trace_digest() != spec.with_trace_digest():
+                return None
+        else:
+            result = self._load(path, expect=spec)
+            if result is None:
+                return None
+            self._decoded[path] = (signature, result)
+            self._decoded.move_to_end(path)
+            while len(self._decoded) > DECODED_MEMO_CAP:
+                self._decoded.popitem(last=False)
+        return replace(result, jobs=list(result.jobs))
 
     def peek(self, spec: ExperimentSpec) -> CellResult | None:
         """Cached result for ``spec`` without per-job rows or accounting.
@@ -340,6 +404,7 @@ class ResultCache:
         else:
             payload["jobs"] = [_job_to_list(j) for j in result.jobs]
         path = self.root / f"{spec.cache_key(self.traces)}.json.gz"
+        self._decoded.pop(path, None)
         tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
         with open(tmp, "wb") as raw:
             # filename="" and mtime=0 keep the gzip header content-pure.

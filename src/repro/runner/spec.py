@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.mesh.clos import build_topology as _build_topology
@@ -48,6 +49,13 @@ __all__ = [
 TraceRow = tuple
 
 _HEX_DIGITS = set("0123456789abcdef")
+
+#: Job lists :meth:`ExperimentSpec.build_jobs` keeps per process.  Many
+#: cells share one workload (a campaign's allocator and scheduler axes
+#: never change it), and decoding a packed artifact rebuilds it.
+JOBS_MEMO_CAP = 64
+
+_JOBS_MEMO: OrderedDict[tuple, tuple[Job, ...]] = OrderedDict()
 
 
 def _is_digest(value: str) -> bool:
@@ -205,8 +213,36 @@ class ExperimentSpec:
         :func:`~repro.trace.synthetic.drop_oversized` for the mesh, then
         :func:`~repro.trace.synthetic.apply_load_factor`.  Ref specs
         hydrate their rows from ``store`` (default workload store when
-        ``None``).
+        ``None``).  The jobs are frozen, so the list is memoised per
+        process (up to :data:`JOBS_MEMO_CAP` workloads) and each call
+        returns a fresh list of the same jobs.
         """
+        if self.trace_ref is not None:
+            if store is None:
+                store = default_store()
+            # The digest is the trace's content address: every store
+            # holding it holds the same rows.
+            source: tuple = ("ref", self.trace_ref)
+        elif self.trace is not None:
+            source = ("trace", self.trace)
+        else:
+            source = (
+                "synthetic", self.seed, self.n_jobs, self.runtime_scale, self.n_users
+            )
+        # Keyed on exactly what the build below reads.  A memoised ref
+        # workload is served only from a store that holds its trace, so a
+        # store without it still raises KeyError.
+        key = (source, math.prod(self.mesh_shape), self.load, self.priority)
+        jobs = _JOBS_MEMO.get(key)
+        if jobs is None or (self.trace_ref is not None and self.trace_ref not in store):
+            jobs = tuple(self._build_jobs(store))
+            _JOBS_MEMO[key] = jobs
+            while len(_JOBS_MEMO) > JOBS_MEMO_CAP:
+                _JOBS_MEMO.popitem(last=False)
+        _JOBS_MEMO.move_to_end(key)
+        return list(jobs)
+
+    def _build_jobs(self, store: TraceStore | None) -> list[Job]:
         from repro.trace.synthetic import (
             apply_load_factor,
             drop_oversized,

@@ -1,10 +1,13 @@
 """Interrupt/resume coverage: a campaign killed mid-run resumes warm.
 
-The contract: the manifest is flushed after every completed cell, and
-artifacts are content-addressed -- so whatever kills a ``run`` (a signal,
-an exception, or simply ``--limit N`` running out), the next ``run``
-serves every completed cell from the cache, recomputes nothing, and
-never rewrites an existing artifact file.
+The contract: artifacts are content-addressed and land before their
+cell is recorded, and the manifest is flushed at most once per second
+while cells complete plus once when the run ends (an exception
+included) -- so whatever kills a ``run`` (a signal, an exception, or
+simply ``--limit N`` running out), the next ``run`` serves every
+completed cell from the cache, recomputes nothing, and never rewrites
+an existing artifact file.  A flush lost to a hard kill is benign: the
+cells it would have recorded are served as cache hits.
 """
 
 import pytest
