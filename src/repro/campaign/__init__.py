@@ -10,13 +10,14 @@ content digest, workloads interned into the content-addressed store);
 :func:`run_campaign` executes them on the parallel engine with a
 **manifest** next to the cache that makes interrupted campaigns resume
 warm; and the report helpers aggregate completed cells into comparison
-tables grouped by any axis.  :func:`drain_campaign` lets N runner
-processes sharing a cache root drain one campaign cooperatively through
-the lease/claim protocol (:mod:`repro.campaign.lease`) -- the ``drain``
-CLI verb, with ``--runners N`` spawning a local fleet.
+tables grouped by any axis.  Execution claims cells through the
+lease/claim protocol (:mod:`repro.campaign.lease`): a run is one runner
+claiming every pending cell at once, and :func:`drain_campaign` lets N
+runner processes sharing a cache root drain one campaign cooperatively
+-- the ``drain`` CLI verb, with ``--runners N`` spawning a local fleet.
 
 The bundled campaign files under ``repro/campaign/data/`` reproduce the
-fig07 / fig12 / figswf panels (the figure drivers are now thin shims over
+fig07 / fig08 / fig12 / figswf panels (the figure drivers are now thin shims over
 them) plus a multi-shape panel no hand-written driver covers.  CLI::
 
     python -m repro.campaign expand fig07

@@ -14,8 +14,9 @@
     python -m repro.campaign prune CAMPAIGN --dry-run   # retire artifacts+manifest
 
 ``CAMPAIGN`` is a path to a ``.toml``/``.json`` campaign file or the name
-of a bundled campaign (``clos``, ``fig07``, ``fig12``, ``figswf``,
-``multishape``, ``smoke`` -- see ``src/repro/campaign/data/``).  Results land in the
+of a bundled campaign (``clos``, ``fairness``, ``fig07``, ``fig08``,
+``fig12``, ``figswf``, ``multishape``, ``smoke`` -- see
+``src/repro/campaign/data/``).  Results land in the
 standard artifact cache (``--cache-dir`` / ``$REPRO_CACHE_DIR``); the
 campaign manifest lives under ``<cache>/campaigns/`` and re-``run``\\ ning
 an interrupted campaign resumes from it with every completed cell served
@@ -24,11 +25,14 @@ warm.
 ``--tier`` picks the engine's execution tier (default ``auto``: tiny
 pending grids run in-process, big ones fan out over workers, with the
 shared trace segment whenever ref workloads benefit); results and
-artifacts are identical for every tier.  ``drain`` is the cooperative
-mode: every ``drain`` process pointed at the same campaign and cache
+artifacts are identical for every tier.  ``run`` and ``drain`` execute
+through one loop: every process pointed at the same campaign and cache
 root claims pending cells through per-cell lease files (no duplicated
-compute, dead runners' leases stolen after a TTL), so a fleet finishes
-one campaign together -- ``--runners N`` spawns such a fleet locally.
+compute, dead runners' leases stolen after a TTL).  ``run`` is a
+one-runner drain with one batch -- it claims every pending cell at once
+and prints every selected cell -- while ``drain`` claims ``--batch``
+cells at a time as one of a fleet finishing one campaign together;
+``--runners N`` spawns such a fleet locally.
 ``report --format json|csv``
 exports the completed cells for notebooks; ``prune`` deletes a
 campaign's artifacts and manifest in one step (``--dry-run`` first).
@@ -88,17 +92,13 @@ def _open(args) -> tuple:
 
 
 def _manifest_for(campaign, expansion, cache) -> CampaignManifest:
-    path = (
-        manifest_path(cache.root, campaign.name, expansion.digest)
-        if cache is not None
-        else None
-    )
+    path = manifest_path(cache.root, campaign.name, expansion.digest)
     return CampaignManifest.open(path, campaign.name, expansion.digest)
 
 
 def _expand(args) -> int:
     campaign, cache = _open(args)
-    expansion = expand(campaign, store=cache.traces if cache else None)
+    expansion = expand(campaign, store=cache.traces)
     print(format_expansion(expansion, _manifest_for(campaign, expansion, cache)))
     return 0
 
@@ -119,44 +119,28 @@ def _cell_progress(quiet: bool):
     return progress
 
 
-def _run(args) -> int:
-    campaign, cache = _open(args)
-    progress = _cell_progress(args.quiet)
-
-    run = run_campaign(
-        campaign,
-        cache=cache,
-        jobs=args.jobs,
-        limit=args.limit,
-        progress=progress,
-        tier=args.tier,
-    )
-    print(run.summary_line())
-    if run.tier_decision is not None:
-        print(f"[tier] {run.tier_decision.describe()}")
-    if cache is not None:
-        print(cache.stats_line())
-    return 0
-
-
-def _drain(args) -> int:
-    if args.runners > 1:
+def _execute(args) -> int:
+    """``run`` and ``drain``: one campaign execution, one summary."""
+    if args.command == "drain" and args.runners > 1:
         return _drain_fleet(args)
     campaign, cache = _open(args)
-    drain = drain_campaign(
-        campaign,
-        cache=cache,
-        runner=args.runner_id,
-        jobs=args.jobs,
-        batch=args.batch,
-        lease_ttl=args.lease_ttl,
-        progress=_cell_progress(args.quiet),
-        tier=args.tier,
-    )
-    print(drain.summary_line())
-    if drain.tier_decisions:
-        print(f"[tier] {drain.tier_decisions[0].describe()}")
-    print(cache.stats_line())
+    shared = dict(jobs=args.jobs, progress=_cell_progress(args.quiet), tier=args.tier)
+    if args.command == "run":
+        result = run_campaign(campaign, cache, limit=args.limit, **shared)
+    else:
+        result = drain_campaign(
+            campaign,
+            cache,
+            runner=args.runner_id,
+            batch=args.batch,
+            lease_ttl=args.lease_ttl,
+            **shared,
+        )
+    print(result.summary_line())
+    if result.tier_decision is not None:
+        print(f"[tier] {result.tier_decision.describe()}")
+    if cache is not None:
+        print(cache.stats_line())
     return 0
 
 
@@ -223,27 +207,24 @@ def _drain_fleet(args) -> int:
 
 def _status(args) -> int:
     campaign, cache = _open(args)
-    expansion = expand(campaign, store=cache.traces if cache else None)
+    expansion = expand(campaign, store=cache.traces)
     print(format_campaign_status(expansion, _manifest_for(campaign, expansion, cache)))
     return 0
 
 
 def _report(args) -> int:
     campaign, cache = _open(args)
-    if cache is None:
-        print("report needs the artifact cache (drop --no-cache)", file=sys.stderr)
-        return 2
     expansion = expand(campaign, store=cache.traces)
+    shaping = [
+        flag
+        for flag, value in (
+            ("--group-by", args.group_by),
+            ("--rows", args.rows),
+            ("--cols", args.cols),
+        )
+        if value is not None
+    ]
     if args.fairness:
-        shaping = [
-            flag
-            for flag, value in (
-                ("--group-by", args.group_by),
-                ("--rows", args.rows),
-                ("--cols", args.cols),
-            )
-            if value is not None
-        ]
         if args.metric != "mean_response":
             shaping.append("--metric")
         if shaping:
@@ -262,15 +243,6 @@ def _report(args) -> int:
         # json/csv are the flat per-cell records; the pivot-shaping
         # flags only apply to tables, so passing them is a mistake the
         # user should hear about rather than silently lose.
-        shaping = [
-            flag
-            for flag, value in (
-                ("--group-by", args.group_by),
-                ("--rows", args.rows),
-                ("--cols", args.cols),
-            )
-            if value is not None
-        ]
         if shaping:
             print(
                 f"{'/'.join(shaping)} only shape the table format; "
@@ -304,9 +276,6 @@ def _report(args) -> int:
 
 def _prune(args) -> int:
     campaign, cache = _open(args)
-    if cache is None:
-        print("prune needs the artifact cache (drop --no-cache)", file=sys.stderr)
-        return 2
     removed, manifest_file = prune_campaign(campaign, cache, dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     manifest_note = (
@@ -348,13 +317,29 @@ def main(argv: list[str] | None = None) -> int:
     p_expand = sub.add_parser("expand", help="print the expanded cell table")
     add_common(p_expand)
 
-    p_run = sub.add_parser("run", help="run the campaign (resumes from the manifest)")
-    add_common(p_run)
-    p_run.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: auto-tuned from usable CPUs and "
+    def add_execution(p, jobs_default: int | None, jobs_help: str) -> None:
+        """Flags shared by the two verbs that execute cells."""
+        add_common(p)
+        p.add_argument("--jobs", type=int, default=jobs_default, help=jobs_help)
+        p.add_argument(
+            "--quiet", action="store_true", help="suppress per-cell progress lines"
+        )
+        p.add_argument(
+            "--tier",
+            default=None,
+            choices=TIERS,
+            help="execution tier (default: the campaign file's tier, else "
+            "'auto'); results are identical for every tier",
+        )
+
+    p_run = sub.add_parser(
+        "run",
+        help="run the campaign as one runner (resumes from the manifest)",
+    )
+    add_execution(
+        p_run,
+        None,
+        "worker processes (default: auto-tuned from usable CPUs and "
         "the manifest's recorded cell cost; 1 = serial)",
     )
     p_run.add_argument(
@@ -367,17 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--no-cache",
         action="store_true",
-        help="run without the artifact cache (nothing persisted or resumable)",
-    )
-    p_run.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress lines"
-    )
-    p_run.add_argument(
-        "--tier",
-        default=None,
-        choices=TIERS,
-        help="execution tier (default: the campaign file's tier, else "
-        "'auto'); results are identical for every tier",
+        help="run against a throwaway cache (nothing persisted or resumable)",
     )
 
     p_drain = sub.add_parser(
@@ -385,7 +360,12 @@ def main(argv: list[str] | None = None) -> int:
         help="cooperatively drain the campaign (N runners, one cache root, "
         "no duplicated compute)",
     )
-    add_common(p_drain)
+    add_execution(
+        p_drain,
+        1,
+        "engine worker processes per runner (default: 1 -- the "
+        "runners themselves are the parallelism)",
+    )
     p_drain.add_argument(
         "--runners",
         type=int,
@@ -402,13 +382,6 @@ def main(argv: list[str] | None = None) -> int:
         "<id>-r0..rN-1)",
     )
     p_drain.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="engine worker processes per runner (default: 1 -- the "
-        "runners themselves are the parallelism)",
-    )
-    p_drain.add_argument(
         "--batch",
         type=int,
         default=8,
@@ -422,16 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help="seconds without heartbeats before a runner's leases can be "
         f"stolen (default: {DEFAULT_LEASE_TTL:g})",
-    )
-    p_drain.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress lines"
-    )
-    p_drain.add_argument(
-        "--tier",
-        default=None,
-        choices=TIERS,
-        help="execution tier per batch (default: the campaign file's "
-        "tier, else 'auto')",
     )
 
     p_status = sub.add_parser("status", help="completion counts from the manifest")
@@ -503,8 +466,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     handler = {
         "expand": _expand,
-        "run": _run,
-        "drain": _drain,
+        "run": _execute,
+        "drain": _execute,
         "status": _status,
         "report": _report,
         "prune": _prune,

@@ -8,12 +8,15 @@ filesystem:
 
 * **Claim** is ``O_CREAT | O_EXCL``: exactly one runner can create a
   cell's lease file, so concurrently draining runners partition the
-  pending cells with no coordinator and no duplicated compute.
+  pending cells with no coordinator and no duplicated compute.  A lease
+  file read before its claimer wrote it is empty, and counts as live
+  until a TTL after its creation.
 * **Heartbeat**: a runner periodically rewrites its lease files
   (temp file + :func:`os.replace`) with a fresh ``heartbeat_at``.  A
   lease whose heartbeat is older than its TTL is *expired* -- the
   runner that held it is presumed dead (SIGKILL leaves no chance to
-  clean up).
+  clean up).  A lease whose holder ran on this host as a process that
+  no longer exists is expired at once.
 * **Steal** reclaims expired leases under a directory-wide lock file
   (:class:`FileLock`), so two runners never both adopt the same dead
   runner's cell: the stealer re-reads the lease inside the lock,
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -144,10 +148,25 @@ class Lease:
     acquired_at: float
     heartbeat_at: float
     ttl: float
+    #: Where the holder runs; ``""``/``-1`` in leases that predate them.
+    host: str = ""
+    pid: int = -1
 
     def expired(self, now: float | None = None) -> bool:
-        """Whether the holder has missed a full TTL of heartbeats."""
-        return (now if now is not None else time.time()) > self.heartbeat_at + self.ttl
+        """Whether the holder has missed a full TTL of heartbeats, or is
+        a process of this host that no longer exists (a killed ``run``
+        must not hold up the next one for a TTL)."""
+        if (now if now is not None else time.time()) > self.heartbeat_at + self.ttl:
+            return True
+        if self.host != socket.gethostname() or self.pid <= 0:
+            return False
+        try:
+            os.kill(self.pid, 0)
+        except ProcessLookupError:
+            return True
+        except OSError:  # alive, but another user's process
+            pass
+        return False
 
 
 class LeaseDir:
@@ -183,15 +202,16 @@ class LeaseDir:
     # -- claim ---------------------------------------------------------
     def claim(self, digest: str) -> bool:
         """Try to claim one cell; False if any lease file already exists."""
-        self.root.mkdir(parents=True, exist_ok=True)
         now = time.time()
         payload = self._payload(digest, acquired_at=now, heartbeat_at=now)
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
         try:
-            fd = os.open(
-                self.path_for(digest), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
+            fd = os.open(self.path_for(digest), flags)
         except FileExistsError:
             return False
+        except FileNotFoundError:  # the first claim makes the directory
+            self.root.mkdir(parents=True, exist_ok=True)
+            return self.claim(digest)
         os.write(fd, payload)
         os.close(fd)
         with self._guard:
@@ -228,30 +248,30 @@ class LeaseDir:
     def read(self, digest: str) -> Lease | None:
         """Decode one lease file; ``None`` for missing/corrupt files.
 
-        A corrupt lease (torn write from a crashed runner) reads as
-        ``None``, which callers treat like an expired lease: stealable.
+        An empty file is a claim whose payload is still being written; it
+        reads as live until a TTL past its creation, so a concurrent
+        claimer does not steal it.  A corrupt lease (torn write from a
+        crashed runner) reads as ``None``, which callers treat like an
+        expired lease: stealable.
         """
+        path = self.path_for(digest)
         try:
-            data = json.loads(self.path_for(digest).read_text())
+            text = path.read_text()
+            if not text:  # claimed this instant: its payload is on the way
+                mtime = path.stat().st_mtime
+                return Lease(digest, "", mtime, mtime, self.ttl)
+            data = json.loads(text)
             return Lease(
                 digest=digest,
                 runner=str(data["runner"]),
                 acquired_at=float(data["acquired_at"]),
                 heartbeat_at=float(data["heartbeat_at"]),
                 ttl=float(data["ttl"]),
+                host=str(data.get("host", "")),
+                pid=int(data.get("pid", -1)),
             )
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             return None
-
-    def live(self, digests) -> dict[str, Lease]:
-        """The unexpired leases among ``digests`` (any runner's)."""
-        now = time.time()
-        out: dict[str, Lease] = {}
-        for digest in digests:
-            lease = self.read(digest)
-            if lease is not None and not lease.expired(now):
-                out[digest] = lease
-        return out
 
     # -- steal ---------------------------------------------------------
     def steal(self, digests, n: int) -> list[str]:
@@ -339,6 +359,7 @@ class LeaseDir:
                 "digest": digest,
                 "runner": self.runner,
                 "pid": os.getpid(),
+                "host": socket.gethostname(),
                 "acquired_at": acquired_at,
                 "heartbeat_at": heartbeat_at,
                 "ttl": self.ttl,

@@ -122,6 +122,23 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"unknown metric {metric!r}; known: {sorted(known)}")
 
 
+def _completed(expansion: Expansion, read, part: str) -> tuple[list, int]:
+    """``(cell, getattr(result, part))`` for every cell ``read`` finds, in
+    expansion order, plus the number of cells still missing."""
+    pairs = []
+    missing = 0
+    for cell in expansion.cells:
+        try:
+            result = read(cell.spec)
+        except KeyError:  # ref spec whose trace never reached this store
+            result = None
+        if result is None:
+            missing += 1
+            continue
+        pairs.append((cell, getattr(result, part)))
+    return pairs, missing
+
+
 def completed_cells(
     expansion: Expansion, cache: ResultCache
 ) -> tuple[list[tuple[CampaignCell, object]], int]:
@@ -130,18 +147,7 @@ def completed_cells(
     Summary-level reads only (:meth:`ResultCache.peek`); returns the
     pairs in expansion order plus the number of cells still missing.
     """
-    pairs = []
-    missing = 0
-    for cell in expansion.cells:
-        try:
-            result = cache.peek(cell.spec)
-        except KeyError:  # ref spec whose trace never reached this store
-            result = None
-        if result is None:
-            missing += 1
-            continue
-        pairs.append((cell, result.summary))
-    return pairs, missing
+    return _completed(expansion, cache.peek, "summary")
 
 
 def _check_metric_axis_collision(metric: str, axis_names: list[str]) -> None:
@@ -370,18 +376,7 @@ def _fairness_pairs(
     reads full artifacts (:meth:`ResultCache.get`) -- the packed columns
     decode to job results without rerunning anything.
     """
-    pairs = []
-    missing = 0
-    for cell in expansion.cells:
-        try:
-            result = cache.get(cell.spec)
-        except KeyError:
-            result = None
-        if result is None:
-            missing += 1
-            continue
-        pairs.append((cell, result.jobs))
-    return pairs, missing
+    return _completed(expansion, cache.get, "jobs")
 
 
 def _fairness_metrics(jobs) -> dict:

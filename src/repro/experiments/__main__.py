@@ -76,24 +76,17 @@ from repro.runner import TIERS, ResultCache
 __all__ = ["main", "EXPERIMENTS"]
 
 
-def _fig7(scale, seed, trace, jobs, cache, tier):
-    from repro.experiments.sweep import run_sweep
+def _sweep_figure(module):
+    """fig7/fig8: the bundled campaign, or ``run_sweep`` over ``--trace``."""
 
-    if trace is None:
-        return fig07_sweep16x22.run(scale, seed, jobs=jobs, cache=cache, tier=tier)
-    return run_sweep(
-        fig07_sweep16x22.MESH, scale, trace=trace, jobs=jobs, cache=cache, tier=tier
-    )
+    def run(scale, seed, trace, jobs, cache, tier):
+        if trace is None:
+            return module.run(scale, seed, jobs=jobs, cache=cache, tier=tier)
+        from repro.experiments.sweep import run_sweep
 
+        return run_sweep(module.MESH, scale, trace=trace, jobs=jobs, cache=cache, tier=tier)
 
-def _fig8(scale, seed, trace, jobs, cache, tier):
-    from repro.experiments.sweep import run_sweep
-
-    if trace is None:
-        return fig08_sweep16x16.run(scale, seed, jobs=jobs, cache=cache, tier=tier)
-    return run_sweep(
-        fig08_sweep16x16.MESH, scale, trace=trace, jobs=jobs, cache=cache, tier=tier
-    )
+    return run
 
 
 #: name -> (run(scale, seed, trace, jobs, cache, tier), report(result), description)
@@ -124,12 +117,12 @@ EXPERIMENTS = {
         "truncated Hilbert / H-indexing on 16x22 with gaps",
     ),
     "fig7": (
-        _fig7,
+        _sweep_figure(fig07_sweep16x22),
         fig07_sweep16x22.report,
         "response time vs load, 16x22 mesh, 3 patterns x 9 allocators",
     ),
     "fig8": (
-        _fig8,
+        _sweep_figure(fig08_sweep16x16),
         fig08_sweep16x16.report,
         "response time vs load, 16x16 mesh, 3 patterns x 9 allocators",
     ),

@@ -2,22 +2,30 @@
 
 Same grid as Fig 7 on the square mesh, "using the same trace except for
 removing 3 jobs of 320 nodes each that are too large to fit the smaller
-machine" -- :func:`repro.trace.synthetic.drop_oversized` inside the sweep
+machine" -- :func:`repro.trace.synthetic.drop_oversized` inside each cell
 does exactly that (the synthetic trace injects three 320-node jobs for the
 purpose).  On the square power-of-two mesh the curves have no gaps, and the
 paper finds Hilbert with Best Fit at or near the top for every pattern.
+
+Like the Fig 7 driver, this is a thin shim over the bundled campaign file
+``repro/campaign/data/fig08.toml`` (identical specs and cache keys --
+pinned by ``tests/campaign/test_bundled.py``), adapted to
+``--scale``/``--seed`` via :meth:`~repro.campaign.model.Campaign.scaled`.
 """
 
 from __future__ import annotations
 
 from repro.experiments.config import SMALL, Scale
-from repro.experiments.sweep import SweepResult, report_sweep, run_sweep
+from repro.experiments.sweep import SweepResult, report_sweep
 from repro.mesh.topology import Mesh2D
 from repro.runner import ResultCache
 
-__all__ = ["run", "report", "MESH"]
+__all__ = ["run", "report", "MESH", "CAMPAIGN"]
 
 MESH = Mesh2D(16, 16)
+
+#: Bundled campaign this driver is a shim over.
+CAMPAIGN = "fig08"
 
 
 def run(
@@ -28,9 +36,12 @@ def run(
     tier: str | None = None,
 ) -> list[SweepResult]:
     """All three panels of Fig 8 (one SweepResult per pattern)."""
-    if seed is not None:
-        scale = scale.with_seed(seed)
-    return run_sweep(MESH, scale, jobs=jobs, cache=cache, tier=tier)
+    from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
+
+    campaign = load_campaign(bundled_campaign_path(CAMPAIGN)).scaled(scale, seed)
+    crun = run_campaign(campaign, cache=cache, jobs=jobs, tier=tier)
+    (panels,) = crun.sweep_results().values()
+    return panels
 
 
 def report(results: list[SweepResult]) -> str:

@@ -177,13 +177,8 @@ def _resolve_export(cache: ResultCache, target: str, export_all: bool):
         ]
         return paths, [], "repro-bundle.tgz"
     expansion = expand(campaign, store=cache.traces)
-    paths = []
-    for cell in expansion.cells:
-        try:
-            key = cache.key_for(cell.spec)
-        except KeyError:
-            continue
-        paths.extend(p for p in cache._candidate_paths(key) if p.is_file())
+    keys = (cache.key_or_none(cell.spec) for cell in expansion.cells)
+    paths = [p for k in keys if k for p in cache._candidate_paths(k) if p.is_file()]
     mpath = manifest_path(cache.root, campaign.name, expansion.digest)
     manifests = [mpath] if mpath.is_file() else []
     return paths, manifests, f"{campaign.name}-{expansion.digest[:12]}.bundle.tgz"

@@ -239,6 +239,15 @@ class ResultCache:
         """Cache key of ``spec`` (refs resolved through this cache's store)."""
         return spec.cache_key(self.traces)
 
+    def key_or_none(self, spec: ExperimentSpec) -> str | None:
+        """:meth:`key_for`, or ``None`` for a ref spec whose trace already
+        left the store: its key cannot be recomputed, so nothing
+        addressable is left of its artifact (vacuum handles leftovers)."""
+        try:
+            return self.key_for(spec)
+        except KeyError:
+            return None
+
     def path_for(self, spec: ExperimentSpec) -> Path:
         """Artifact path ``put`` would write for ``spec``."""
         return self.root / f"{self.key_for(spec)}.json.gz"

@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import tempfile
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -62,7 +61,7 @@ from repro.runner.cache import ResultCache
 from repro.runner.spec import CellResult, ExperimentSpec
 from repro.sched.simulator import Simulation
 from repro.sched.stats import summarize
-from repro.trace.segment import SegmentBackedStore, TraceSegment, write_segment
+from repro.trace.segment import SegmentBackedStore, TraceSegment, cut_segment
 from repro.trace.store import TraceStore
 
 __all__ = [
@@ -329,19 +328,10 @@ def _run_pool(
         if with_segment and segment_path is not None:
             initializer, initargs = _init_segment_worker, (str(segment_path),)
         elif with_segment and store is not None:
-            digests = sorted({s.trace_ref for s in work if s.trace_ref is not None})
-            if digests:
-                fd, own_segment = tempfile.mkstemp(
-                    prefix="repro-segment-", suffix=".bin"
-                )
-                os.close(fd)
-                try:
-                    traces = {d: store.get(d) for d in digests}
-                except KeyError as exc:
-                    raise KeyError(
-                        f"cannot cut the process+shm trace segment: {exc.args[0]}"
-                    ) from None
-                write_segment(own_segment, traces)
+            own_segment = cut_segment(
+                store, (s.trace_ref for s in work if s.trace_ref is not None)
+            )
+            if own_segment is not None:
                 initializer, initargs = _init_segment_worker, (own_segment,)
         # Chunked dispatch amortises pickling without starving workers.
         chunksize = max(1, len(work) // (n_workers * 4))

@@ -8,7 +8,6 @@ allocator, a communication pattern, and the fluid network engine into the
 trace-driven simulator behind Figs 7/8/9/10/11.
 """
 
-from repro.sched.events import EventQueue
 from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
 from repro.sched.registry import (
@@ -27,7 +26,6 @@ from repro.sched.stats import summarize
 __all__ = [
     "Job",
     "JobResult",
-    "EventQueue",
     "FCFSQueue",
     "Simulation",
     "SimulationResult",

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 import struct
+import tempfile
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -46,7 +48,13 @@ import numpy as np
 
 from repro.trace.store import TraceRow, canonical_trace
 
-__all__ = ["TraceSegment", "SegmentBackedStore", "write_segment", "SEGMENT_MAGIC"]
+__all__ = [
+    "TraceSegment",
+    "SegmentBackedStore",
+    "cut_segment",
+    "write_segment",
+    "SEGMENT_MAGIC",
+]
 
 #: Magic prefix identifying a packed trace segment file.
 SEGMENT_MAGIC = b"RSEG1\n"
@@ -102,6 +110,22 @@ def write_segment(path: str | Path, traces: Mapping[str, tuple]) -> int:
     )
     Path(path).write_bytes(payload)
     return len(payload)
+
+
+def cut_segment(store, digests) -> str | None:
+    """Pack the stored traces behind ``digests`` into a fresh temp file.
+
+    Returns its path (the caller unlinks it), or ``None`` when none of
+    the digests is stored.  Digests missing from the store are left out:
+    a worker hydrating one falls back to the store, which names it.
+    """
+    traces = {d: store.get(d) for d in sorted(set(digests)) if d in store}
+    if not traces:
+        return None
+    fd, path = tempfile.mkstemp(prefix="repro-segment-", suffix=".bin")
+    os.close(fd)
+    write_segment(path, traces)
+    return path
 
 
 class TraceSegment:

@@ -34,11 +34,13 @@ def _bundled(name):
 class TestBundledInventory:
     def test_expected_campaigns_ship(self):
         names = bundled_campaign_names()
-        for expected in ("clos", "fig07", "fig12", "figswf", "multishape", "smoke"):
+        for expected in (
+            "clos", "fig07", "fig08", "fig12", "figswf", "multishape", "smoke"
+        ):
             assert expected in names
 
     @pytest.mark.parametrize(
-        "name", ["clos", "fig07", "fig12", "figswf", "multishape", "smoke"]
+        "name", ["clos", "fig07", "fig08", "fig12", "figswf", "multishape", "smoke"]
     )
     def test_every_bundled_campaign_loads_and_expands(self, name):
         expansion = expand(_bundled(name))
@@ -51,6 +53,13 @@ class TestSpecEquality:
 
         driver = build_sweep_specs(MESH, SMALL)
         campaign = [c.spec for c in expand(_bundled("fig07")).cells]
+        assert campaign == driver
+
+    def test_fig08_campaign_equals_driver_grid(self):
+        from repro.experiments.fig08_sweep16x16 import MESH
+
+        driver = build_sweep_specs(MESH, SMALL)
+        campaign = [c.spec for c in expand(_bundled("fig08")).cells]
         assert campaign == driver
 
     def test_fig12_campaign_equals_driver_grid(self):

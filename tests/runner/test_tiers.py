@@ -230,7 +230,7 @@ class TestSegmentReuse:
         def _no_repack(*a, **k):
             raise AssertionError("engine re-packed a segment it was given")
 
-        monkeypatch.setattr(engine_mod, "write_segment", _no_repack)
+        monkeypatch.setattr(engine_mod, "cut_segment", _no_repack)
         cells = run_many(
             specs, jobs=2, cache=cache, tier="process+shm", segment_path=segment
         )
