@@ -13,7 +13,6 @@
 import numpy as np
 
 from repro.core.registry import make_allocator
-from repro.experiments.sweep import run_sweep
 from repro.mesh.topology import Mesh2D
 from repro.network.fluid import NetworkParams
 from repro.patterns.base import get_pattern

@@ -94,9 +94,8 @@ class TestCampaignBench:
         )
 
 
-#: 100 tiny cells (a single shared 1-node-job workload, 2x2 mesh,
-#: referenced by digest): the many-tiny-cells campaign shape the
-#: execution tiers were built for.
+#: 100 tiny cells (a single shared 1-node-job SWF log, 2x2 mesh): the
+#: many-tiny-cells campaign shape the execution tiers were built for.
 TINY_CAMPAIGN_TEXT = """
 [campaign]
 name = "tiny100"
@@ -109,8 +108,8 @@ allocator = ["row-major", "s-curve", "hilbert", "hilbert+bf", "s-curve+bf"]
 seed = [1, 2, 3, 4, 5]
 
 [[axes.workload]]
-kind = "ref"
-digest = "{digest}"
+kind = "swf"
+path = "one-job.swf"
 """
 
 #: Worker count tuned for the big campaigns; auto's job is to ignore it
@@ -118,24 +117,18 @@ digest = "{digest}"
 TINY_JOBS = 8
 
 
-#: The shared workload: one 1-node job (the smallest real cell).
-TINY_TRACE = ((0, 0.0, 1, 10.0),)
+def _tiny_campaign(tmp_path):
+    """The tiny campaign over its shared workload, one 1-node job (the
+    smallest real cell) written as an SWF log next to it.
 
-
-def _tiny_campaign(tmp_path, monkeypatch, stores=()):
-    """The tiny ref-workload campaign, its trace interned where needed.
-
-    The digest is content-addressed, so interning the same rows into the
-    default store (for cache-less runs) and any explicit cache stores
-    yields one digest -- and therefore one campaign text -- for all.
+    An swf workload needs no store: a cache-less run carries its one
+    row inline, and a cached run interns it into that cache's store.
     """
-    from repro.trace.store import default_store
+    from repro.sched.job import Job
+    from repro.trace.swf import write_swf
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
-    digest = default_store().put(TINY_TRACE)
-    for store in stores:
-        store.put(TINY_TRACE)
-    return loads_campaign(TINY_CAMPAIGN_TEXT.format(digest=digest))
+    write_swf([Job(1, 0.0, 1, 10.0)], tmp_path / "one-job.swf")
+    return loads_campaign(TINY_CAMPAIGN_TEXT, base_dir=tmp_path)
 
 
 def _auto_vs_forced_process(campaign):
@@ -156,7 +149,7 @@ def _auto_vs_forced_process(campaign):
 
 class TestTierCampaignBench:
     def test_auto_tier_cold_campaign_2x_over_forced_process(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
         """Correctness half of the tentpole claim: a cold 100-tiny-cell
         campaign resolves ``auto`` to inline (probe -> inline), forcing
@@ -170,7 +163,7 @@ class TestTierCampaignBench:
         that picture).
         """
         auto, forced, _, _ = _auto_vs_forced_process(
-            _tiny_campaign(tmp_path, monkeypatch)
+            _tiny_campaign(tmp_path)
         )
         assert auto.tier_decision is not None and auto.tier_decision.tier == "inline"
         assert forced.tier_decision is not None
@@ -180,7 +173,7 @@ class TestTierCampaignBench:
 
     @pytest.mark.timing
     def test_wall_clock_auto_tier_cold_campaign_2x_over_forced_process(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
         """The cold 100-tiny-cell campaign runs >=2x faster through
         ``auto`` than through the forced ``process`` tier.  Asserted only
@@ -189,7 +182,7 @@ class TestTierCampaignBench:
         import multiprocessing
 
         auto, _, auto_s, forced_s = _auto_vs_forced_process(
-            _tiny_campaign(tmp_path, monkeypatch)
+            _tiny_campaign(tmp_path)
         )
         speedup = forced_s / auto_s if auto_s > 0 else float("inf")
         print(
@@ -203,14 +196,12 @@ class TestTierCampaignBench:
                 f"campaign, got {speedup:.2f}x ({auto_s:.3f}s vs {forced_s:.3f}s)"
             )
 
-    def test_tiers_identical_through_the_cache_too(self, tmp_path, monkeypatch):
+    def test_tiers_identical_through_the_cache_too(self, tmp_path):
         """With persistence on, artifact writes dominate and are
         tier-independent; results and manifests must still agree."""
         cache_a = ResultCache(tmp_path / "a")
         cache_p = ResultCache(tmp_path / "p")
-        campaign = _tiny_campaign(
-            tmp_path, monkeypatch, stores=(cache_a.traces, cache_p.traces)
-        )
+        campaign = _tiny_campaign(tmp_path)
         start = time.perf_counter()
         auto = run_campaign(campaign, cache=cache_a, jobs=4)
         auto_s = time.perf_counter() - start

@@ -6,14 +6,16 @@ assertions encode the paper's most robust square-mesh observations.
 
 import numpy as np
 
+from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
 from repro.experiments import fig08_sweep16x16
-from repro.experiments.sweep import PAPER_ALLOCATORS, report_sweep, run_sweep
+from repro.experiments.sweep import PAPER_ALLOCATORS, report_sweep
 
 
 def _panel(run_once, scale, pattern):
-    results = run_once(
-        run_sweep, fig08_sweep16x16.MESH, scale, patterns=(pattern,)
-    )
+    campaign = load_campaign(bundled_campaign_path(fig08_sweep16x16.CAMPAIGN)).scaled(scale)
+    campaign.include = [{"pattern": pattern}]
+    crun = run_once(run_campaign, campaign)
+    (results,) = crun.sweep_results().values()
     panel = results[0]
     print()
     print(report_sweep(results))

@@ -12,9 +12,7 @@ Claims, measured on multi-cell sweep grids:
   on a 100-tiny-cell grid, where Pool spin-up and IPC dominate the
   simulations themselves (the tentpole claim of the tier refactor; a
   ``timing`` test, see ``conftest.py``, with its correctness half
-  separate),
-* the ``process+shm`` tier matches ``process`` cell-for-cell on a
-  ref-workload grid (its win is transport, never results).
+  separate).
 """
 
 from __future__ import annotations
@@ -176,31 +174,3 @@ class TestTierBench:
                 f"auto tier should beat forced process >=2x on tiny cells, got "
                 f"{speedup:.2f}x (auto {auto_s:.3f}s vs process {process_s:.3f}s)"
             )
-
-    def test_shm_tier_matches_process_on_ref_workload(self, tmp_path):
-        """``process+shm`` hydrates workers from the packed segment; the
-        cells must be identical and the timing comparable (its win is
-        per-worker store reads, which this box cannot surface)."""
-        trace = tuple((i, 30.0 * i, 2 ** (i % 5), 20.0) for i in range(500))
-        cache = ResultCache(tmp_path / "c")
-        digest = cache.traces.put(trace)
-        grid = sweep_specs(
-            (8, 8),
-            ("ring",),
-            (1.0, 0.6),
-            ("hilbert+bf", "s-curve+bf", "mc"),
-            seed=2,
-            trace_ref=digest,
-        )
-        start = time.perf_counter()
-        plain = run_many(grid, jobs=2, store=cache.traces, tier="process")
-        plain_s = time.perf_counter() - start
-        start = time.perf_counter()
-        shm = run_many(grid, jobs=2, store=cache.traces, tier="process+shm")
-        shm_s = time.perf_counter() - start
-        assert [c.summary for c in shm] == [c.summary for c in plain]
-        assert [c.jobs for c in shm] == [c.jobs for c in plain]
-        print(
-            f"\nref workload ({len(trace)} rows x {len(grid)} cells): "
-            f"process {plain_s:.2f}s, process+shm {shm_s:.2f}s"
-        )

@@ -5,7 +5,7 @@
     python -m repro.campaign expand CAMPAIGN            # cell table
     python -m repro.campaign run CAMPAIGN --jobs 4      # execute (resumable)
     python -m repro.campaign run CAMPAIGN --limit 10    # next 10 pending cells
-    python -m repro.campaign run CAMPAIGN --tier process+shm
+    python -m repro.campaign run CAMPAIGN --tier process
     python -m repro.campaign drain CAMPAIGN --runners 2 # cooperative fleet
     python -m repro.campaign drain CAMPAIGN             # join an ongoing drain
     python -m repro.campaign status CAMPAIGN            # manifest counts
@@ -23,9 +23,8 @@ an interrupted campaign resumes from it with every completed cell served
 warm.
 
 ``--tier`` picks the engine's execution tier (default ``auto``: tiny
-pending grids run in-process, big ones fan out over workers, with the
-shared trace segment whenever ref workloads benefit); results and
-artifacts are identical for every tier.  ``run`` and ``drain`` execute
+pending grids run in-process, big ones fan out over workers); results
+and artifacts are identical for every tier.  ``run`` and ``drain`` execute
 through one loop: every process pointed at the same campaign and cache
 root claims pending cells through per-cell lease files (no duplicated
 compute, dead runners' leases stolen after a TTL).  ``run`` is a
@@ -65,7 +64,7 @@ from repro.campaign.report import (
 from repro.campaign.lease import DEFAULT_LEASE_TTL
 from repro.campaign.runner import drain_campaign, prune_campaign, run_campaign
 from repro.runner import ResultCache
-from repro.runner.engine import TIERS
+from repro.runner.cli import CACHE_DIR_HELP, add_engine_flags, bad_jobs
 
 __all__ = ["main", "resolve_campaign_path"]
 
@@ -308,11 +307,7 @@ def main(argv: list[str] | None = None) -> int:
             help="campaign file path, or a bundled campaign name "
             f"({', '.join(bundled_campaign_names()) or 'none bundled'})",
         )
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-        )
+        add_engine_flags(p, cache_dir=CACHE_DIR_HELP)
 
     p_expand = sub.add_parser("expand", help="print the expanded cell table")
     add_common(p_expand)
@@ -320,16 +315,14 @@ def main(argv: list[str] | None = None) -> int:
     def add_execution(p, jobs_default: int | None, jobs_help: str) -> None:
         """Flags shared by the two verbs that execute cells."""
         add_common(p)
-        p.add_argument("--jobs", type=int, default=jobs_default, help=jobs_help)
-        p.add_argument(
-            "--quiet", action="store_true", help="suppress per-cell progress lines"
+        add_engine_flags(
+            p,
+            jobs=(jobs_default, jobs_help),
+            tier="execution tier (default: the campaign file's tier, else "
+            "'auto'); results are identical for every tier",
         )
         p.add_argument(
-            "--tier",
-            default=None,
-            choices=TIERS,
-            help="execution tier (default: the campaign file's tier, else "
-            "'auto'); results are identical for every tier",
+            "--quiet", action="store_true", help="suppress per-cell progress lines"
         )
 
     p_run = sub.add_parser(
@@ -349,10 +342,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="run at most N pending cells (incremental execution)",
     )
-    p_run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="run against a throwaway cache (nothing persisted or resumable)",
+    add_engine_flags(
+        p_run, no_cache="run against a throwaway cache (nothing persisted or resumable)"
     )
 
     p_drain = sub.add_parser(
@@ -450,8 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command in ("run", "drain") and args.jobs is not None and args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+    if bad_jobs(args):
         return 2
     if args.command == "drain":
         for flag, value, floor in (

@@ -343,7 +343,7 @@ class Campaign:
     overrides: list = field(default_factory=list)
     base_dir: Path | None = None
     #: Preferred execution tier for ``run`` (``auto``/``inline``/
-    #: ``process``/``process+shm``); ``None`` defers to the engine's
+    #: ``process``); ``None`` defers to the engine's
     #: ``auto`` policy.  A run-time dispatch preference only -- it never
     #: reaches the specs, so it cannot change cache keys or results.
     tier: str | None = None

@@ -16,9 +16,9 @@ cell into a cache hit, and the manifest is what makes that state
 *visible* (``status``) without opening a single artifact.
 
 :meth:`CampaignRun.sweep_results` regroups cells into the
-:class:`~repro.experiments.sweep.SweepResult` panels the existing report
-helpers consume, which is how the ported fig07/fig08/fig12/figswf
-drivers stay byte-identical to their hand-written predecessors.
+:class:`~repro.experiments.sweep.SweepResult` panels the report helpers
+consume; it is how the fig07/fig08/fig12/figswf drivers print tables
+from grids declared only in their bundled campaign files.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from pathlib import Path
 from repro.campaign.expand import CampaignCell, Expansion, cell_digest, expand
 from repro.campaign.lease import DEFAULT_LEASE_TTL, LeaseDir, lease_dir_path
 from repro.campaign.manifest import CampaignManifest, manifest_path
-from repro.campaign.model import Campaign
+from repro.campaign.model import Campaign, CampaignError
 from repro.runner import CellResult, ResultCache, TierDecision, run_many
-from repro.trace.segment import cut_segment
 
 __all__ = [
     "CampaignRun",
@@ -54,10 +53,9 @@ def group_sweep_results(pairs) -> dict:
 
     Returns ``{mesh_label: [SweepResult per pattern]}`` with meshes,
     patterns and cells all in first-appearance (i.e. expansion) order --
-    exactly the grouping the hand-written sweep drivers produced, so
-    their ``report`` functions (and the golden snapshots) apply
-    unchanged.  Shared by :meth:`CampaignRun.sweep_results` and the
-    report module's machine-comparison table.
+    the grouping the figure drivers' ``report`` functions (and the
+    golden snapshots) expect.  Shared by :meth:`CampaignRun.sweep_results`
+    and the report module's machine-comparison table.
     """
     from repro.experiments.sweep import SweepResult
 
@@ -166,6 +164,18 @@ def _execute(
     if tier is None:
         tier = campaign.tier if campaign.tier is not None else "auto"
     expansion = expand(campaign, store=cache.traces)
+    if cache.traces is None:
+        refs = [
+            label
+            for label, info in expansion.sources.items()
+            if info.source.kind == "ref"
+        ]
+        if refs:
+            raise CampaignError(
+                f"workload {refs[0]!r}: a ref workload needs a cache -- its "
+                "trace lives in a cache's workload store, and a cache-less "
+                "run has none"
+            )
     path = manifest_path(cache.root, campaign.name, expansion.digest)
     manifest = CampaignManifest.open(path, campaign.name, expansion.digest)
     keys: dict[str, str | None] = {}
@@ -193,13 +203,6 @@ def _execute(
     )
     if runner is not None:
         manifest.heartbeat(runner)
-    # One run_many call packs its own trace segment; several share one,
-    # so each process+shm batch does not re-pack the same columns.
-    segment = (
-        cut_segment(cache.traces, (c.spec.trace_ref for c in want if c.spec.trace_ref))
-        if batch < len(want) and (jobs is None or jobs > 1)
-        else None
-    )
 
     stop = threading.Event()
 
@@ -267,7 +270,6 @@ def _execute(
                 tier=tier,
                 est_cell_s=manifest.mean_compute_seconds(),
                 on_decision=decisions.append,
-                segment_path=segment,
             )
             if claimed or stolen:
                 # One flush per batch, and release strictly after it: a
@@ -300,11 +302,6 @@ def _execute(
         manifest.flush()
         if leases.held():
             leases.release_all()
-        if segment is not None:
-            try:
-                os.unlink(segment)
-            except OSError:
-                pass
     selected = [c for c in want if c.digest in resolved]
     return CampaignRun(
         expansion=expansion,
@@ -356,7 +353,9 @@ def run_campaign(
         Artifact cache; also supplies the workload store SWF sources are
         interned into and the directory the manifest and leases live
         next to.  ``None`` runs against a throwaway cache root that is
-        removed on return -- same results, nothing persists.
+        removed on return -- same results, nothing persists -- and
+        raises :class:`CampaignError` for a ``ref`` workload, whose
+        trace only a cache's workload store can hold.
     jobs:
         Worker processes for the engine fan-out; ``None`` auto-tunes
         from the host's CPUs and the manifest's recorded mean cell cost
@@ -368,9 +367,9 @@ def run_campaign(
     progress:
         Optional ``callback(done, total, cell)`` fired as cells resolve.
     tier:
-        Execution tier for the engine (``auto``/``inline``/``process``/
-        ``process+shm``); ``None`` falls back to the campaign file's
-        ``[campaign] tier`` and then to ``auto``.  When the manifest has
+        Execution tier for the engine (``auto``/``inline``/``process``);
+        ``None`` falls back to the campaign file's ``[campaign] tier``
+        and then to ``auto``.  When the manifest has
         recorded compute timings, they calibrate the ``auto`` policy so
         resumed campaigns skip the probe.  Results, artifacts and cache
         keys are identical for every tier.

@@ -18,14 +18,16 @@ Examples::
     python -m repro.experiments fig8 --no-cache               # force recompute
 
 ``--trace`` feeds a real Standard Workload Format file (e.g. the actual
-SDSC Paragon trace) to the sweep experiments in place of the synthetic
-workload.  ``--jobs``/``--no-cache``/``--cache-dir``/``--tier`` apply to
-the trace-driven experiments (fig7, fig8, fig9/10, fig11, fig12, hybrid,
-contiguous); the cheap closed-form figures ignore them.  ``--tier``
-selects the engine's execution tier (``auto`` by default: tiny pending
-grids run in-process, big ones fan out, with the shared-memory trace
-segment when ref workloads benefit); results are identical for every
-tier.
+SDSC Paragon trace) to fig7/fig8, replayed as recorded in place of the
+synthetic workload, and to figswf in place of its bundled fixture; a
+relative path resolves against the working directory.  Either way the
+file runs through the figure's bundled campaign, as a different value
+of its ``workload`` axis.  ``--jobs``/``--no-cache``/``--cache-dir``/
+``--tier`` apply to the trace-driven experiments (fig7, fig8, fig9/10,
+fig11, fig12, figswf, hybrid, contiguous); the cheap closed-form figures
+ignore them.  ``--tier`` selects the engine's execution tier (``auto``
+by default: tiny pending grids run in-process, big ones fan out);
+results are identical for every tier.
 
 ``fig12`` is the 3-D extension: the Fig 7 sweep on an 8x8x8 torus plus a
 16x16-mesh comparison table (see ``repro.experiments.fig12_torus8``)::
@@ -43,7 +45,7 @@ Cache lifecycle tooling lives in ``python -m repro.runner``
 (``ls`` / ``prune --older-than DAYS | --max-mb N | --spec-substr S`` /
 ``vacuum``).
 
-``fig7``, ``fig12`` and ``figswf`` are thin shims over bundled
+``fig7``, ``fig8``, ``fig12`` and ``figswf`` are thin shims over bundled
 *campaign files* (``src/repro/campaign/data/``): declarative sweeps you
 can copy, edit and run directly with resumable manifests --
 ``python -m repro.campaign run|status|expand|report CAMPAIGN``.
@@ -71,25 +73,22 @@ from repro.experiments import (
     hybrid_workload,
     metric_correlation,
 )
-from repro.runner import TIERS, ResultCache
+from repro.runner import ResultCache
+from repro.runner.cli import add_engine_flags, bad_jobs
 
 __all__ = ["main", "EXPERIMENTS"]
 
 
-def _sweep_figure(module):
-    """fig7/fig8: the bundled campaign, or ``run_sweep`` over ``--trace``."""
+def _read_swf(path):
+    """The jobs of the ``--trace`` file, or ``None`` without one."""
+    if path is None:
+        return None
+    from repro.trace.swf import read_swf
 
-    def run(scale, seed, trace, jobs, cache, tier):
-        if trace is None:
-            return module.run(scale, seed, jobs=jobs, cache=cache, tier=tier)
-        from repro.experiments.sweep import run_sweep
-
-        return run_sweep(module.MESH, scale, trace=trace, jobs=jobs, cache=cache, tier=tier)
-
-    return run
+    return read_swf(path)
 
 
-#: name -> (run(scale, seed, trace, jobs, cache, tier), report(result), description)
+#: name -> (run(scale, seed, trace path, jobs, cache, tier), report(result), description)
 EXPERIMENTS = {
     "fig1": (
         lambda s, seed, tr, j, c, t: fig01_testsuite.run(s, seed),
@@ -117,12 +116,16 @@ EXPERIMENTS = {
         "truncated Hilbert / H-indexing on 16x22 with gaps",
     ),
     "fig7": (
-        _sweep_figure(fig07_sweep16x22),
+        lambda s, seed, tr, j, c, t: fig07_sweep16x22.run(
+            s, seed, jobs=j, cache=c, tier=t, trace=_read_swf(tr)
+        ),
         fig07_sweep16x22.report,
         "response time vs load, 16x22 mesh, 3 patterns x 9 allocators",
     ),
     "fig8": (
-        _sweep_figure(fig08_sweep16x16),
+        lambda s, seed, tr, j, c, t: fig08_sweep16x16.run(
+            s, seed, jobs=j, cache=c, tier=t, trace=_read_swf(tr)
+        ),
         fig08_sweep16x16.report,
         "response time vs load, 16x16 mesh, 3 patterns x 9 allocators",
     ),
@@ -148,7 +151,9 @@ EXPERIMENTS = {
         "EXTENSION: fig7-style sweep on an 8x8x8 torus + 16x16 comparison",
     ),
     "figswf": (
-        lambda s, seed, tr, j, c, t: figswf_realtrace.run(s, seed, trace=tr, jobs=j, cache=c, tier=t),
+        lambda s, seed, tr, j, c, t: figswf_realtrace.run(
+            s, seed, jobs=j, cache=c, swf_path=tr, tier=t
+        ),
         figswf_realtrace.report,
         "EXTENSION: real-SWF-trace sweep, 16x16 mesh vs 8x8x8 torus "
         "(bundled mini fixture unless --trace)",
@@ -190,32 +195,19 @@ def main(argv: list[str] | None = None) -> int:
         help="SWF trace file to use instead of the synthetic workload "
         "(fig7/fig8) or the bundled mini fixture (figswf)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the trace-driven experiment grids "
-        "(default: 1 = serial; results are identical for any value)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every cell instead of reusing .repro-cache/ artifacts",
-    )
-    parser.add_argument(
-        "--tier",
-        default=None,
-        choices=TIERS,
-        help="execution tier for the engine fan-out (default: the "
+    add_engine_flags(
+        parser,
+        jobs=(
+            1,
+            "worker processes for the trace-driven experiment grids "
+            "(default: 1 = serial; results are identical for any value)",
+        ),
+        no_cache="recompute every cell instead of reusing .repro-cache/ artifacts",
+        tier="execution tier for the engine fan-out (default: the "
         "bundled campaign file's tier for campaign-backed figures, else "
-        "auto -- tiny grids run in-process, big ones over workers, "
-        "shared-memory trace segment when ref workloads benefit); "
+        "auto -- tiny grids run in-process, big ones over workers); "
         "results are identical for every tier",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
+        cache_dir="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
     args = parser.parse_args(argv)
 
@@ -230,23 +222,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
 
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+    if bad_jobs(args):
         return 2
 
     scale = config.get_scale(args.scale)
-    trace = None
-    if args.trace is not None:
-        from repro.trace.swf import read_swf
-
-        trace = read_swf(args.trace)
-
     cache = None if args.no_cache else ResultCache(args.cache_dir)
 
     for name in names:
         run_fn, report_fn, _ = EXPERIMENTS[name]
         start = time.perf_counter()
-        result = run_fn(scale, args.seed, trace, args.jobs, cache, args.tier)
+        result = run_fn(scale, args.seed, args.trace, args.jobs, cache, args.tier)
         elapsed = time.perf_counter() - start
         print(f"=== {name} (scale={scale.name}, {elapsed:.1f}s) " + "=" * 30)
         print(report_fn(result))

@@ -16,13 +16,11 @@ pinned by ``tests/campaign/test_bundled.py``), adapted to
 from __future__ import annotations
 
 from repro.experiments.config import SMALL, Scale
-from repro.experiments.sweep import SweepResult, report_sweep
-from repro.mesh.topology import Mesh2D
+from repro.experiments.sweep import SweepResult, report_sweep, run_figure_campaign
 from repro.runner import ResultCache
+from repro.sched.job import Job
 
-__all__ = ["run", "report", "MESH", "CAMPAIGN"]
-
-MESH = Mesh2D(16, 16)
+__all__ = ["run", "report", "CAMPAIGN"]
 
 #: Bundled campaign this driver is a shim over.
 CAMPAIGN = "fig08"
@@ -34,13 +32,16 @@ def run(
     jobs: int = 1,
     cache: ResultCache | None = None,
     tier: str | None = None,
+    trace: list[Job] | None = None,
 ) -> list[SweepResult]:
-    """All three panels of Fig 8 (one SweepResult per pattern)."""
-    from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
+    """All three panels of Fig 8 (one SweepResult per pattern).
 
-    campaign = load_campaign(bundled_campaign_path(CAMPAIGN)).scaled(scale, seed)
-    crun = run_campaign(campaign, cache=cache, jobs=jobs, tier=tier)
-    (panels,) = crun.sweep_results().values()
+    ``trace`` replays an SWF log's jobs, as recorded, in place of the
+    synthetic workload (see :func:`~repro.experiments.sweep.run_figure_campaign`).
+    """
+    (panels,) = run_figure_campaign(
+        CAMPAIGN, scale, seed, jobs, cache, tier, trace
+    ).values()
     return panels
 
 

@@ -40,26 +40,10 @@ golden numbers -- pinned by ``tests/campaign/test_bundled.py``).
 from __future__ import annotations
 
 from repro.experiments.config import SMALL, Scale
-from repro.experiments.sweep import SweepResult, report_sweep
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.experiments.sweep import SweepResult, report_sweep, run_figure_campaign
 from repro.runner import ResultCache
 
-__all__ = ["run", "report", "MESH", "MESH_2D_REFERENCE", "TORUS_ALLOCATORS", "CAMPAIGN"]
-
-MESH = Mesh3D(8, 8, 8, torus=True)
-
-#: The 2-D machine the comparison table is drawn against (Fig 8's mesh).
-MESH_2D_REFERENCE = Mesh2D(16, 16)
-
-#: The paper strategies with a 3-D ordering, in Fig 7 legend order.
-TORUS_ALLOCATORS = (
-    "row-major",
-    "s-curve",
-    "s-curve+bf",
-    "hilbert",
-    "hilbert+bf",
-    "hilbert+ff",
-)
+__all__ = ["run", "report", "CAMPAIGN"]
 
 #: Bundled campaign this driver is a shim over.
 CAMPAIGN = "fig12"
@@ -78,11 +62,7 @@ def run(
     reference sweep restricts to the same 3-D-capable allocator subset so
     the comparison table is cell-for-cell aligned.
     """
-    from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
-
-    campaign = load_campaign(bundled_campaign_path(CAMPAIGN)).scaled(scale, seed)
-    crun = run_campaign(campaign, cache=cache, jobs=jobs, tier=tier)
-    groups = crun.sweep_results()
+    groups = run_figure_campaign(CAMPAIGN, scale, seed, jobs, cache, tier)
     return {"torus": groups["8x8x8t"], "mesh2d": groups["16x16"]}
 
 

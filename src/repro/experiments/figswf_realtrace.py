@@ -28,55 +28,27 @@ Point it at a real archive download to reproduce at full scale::
     python -m repro.experiments figswf --scale full --jobs 8 \
         --trace SDSC-Par-1996-3.1-cln.swf
 
-Since the campaign refactor the default (bundled-fixture) path is a thin
-shim over ``repro/campaign/data/figswf.toml`` (identical specs, digests
-and golden numbers -- pinned by ``tests/campaign/test_bundled.py``); an
-explicit ``--trace`` file still runs the hand-assembled pipeline below.
+The grid is declared once, in ``repro/campaign/data/figswf.toml``; an
+explicit ``--trace`` file takes the place of the bundled fixture's
+``path`` there, so both run the same cells (and share cache keys when
+the logs prepare to the same rows).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 from repro.experiments.config import SMALL, Scale
 from repro.experiments.sweep import SweepResult
-from repro.mesh.topology import Mesh2D, Mesh3D
-from repro.runner import ResultCache, run_many, sweep_specs
-from repro.runner.spec import ExperimentSpec
-from repro.sched.job import Job
-from repro.trace.archive import (
-    NormalizeReport,
-    bundled_mini_swf,
-    prepare_trace,
-    trace_rows,
-)
-from repro.trace.swf import SwfParseReport, parse_swf
+from repro.runner import ResultCache
+from repro.trace.archive import NormalizeReport
+from repro.trace.swf import SwfParseReport
 
-__all__ = [
-    "run",
-    "report",
-    "FigSwfResult",
-    "MESH",
-    "TORUS",
-    "SWF_ALLOCATORS",
-    "SWF_PATTERNS",
-    "CAMPAIGN",
-]
+__all__ = ["run", "report", "FigSwfResult", "CAMPAIGN"]
 
-#: Bundled campaign the default (bundled-fixture) path is a shim over.
+#: Bundled campaign this driver is a shim over.
 CAMPAIGN = "figswf"
-
-#: The paper's square machine (Fig 8).
-MESH = Mesh2D(16, 16)
-
-#: The 3-D extension machine (fig12).
-TORUS = Mesh3D(8, 8, 8, torus=True)
-
-#: 3-D-capable strategies shared by both machines, in Fig 7 legend order.
-SWF_ALLOCATORS = ("s-curve", "s-curve+bf", "hilbert", "hilbert+bf")
-
-#: Swept patterns (all-to-all is the paper's worst-case panel).
-SWF_PATTERNS = ("all-to-all",)
 
 
 @dataclass
@@ -94,7 +66,6 @@ class FigSwfResult:
 def run(
     scale: Scale = SMALL,
     seed: int | None = None,
-    trace: list[Job] | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
     swf_path=None,
@@ -110,90 +81,23 @@ def run(
         load invariant); ``full`` replays the log as recorded.
     seed:
         Per-job pattern randomness (the trace itself is fixed).
-    trace:
-        Already-parsed jobs (the CLI's ``--trace`` file); overrides
-        ``swf_path``.
     jobs / cache:
         Parallel engine fan-out and artifact cache.  With a cache the
         prepared trace is interned into its workload store and every spec
         references it by digest; without one, specs carry the rows inline
         (identical results and cache keys either way).
     swf_path:
-        SWF file to ingest; default is the bundled mini fixture.
+        SWF file to ingest in place of the bundled mini fixture; a
+        relative path resolves against the working directory.
     """
-    if trace is None and swf_path is None:
-        return _run_bundled_campaign(scale, seed, jobs, cache, tier)
-    if seed is not None:
-        scale = scale.with_seed(seed)
-    parse_report: SwfParseReport | None = None
-    if trace is None:
-        path = swf_path if swf_path is not None else bundled_mini_swf()
-        trace, parse_report = parse_swf(path)
-    prepared, norm_report = prepare_trace(
-        trace,
-        n_jobs=scale.n_jobs,
-        time_scale=scale.runtime_scale,
-        max_size=TORUS.n_nodes,
-        oversized="drop",
-    )
-    rows = trace_rows(prepared)
-    digest = None
-    workload: dict = {"trace": rows}
-    if cache is not None:
-        digest = cache.traces.put(rows)
-        workload = {"trace_ref": digest}
-
-    grids = {}
-    for label, mesh in (("mesh2d", MESH), ("torus", TORUS)):
-        grids[label] = sweep_specs(
-            mesh.shape,
-            SWF_PATTERNS,
-            scale.loads,
-            SWF_ALLOCATORS,
-            seed=scale.seed,
-            network=ExperimentSpec.from_network_params(scale.network_params()),
-            torus=mesh.torus,
-            **workload,
-        )
-    all_specs = grids["mesh2d"] + grids["torus"]
-    cells = run_many(all_specs, jobs=jobs, cache=cache, tier=tier)
-
-    per_pattern = len(scale.loads) * len(SWF_ALLOCATORS)
-    sweeps: dict[str, list[SweepResult]] = {}
-    offset = 0
-    for label, mesh in (("mesh2d", MESH), ("torus", TORUS)):
-        chunk = cells[offset : offset + len(grids[label])]
-        offset += len(grids[label])
-        sweeps[label] = [
-            SweepResult(
-                mesh_shape=mesh.shape,
-                pattern=pattern,
-                cells=[c.summary for c in chunk[p * per_pattern : (p + 1) * per_pattern]],
-                torus=mesh.torus,
-            )
-            for p, pattern in enumerate(SWF_PATTERNS)
-        ]
-    return FigSwfResult(
-        mesh2d=sweeps["mesh2d"],
-        torus=sweeps["torus"],
-        n_jobs=len(prepared),
-        digest=digest,
-        parse=parse_report,
-        normalize=norm_report,
-    )
-
-
-def _run_bundled_campaign(
-    scale: Scale,
-    seed: int | None,
-    jobs: int,
-    cache: ResultCache | None,
-    tier: str | None = None,
-) -> FigSwfResult:
-    """The default path: the bundled campaign file drives the sweep."""
     from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
 
     campaign = load_campaign(bundled_campaign_path(CAMPAIGN)).scaled(scale, seed)
+    if swf_path is not None:
+        (source,) = campaign.axes["workload"]
+        campaign.axes["workload"] = [
+            replace(source, path=str(Path(swf_path).resolve()))
+        ]
     crun = run_campaign(campaign, cache=cache, jobs=jobs, tier=tier)
     groups = crun.sweep_results()
     (info,) = crun.expansion.sources.values()

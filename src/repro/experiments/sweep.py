@@ -5,25 +5,26 @@ communication pattern on the same trace, exactly as the paper's graphs are
 organised: the x-axis is the load factor ("decreasing"), the y-axis the
 mean job response time, one series per allocation strategy.
 
-Cells are independent, so the sweep rides on the parallel experiment
-engine (:mod:`repro.runner`): ``jobs=N`` fans the grid out over worker
-processes and ``cache=ResultCache(...)`` makes repeated sweeps free.
+Each figure's grid is declared once, in its bundled campaign file
+(``src/repro/campaign/data/``); :func:`run_figure_campaign` runs it on
+the parallel experiment engine (:mod:`repro.runner`): ``jobs=N`` fans
+the grid out over worker processes and ``cache=ResultCache(...)`` makes
+repeated sweeps free.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
 
 from repro.experiments.config import Scale
-from repro.mesh.topology import Mesh2D, Mesh3D
-from repro.runner import ExperimentSpec, ResultCache, run_many, sweep_specs
+from repro.runner import ExperimentSpec, ResultCache
 from repro.sched.job import Job
 from repro.sched.stats import RunSummary
 
 __all__ = [
     "SweepResult",
-    "build_sweep_specs",
-    "run_sweep",
+    "run_figure_campaign",
     "report_sweep",
     "PAPER_ALLOCATORS",
     "PAPER_PATTERNS",
@@ -72,61 +73,37 @@ class SweepResult:
         return [c.allocator for c in sorted(cells, key=lambda c: getattr(c, metric))]
 
 
-def build_sweep_specs(
-    mesh: Mesh2D | Mesh3D,
+def run_figure_campaign(
+    name: str,
     scale: Scale,
-    patterns: tuple[str, ...] = PAPER_PATTERNS,
-    allocators: tuple[str, ...] = PAPER_ALLOCATORS,
-    trace: list[Job] | None = None,
-) -> list[ExperimentSpec]:
-    """The figure's spec grid, in canonical cell order (pattern-major)."""
-    return sweep_specs(
-        mesh.shape,
-        patterns,
-        scale.loads,
-        allocators,
-        seed=scale.seed,
-        n_jobs=scale.n_jobs,
-        runtime_scale=scale.runtime_scale,
-        trace=None if trace is None else ExperimentSpec.from_trace(trace),
-        network=ExperimentSpec.from_network_params(scale.network_params()),
-        torus=mesh.torus,
-    )
-
-
-def run_sweep(
-    mesh: Mesh2D | Mesh3D,
-    scale: Scale,
-    patterns: tuple[str, ...] = PAPER_PATTERNS,
-    allocators: tuple[str, ...] = PAPER_ALLOCATORS,
-    trace: list[Job] | None = None,
+    seed: int | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
     tier: str | None = None,
-) -> list[SweepResult]:
-    """Run the full panel grid for one mesh; one SweepResult per pattern.
+    trace: list[Job] | None = None,
+) -> dict[str, list[SweepResult]]:
+    """Run a figure's bundled campaign at ``scale``; its panels per mesh.
 
-    ``jobs`` parallelises the grid over worker processes; ``cache`` reuses
-    previously computed cells; ``tier`` picks the engine's execution tier
-    (see :func:`repro.runner.run_many`).  Results are cell-for-cell
-    identical for any ``jobs``/``tier`` value (each cell is deterministic
-    in its spec).
+    ``trace`` (the jobs of an SWF log) replaces the campaign's workload
+    axis and is replayed as recorded: its rows are interned as a ``ref``
+    workload, which the archive pipeline never renumbers, rescales or
+    truncates.  A ref workload lives in a cache's workload store, so
+    without a cache the rows go to a throwaway cache root that is
+    removed on return.
     """
-    specs = build_sweep_specs(mesh, scale, patterns, allocators, trace)
-    cells = run_many(specs, jobs=jobs, cache=cache, tier=tier)
-    per_pattern = len(scale.loads) * len(allocators)
-    results = []
-    for p, pattern_name in enumerate(patterns):
-        chunk = cells[p * per_pattern : (p + 1) * per_pattern]
-        results.append(
-            SweepResult(
-                mesh_shape=mesh.shape,
-                pattern=pattern_name,
-                cells=[c.summary for c in chunk],
-                torus=mesh.torus,
-            )
-        )
-    return results
+    from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
+    from repro.campaign.model import TraceSource
+
+    campaign = load_campaign(bundled_campaign_path(name)).scaled(scale, seed)
+    if trace is not None:
+        if cache is None:
+            with tempfile.TemporaryDirectory(prefix="repro-trace-") as root:
+                return run_figure_campaign(
+                    name, scale, seed, jobs, ResultCache(root), tier, trace
+                )
+        digest = cache.traces.put(ExperimentSpec.from_trace(trace))
+        campaign.axes["workload"] = [TraceSource(kind="ref", digest=digest)]
+    return run_campaign(campaign, cache=cache, jobs=jobs, tier=tier).sweep_results()
 
 
 def report_sweep(results: list[SweepResult], metric: str = "mean_response") -> str:

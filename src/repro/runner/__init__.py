@@ -10,10 +10,9 @@ JSON-serializable -- and provides:
 * :func:`run_cell`: execute one spec deterministically,
 * :func:`run_many`: dispatch a spec list through pluggable **execution
   tiers** -- ``inline`` (in-process, no Pool spin-up), ``process``
-  (chunked ``multiprocessing`` fan-out), ``process+shm`` (fan-out plus
-  a per-run shared packed-trace segment, :mod:`repro.trace.segment`)
-  and the default ``auto`` policy that picks by pending-cell count and
-  estimated per-cell cost -- preserving spec order in the results and
+  (chunked ``multiprocessing`` fan-out) and the default ``auto``
+  policy that picks by pending-cell count and estimated per-cell
+  cost -- preserving spec order in the results and
   interning inline explicit traces into the content-addressed workload
   store (:mod:`repro.trace.store`) so workers receive digest-sized
   refs.  Tiers are a transport choice only: results, artifacts and

@@ -40,6 +40,7 @@ import time
 from repro.analysis.tables import format_table
 from repro.runner.bundle import BundleError, export_bundle, import_bundle
 from repro.runner.cache import ResultCache
+from repro.runner.cli import CACHE_DIR_HELP, add_engine_flags
 
 __all__ = ["main"]
 
@@ -216,11 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Inspect and maintain the experiment result cache "
         "(.repro-cache/ artifacts and the traces/ workload store).",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
+    add_engine_flags(parser, cache_dir=CACHE_DIR_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ls = sub.add_parser("ls", help="list artifacts and workload-store totals")

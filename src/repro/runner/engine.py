@@ -8,7 +8,7 @@ whether it runs in-process, in a worker, or was loaded from the cache.
 
 :func:`run_many` is the fan-out: cache lookups first, then duplicate
 specs coalesced, then the remaining cells dispatched through one of
-three pluggable **execution tiers**:
+two pluggable **execution tiers**:
 
 ``inline``
     Run every pending cell in the calling process, no Pool spin-up.
@@ -16,19 +16,13 @@ three pluggable **execution tiers**:
     costs more than the simulations themselves.
 ``process``
     The chunked ``multiprocessing.Pool`` fan-out; workers hydrate
-    ``trace_ref`` specs from the on-disk workload store.
-``process+shm``
-    The Pool fan-out plus a per-run packed-column trace segment
-    (:mod:`repro.trace.segment`): every referenced trace is packed once
-    by the parent and workers hydrate it through a shared read-only
-    mmap instead of each re-reading ``traces/<digest>.json`` -- the
-    per-run analogue of moving as little data per cell as possible.
+    ``trace_ref`` specs from the on-disk workload store, which
+    memoizes each trace per process, so a worker reads a trace once.
 ``auto`` (the default)
     Picks a tier from the pending-cell count and the estimated per-cell
     cost: a caller-provided estimate (e.g. a campaign manifest's
     recorded timings) or a one-cell in-process probe whose result is
-    kept.  Small grids stay inline; big ones fan out, with the segment
-    added whenever ref specs would benefit.
+    kept.  Small grids stay inline; big ones fan out.
 
 Every tier produces byte-identical results, artifacts and cache keys
 for the same spec list -- tiers are a *transport* choice, never a
@@ -61,7 +55,6 @@ from repro.runner.cache import ResultCache
 from repro.runner.spec import CellResult, ExperimentSpec
 from repro.sched.simulator import Simulation
 from repro.sched.stats import summarize
-from repro.trace.segment import SegmentBackedStore, TraceSegment, cut_segment
 from repro.trace.store import TraceStore
 
 __all__ = [
@@ -82,7 +75,7 @@ __all__ = [
 MIXED_A2A_NBODY = "mixed(a2a+nbody)"
 
 #: Accepted values of the ``tier=`` knob, ``auto`` first as the default.
-TIERS = ("auto", "inline", "process", "process+shm")
+TIERS = ("auto", "inline", "process")
 
 #: ``auto`` stays inline while the *estimated remaining serial time* is at
 #: most this many seconds: a Pool can save at most ``(1 - 1/workers)`` of
@@ -115,11 +108,9 @@ def mixed_pattern_selector(seed: int) -> Callable:
 def run_cell(spec: ExperimentSpec, store=None) -> CellResult:
     """Execute one cell; deterministic in the spec alone.
 
-    ``store`` hydrates ref specs (``trace_ref``) and may be a
-    :class:`~repro.trace.store.TraceStore` or any object with its
-    ``get(digest)`` contract (e.g. a
-    :class:`~repro.trace.segment.SegmentBackedStore`); inline and
-    synthetic specs never touch it.  ``None`` falls back to the default
+    ``store`` is the :class:`~repro.trace.store.TraceStore` that
+    hydrates ref specs (``trace_ref``); inline and synthetic specs
+    never touch it.  ``None`` falls back to the default
     workload store under ``$REPRO_CACHE_DIR``/``.repro-cache``.
 
     >>> cell = run_cell(ExperimentSpec(
@@ -179,7 +170,7 @@ class TierDecision:
     est_cell_s: float | None = None
 
     def describe(self) -> str:
-        """One line for CLIs: ``process+shm (auto: ...)``."""
+        """One line for CLIs: ``process (auto: ...)``."""
         est = (
             f", ~{self.est_cell_s * 1e3:.1f} ms/cell"
             if self.est_cell_s is not None
@@ -217,23 +208,19 @@ def choose_tier(
     n_pending: int,
     jobs: int,
     est_cell_s: float | None = None,
-    has_refs: bool = False,
 ) -> TierDecision:
     """The ``auto`` policy as a pure function of the grid's shape.
 
     Inline whenever a Pool cannot pay for itself: one worker, at most
     one pending cell, or an estimated remaining serial time within
-    :data:`AUTO_INLINE_BUDGET_S`.  Otherwise the process tier, upgraded
-    to ``process+shm`` when ref specs could hydrate from a shared
-    segment.  With no estimate available the caller is expected to
-    probe one cell first (see :func:`run_many`).
+    :data:`AUTO_INLINE_BUDGET_S`.  Otherwise the process tier.  With no
+    estimate available the caller is expected to probe one cell first
+    (see :func:`run_many`).
 
     >>> choose_tier(100, jobs=4, est_cell_s=0.001).tier
     'inline'
     >>> choose_tier(100, jobs=4, est_cell_s=0.5).tier
     'process'
-    >>> choose_tier(100, jobs=4, est_cell_s=0.5, has_refs=True).tier
-    'process+shm'
     >>> choose_tier(100, jobs=1).tier
     'inline'
     """
@@ -252,10 +239,9 @@ def choose_tier(
                 f"{AUTO_INLINE_BUDGET_S:g}s inline budget",
                 est_cell_s,
             )
-        tier = "process+shm" if has_refs else "process"
         return TierDecision(
             "auto",
-            tier,
+            "process",
             n_pending,
             f"~{remaining:.2f}s of serial work over {jobs} workers",
             est_cell_s,
@@ -269,81 +255,10 @@ def _worker(payload: tuple[ExperimentSpec, str | None]) -> CellResult:
     ``payload`` is ``(spec, store_root)``: the store location rides along
     explicitly because workers must hydrate ref specs against the same
     store the parent interned into (which need not be the default root).
-    Under the ``process+shm`` tier the initializer has announced a trace
-    segment; hydration then goes through the shared mapping with the
-    store as fallback.
     """
     spec, store_root = payload
     store = TraceStore(store_root) if store_root is not None else None
-    if _WORKER_SEGMENT_PATH is not None:
-        store = SegmentBackedStore(_worker_segment(), fallback=store)
     return run_cell(spec, store=store)
-
-
-#: Path of the current run's trace segment, set per worker process by the
-#: Pool initializer (``None`` outside the ``process+shm`` tier).
-_WORKER_SEGMENT_PATH: str | None = None
-_WORKER_SEGMENT: TraceSegment | None = None
-
-
-def _init_segment_worker(segment_path: str) -> None:
-    """Pool initializer for the ``process+shm`` tier (runs in the child)."""
-    global _WORKER_SEGMENT_PATH, _WORKER_SEGMENT
-    _WORKER_SEGMENT_PATH = segment_path
-    _WORKER_SEGMENT = None  # opened lazily on first ref hydration
-
-
-def _worker_segment() -> TraceSegment:
-    global _WORKER_SEGMENT
-    if _WORKER_SEGMENT is None:
-        _WORKER_SEGMENT = TraceSegment(_WORKER_SEGMENT_PATH)
-    return _WORKER_SEGMENT
-
-
-def _run_pool(
-    work: list[ExperimentSpec],
-    fan_out: Callable[[CellResult], None],
-    store: TraceStore | None,
-    store_root: str | None,
-    n_workers: int,
-    with_segment: bool,
-    segment_path: str | None = None,
-) -> None:
-    """Fan ``work`` out over a Pool, optionally through a trace segment.
-
-    By default the segment is cut once from the parent's store (only the
-    digests this run actually references), announced to workers through
-    the Pool initializer, and removed when the Pool is done -- per-run
-    state, never persistent.  A caller-provided ``segment_path`` (e.g. a
-    campaign drain's single per-drain segment) is used as-is and left in
-    place: the caller owns its lifecycle, and refs it happens not to
-    cover hydrate through the store fallback.  With no refs (or no
-    store) the segment is skipped and the tier degrades to plain
-    ``process`` transparently.
-    """
-    initializer = None
-    initargs: tuple = ()
-    own_segment = None
-    try:
-        if with_segment and segment_path is not None:
-            initializer, initargs = _init_segment_worker, (str(segment_path),)
-        elif with_segment and store is not None:
-            own_segment = cut_segment(
-                store, (s.trace_ref for s in work if s.trace_ref is not None)
-            )
-            if own_segment is not None:
-                initializer, initargs = _init_segment_worker, (own_segment,)
-        # Chunked dispatch amortises pickling without starving workers.
-        chunksize = max(1, len(work) // (n_workers * 4))
-        payloads = [(spec, store_root) for spec in work]
-        with multiprocessing.Pool(
-            processes=n_workers, initializer=initializer, initargs=initargs
-        ) as pool:
-            for cell in pool.imap_unordered(_worker, payloads, chunksize=chunksize):
-                fan_out(cell)
-    finally:
-        if own_segment is not None:
-            os.unlink(own_segment)
 
 
 def run_many(
@@ -355,7 +270,6 @@ def run_many(
     tier: str | None = "auto",
     est_cell_s: float | None = None,
     on_decision: Callable[[TierDecision], None] | None = None,
-    segment_path: str | os.PathLike | None = None,
 ) -> list[CellResult]:
     """Run every spec, reusing cached cells, through an execution tier.
 
@@ -380,8 +294,7 @@ def run_many(
         sibling store; with neither cache nor store, inline specs are
         dispatched as-is (ref specs then hydrate from the default store).
     tier:
-        Execution tier: ``"inline"``, ``"process"``, ``"process+shm"``
-        or ``"auto"`` (see the module docstring); ``None`` means
+        Execution tier: ``"inline"``, ``"process"`` or ``"auto"`` (see the module docstring); ``None`` means
         ``"auto"``, so callers can thread through an unset CLI flag
         untouched.  Tiers change *where* cells compute, never *what*
         they compute: results, artifacts and cache keys are
@@ -392,11 +305,6 @@ def run_many(
     on_decision:
         Optional callback receiving the :class:`TierDecision` actually
         taken -- observability for CLIs and the campaign manifest.
-    segment_path:
-        Optional pre-cut trace segment (:func:`repro.trace.segment.write_segment`)
-        reused by the ``process+shm`` tier instead of packing one per
-        call -- how a campaign drain packs its columns once across many
-        batches.  The caller owns the file's lifecycle.
 
     Notes
     -----
@@ -445,7 +353,6 @@ def run_many(
 
     work = list(pending)
     n_pending = len(work)
-    has_refs = any(s.trace_ref is not None for s in work)
 
     # -- tier resolution ------------------------------------------------
     # jobs=None auto-tunes the worker count alongside the tier; the
@@ -455,7 +362,7 @@ def run_many(
     if tuned:
         jobs = auto_jobs(n_pending, est_cell_s)
     if tier == "auto":
-        decision = choose_tier(n_pending, jobs, est_cell_s, has_refs)
+        decision = choose_tier(n_pending, jobs, est_cell_s)
         if decision.tier == "probe":
             # Calibrate with up to two real cells, in-process; their
             # results count.  The minimum of the two is the estimate:
@@ -470,7 +377,7 @@ def run_many(
                 probes.append(probe.elapsed)
             if tuned:
                 jobs = auto_jobs(len(work), min(probes))
-            decision = choose_tier(len(work), jobs, min(probes), has_refs)
+            decision = choose_tier(len(work), jobs, min(probes))
             decision = TierDecision(
                 "auto",
                 decision.tier,
@@ -491,16 +398,13 @@ def run_many(
         on_decision(decision)
 
     n_workers = max(1, min(jobs, len(work)))
-    if decision.tier in ("process", "process+shm") and n_workers > 1 and work:
-        _run_pool(
-            work,
-            fan_out,
-            store,
-            store_root,
-            n_workers,
-            with_segment=decision.tier == "process+shm",
-            segment_path=str(segment_path) if segment_path is not None else None,
-        )
+    if decision.tier == "process" and n_workers > 1 and work:
+        # Chunked dispatch amortises pickling without starving workers.
+        chunksize = max(1, len(work) // (n_workers * 4))
+        payloads = [(spec, store_root) for spec in work]
+        with multiprocessing.Pool(processes=n_workers) as pool:
+            for cell in pool.imap_unordered(_worker, payloads, chunksize=chunksize):
+                fan_out(cell)
     else:
         for spec in work:
             fan_out(run_cell(spec, store=store))

@@ -19,7 +19,6 @@ into the content-addressed workload store (:mod:`repro.trace.store`) that
 specs, workers and cache artifacts reference by digest.
 """
 
-from repro.trace.segment import SegmentBackedStore, TraceSegment, write_segment
 from repro.trace.store import TraceStore, default_store, trace_digest
 from repro.trace.swf import SwfParseReport, parse_swf, read_swf, write_swf
 from repro.trace.synthetic import (
@@ -36,9 +35,6 @@ __all__ = [
     "SwfParseReport",
     "write_swf",
     "TraceStore",
-    "TraceSegment",
-    "SegmentBackedStore",
-    "write_segment",
     "default_store",
     "trace_digest",
     "SyntheticTraceConfig",

@@ -19,8 +19,8 @@ import pytest
 
 from repro.campaign import bundled_campaign_names, bundled_campaign_path, expand, load_campaign, run_campaign
 from repro.experiments.config import SMALL
-from repro.experiments.sweep import build_sweep_specs
-from repro.runner import ResultCache
+from repro.experiments.sweep import PAPER_ALLOCATORS, PAPER_PATTERNS
+from repro.runner import ResultCache, sweep_specs
 
 GOLDEN_DIR = Path(__file__).parent.parent / "experiments" / "data"
 
@@ -47,42 +47,39 @@ class TestBundledInventory:
         assert expansion.cells
 
 
+def _grid(shape, allocators, patterns=PAPER_PATTERNS, torus=False, **workload):
+    """A figure grid at ``small`` scale, built straight from the engine."""
+    if not workload:
+        workload = dict(n_jobs=SMALL.n_jobs, runtime_scale=SMALL.runtime_scale)
+    return sweep_specs(
+        shape, patterns, SMALL.loads, allocators, seed=SMALL.seed, torus=torus,
+        **workload,
+    )
+
+
+#: fig12's strategies: the paper's with a 3-D ordering.
+ALLOCATORS_3D = ("row-major", "s-curve", "s-curve+bf", "hilbert", "hilbert+bf", "hilbert+ff")
+
+
 class TestSpecEquality:
     def test_fig07_campaign_equals_driver_grid(self):
-        from repro.experiments.fig07_sweep16x22 import MESH
-
-        driver = build_sweep_specs(MESH, SMALL)
+        driver = _grid((16, 22), PAPER_ALLOCATORS)
         campaign = [c.spec for c in expand(_bundled("fig07")).cells]
         assert campaign == driver
 
     def test_fig08_campaign_equals_driver_grid(self):
-        from repro.experiments.fig08_sweep16x16 import MESH
-
-        driver = build_sweep_specs(MESH, SMALL)
+        driver = _grid((16, 16), PAPER_ALLOCATORS)
         campaign = [c.spec for c in expand(_bundled("fig08")).cells]
         assert campaign == driver
 
     def test_fig12_campaign_equals_driver_grid(self):
-        from repro.experiments.fig12_torus8 import (
-            MESH,
-            MESH_2D_REFERENCE,
-            TORUS_ALLOCATORS,
+        driver = _grid((8, 8, 8), ALLOCATORS_3D, torus=True) + _grid(
+            (16, 16), ALLOCATORS_3D
         )
-
-        driver = build_sweep_specs(
-            MESH, SMALL, allocators=TORUS_ALLOCATORS
-        ) + build_sweep_specs(MESH_2D_REFERENCE, SMALL, allocators=TORUS_ALLOCATORS)
         campaign = [c.spec for c in expand(_bundled("fig12")).cells]
         assert campaign == driver
 
     def test_figswf_campaign_equals_driver_grid(self):
-        from repro.experiments.figswf_realtrace import (
-            MESH,
-            SWF_ALLOCATORS,
-            SWF_PATTERNS,
-            TORUS,
-        )
-        from repro.runner import sweep_specs
         from repro.trace.archive import bundled_mini_swf, prepare_trace, trace_rows
         from repro.trace.swf import parse_swf
 
@@ -91,19 +88,17 @@ class TestSpecEquality:
             parsed,
             n_jobs=SMALL.n_jobs,
             time_scale=SMALL.runtime_scale,
-            max_size=TORUS.n_nodes,
+            max_size=512,
             oversized="drop",
         )
         rows = trace_rows(prepared)
         driver = []
-        for mesh in (MESH, TORUS):
-            driver += sweep_specs(
-                mesh.shape,
-                SWF_PATTERNS,
-                SMALL.loads,
-                SWF_ALLOCATORS,
-                seed=SMALL.seed,
-                torus=mesh.torus,
+        for shape, torus in (((16, 16), False), ((8, 8, 8), True)):
+            driver += _grid(
+                shape,
+                ("s-curve", "s-curve+bf", "hilbert", "hilbert+bf"),
+                patterns=("all-to-all",),
+                torus=torus,
                 trace=rows,
             )
         campaign = [c.spec for c in expand(_bundled("figswf")).cells]

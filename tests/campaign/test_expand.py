@@ -132,6 +132,21 @@ def test_ref_source_missing_from_store_rejected(tmp_path):
         expand(loads_campaign(text), store=TraceStore(tmp_path / "traces"))
 
 
+def test_ref_source_needs_a_cache_to_run(tmp_path, monkeypatch):
+    """A cache-less run has no workload store to hydrate a ref from.  It
+    must refuse at expansion rather than read the default store under
+    $REPRO_CACHE_DIR, which the caller never chose -- even when that
+    store happens to hold the trace."""
+    from repro.campaign import run_campaign
+    from repro.trace.store import default_store
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+    digest = default_store().put([(0, 0.0, 4, 5.0), (1, 2.0, 8, 3.0)])
+    text = BASE + f'\nworkload = [{{kind = "ref", digest = "{digest}"}}]\n'
+    with pytest.raises(CampaignError, match="a ref workload needs a cache"):
+        run_campaign(loads_campaign(text))
+
+
 def test_ref_source_round_trips_through_store(tmp_path):
     store = TraceStore(tmp_path / "traces")
     digest = store.put([(0, 0.0, 4, 5.0), (1, 2.0, 8, 3.0)])

@@ -34,21 +34,15 @@ class TestCli:
             "figswf", "hybrid", "contiguous",
         }
 
-    def test_swf_trace_input(self, tmp_path, capsys, monkeypatch):
-        """fig7 accepts a real SWF trace file."""
-        from repro.sched.job import Job
-        from repro.trace.swf import write_swf
-
-        path = tmp_path / "tiny.swf"
-        write_swf([Job(i, 100.0 * i, 4, 30.0) for i in range(6)], path)
-        # shrink the sweep so the test stays fast
-        import repro.experiments.sweep as sweep_mod
-
-        monkeypatch.setattr(sweep_mod, "PAPER_ALLOCATORS", ("hilbert+bf",))
-        monkeypatch.setattr(sweep_mod, "PAPER_PATTERNS", ("ring",))
-        assert main(["fig7", "--trace", str(path)]) == 0
+    def test_swf_trace_input(self, tiny_scale, tmp_path, capsys):
+        """fig7 accepts a real SWF trace file and runs its whole grid:
+        3 patterns x 9 allocators at the tiny scale's one load."""
+        path = _write_trace(tmp_path / "tiny.swf")
+        cache_dir = str(tmp_path / "c")
+        assert main(["fig7", "--trace", str(path), "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "hilbert+bf" in out
+        assert "hits=0 misses=27" in out
 
 
 @pytest.fixture
@@ -120,15 +114,112 @@ class TestEngineFlags:
         assert "ring subphases: 7" in out
         assert "[cache]" not in out  # fig5 never touches the engine cache
 
-    def test_fig12_runs_torus_and_comparison(self, tiny_scale, capsys, monkeypatch):
-        """fig12 produces the torus panel and the 2-D-vs-3-D table."""
-        import repro.experiments.fig12_torus8 as fig12_mod
-
-        monkeypatch.setattr(
-            fig12_mod, "TORUS_ALLOCATORS", ("hilbert", "hilbert+bf")
-        )
-        assert main(["fig12", "--no-cache", "--jobs", "2"]) == 0
+    def test_fig12_runs_torus_and_comparison(self, tiny_scale, capsys, tmp_path):
+        """fig12 produces the torus panel and the 2-D-vs-3-D table over
+        its whole grid: 2 machines x 3 patterns x 6 allocators at the
+        tiny scale's one load."""
+        cache_dir = str(tmp_path / "c")
+        assert main(["fig12", "--cache-dir", cache_dir, "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "8x8x8 torus" in out
         assert "8x8x8 torus vs 16x16 mesh" in out
         assert "ratio" in out
+        assert "misses=36" in out
+
+
+def _write_trace(path, first_id=1, first_arrival=50.0):
+    """A six-job SWF log with 1-based ids and a late first arrival."""
+    from repro.sched.job import Job
+    from repro.trace.swf import write_swf
+
+    jobs = [
+        Job(first_id + i, first_arrival + 100.0 * i, 2 << (i % 3), 30.0 + 10.0 * i)
+        for i in range(6)
+    ]
+    write_swf(jobs, path)
+    return path
+
+
+class TestTraceInput:
+    """``--trace`` runs through each figure's bundled campaign."""
+
+    def test_fig7_trace_equals_direct_engine_run(self, tiny_scale, tmp_path, capsys):
+        """The campaign's ref workload replays the log exactly as inline
+        rows handed straight to the engine do."""
+        from repro.experiments.sweep import (
+            PAPER_ALLOCATORS,
+            PAPER_PATTERNS,
+            SweepResult,
+            report_sweep,
+        )
+        from repro.runner import ExperimentSpec, run_many, sweep_specs
+        from repro.trace.swf import read_swf
+
+        path = _write_trace(tmp_path / "late.swf", first_id=1, first_arrival=500.0)
+        assert path.read_text().split()[:2] == ["1", "500"]
+        jobs = read_swf(path)
+        specs = sweep_specs(
+            (16, 22),
+            PAPER_PATTERNS,
+            tiny_scale.loads,
+            PAPER_ALLOCATORS,
+            seed=tiny_scale.seed,
+            trace=ExperimentSpec.from_trace(jobs),
+        )
+        cells = run_many(specs)
+        per_pattern = len(tiny_scale.loads) * len(PAPER_ALLOCATORS)
+        reference = report_sweep(
+            [
+                SweepResult(
+                    mesh_shape=(16, 22),
+                    pattern=pattern,
+                    cells=[c.summary for c in cells[i * per_pattern : (i + 1) * per_pattern]],
+                )
+                for i, pattern in enumerate(PAPER_PATTERNS)
+            ]
+        )
+        assert main(["fig7", "--trace", str(path), "--no-cache"]) == 0
+        assert _report_body(capsys.readouterr().out).strip() == reference
+
+    def test_fig7_trace_without_cache_leaves_no_root(self, tiny_scale, tmp_path, capsys):
+        """``--no-cache`` interns the log into a throwaway root: the run
+        succeeds and no default cache root appears."""
+        path = _write_trace(tmp_path / "tiny.swf")
+        assert main(["fig7", "--trace", str(path), "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "all-to-all pattern" in out and "hilbert+bf" in out
+        assert "[cache]" not in out
+        assert not default_cache_root().exists()
+
+    def test_figswf_trace_served_from_default_run(self, tiny_scale, tmp_path, capsys):
+        """The bundled fixture given as ``--trace`` is the same grid as a
+        default figswf: every cell is a cache hit, the tables agree."""
+        from repro.trace.archive import bundled_mini_swf
+
+        cache_dir = str(tmp_path / "c")
+        assert main(["figswf", "--cache-dir", cache_dir]) == 0
+        default = capsys.readouterr().out
+        assert "misses=8" in default
+        assert main(
+            ["figswf", "--cache-dir", cache_dir, "--trace", str(bundled_mini_swf())]
+        ) == 0
+        given = capsys.readouterr().out
+        assert "hits=8 misses=0" in given
+        assert _report_body(given) == _report_body(default)
+        assert "parse: " in given
+
+    def test_relative_trace_path_resolves_against_cwd(
+        self, tiny_scale, tmp_path, capsys, monkeypatch
+    ):
+        """Campaign swf paths resolve against the campaign file's
+        directory; a ``--trace`` path is the user's, so it resolves
+        against the working directory instead."""
+        import shutil
+
+        from repro.trace.archive import bundled_mini_swf
+
+        shutil.copy(bundled_mini_swf(), tmp_path / "mini.swf")
+        monkeypatch.chdir(tmp_path)
+        assert main(["figswf", "--no-cache", "--trace", "mini.swf"]) == 0
+        out = capsys.readouterr().out
+        assert "parse: " in out and "16x16 mesh" in out

@@ -17,9 +17,7 @@ from repro.experiments.sweep import (
     PAPER_ALLOCATORS,
     PAPER_PATTERNS,
     report_sweep,
-    run_sweep,
 )
-from repro.mesh.topology import Mesh2D
 
 TINY = config.Scale(
     name="tiny",
@@ -92,12 +90,23 @@ class TestFig6:
 
 class TestSweep:
     def test_single_pattern_sweep(self):
-        results = run_sweep(
-            Mesh2D(16, 16),
-            TINY,
-            patterns=("all-to-all",),
-            allocators=("hilbert+bf", "mc1x1"),
+        from repro.campaign import Campaign, run_campaign
+
+        campaign = Campaign(
+            name="single-pattern",
+            axes={
+                "mesh": ["16x16"],
+                "pattern": ["all-to-all"],
+                "load": list(TINY.loads),
+                "allocator": ["hilbert+bf", "mc1x1"],
+            },
+            defaults={
+                "seed": TINY.seed,
+                "n_jobs": TINY.n_jobs,
+                "runtime_scale": TINY.runtime_scale,
+            },
         )
+        (results,) = run_campaign(campaign).sweep_results().values()
         assert len(results) == 1
         panel = results[0]
         assert len(panel.cells) == 2 * len(TINY.loads)
@@ -112,17 +121,19 @@ class TestSweep:
         assert PAPER_PATTERNS == ("all-to-all", "n-body", "random")
 
     def test_custom_trace_passthrough(self):
+        from repro.runner import ExperimentSpec, run_many, sweep_specs
         from repro.sched.job import Job
 
         trace = [Job(i, 50.0 * i, 4, 10.0) for i in range(5)]
-        results = run_sweep(
-            Mesh2D(8, 8),
-            TINY,
-            patterns=("ring",),
-            allocators=("hilbert+bf",),
-            trace=trace,
+        specs = sweep_specs(
+            (8, 8),
+            ("ring",),
+            TINY.loads,
+            ("hilbert+bf",),
+            seed=TINY.seed,
+            trace=ExperimentSpec.from_trace(trace),
         )
-        assert results[0].cells[0].n_jobs == 5
+        assert run_many(specs)[0].summary.n_jobs == 5
 
 
 class TestMetricCorrelation:

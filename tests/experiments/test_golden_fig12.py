@@ -20,31 +20,47 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import bundled_campaign_path, load_campaign
 from repro.experiments.config import SMALL
-from repro.experiments.fig12_torus8 import MESH, TORUS_ALLOCATORS
-from repro.experiments.sweep import build_sweep_specs, run_sweep
-from repro.runner import run_many
+from repro.runner import run_many, sweep_specs
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "fig12_small_golden.json"
 
 #: Relative tolerance for float noise; the run itself is deterministic.
 RTOL = 1e-6
 
-PANEL_KWARGS = dict(patterns=("all-to-all",), allocators=TORUS_ALLOCATORS)
+#: The extension's Cplant-class machine: an 8x8x8 torus.
+MESH_SHAPE = (8, 8, 8)
+
+#: The strategies with a 3-D ordering, as the bundled fig12 campaign
+#: declares them.
+TORUS_ALLOCATORS = tuple(load_campaign(bundled_campaign_path("fig12")).axes["allocator"])
+
+
+def _panel_specs(allocators):
+    return sweep_specs(
+        MESH_SHAPE,
+        ("all-to-all",),
+        SMALL.loads,
+        allocators,
+        seed=SMALL.seed,
+        n_jobs=SMALL.n_jobs,
+        runtime_scale=SMALL.runtime_scale,
+        torus=True,
+    )
 
 
 def compute_panel() -> dict[str, float]:
     """``"allocator@load" -> mean_response`` for the snapshot panel."""
-    panel = run_sweep(MESH, SMALL, **PANEL_KWARGS)[0]
     return {
-        f"{cell.allocator}@{cell.load_factor:g}": cell.mean_response
-        for cell in panel.cells
+        f"{cell.summary.allocator}@{cell.summary.load_factor:g}": cell.summary.mean_response
+        for cell in run_many(_panel_specs(TORUS_ALLOCATORS))
     }
 
 
 def test_fig12_small_panel_matches_golden_snapshot():
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert golden["mesh"] == list(MESH.shape) and golden["torus"] is True
+    assert golden["mesh"] == list(MESH_SHAPE) and golden["torus"] is True
     assert golden["scale"] == SMALL.name and golden["seed"] == SMALL.seed
 
     actual = compute_panel()
@@ -63,12 +79,7 @@ def test_fig12_small_panel_matches_golden_snapshot():
 
 def test_fig12_parallel_runs_match_serial_exactly():
     """3-D torus cells are bit-identical under worker fan-out."""
-    specs = build_sweep_specs(
-        MESH,
-        SMALL,
-        patterns=("all-to-all",),
-        allocators=("hilbert", "hilbert+bf"),
-    )
+    specs = _panel_specs(("hilbert", "hilbert+bf"))
     serial = run_many(specs, jobs=1)
     parallel = run_many(specs, jobs=2, tier="process")
     for a, b in zip(serial, parallel):
@@ -82,8 +93,8 @@ def _regenerate() -> None:
     payload = {
         "figure": "fig12",
         "panel": "all-to-all",
-        "mesh": list(MESH.shape),
-        "torus": MESH.torus,
+        "mesh": list(MESH_SHAPE),
+        "torus": True,
         "scale": SMALL.name,
         "seed": SMALL.seed,
         "loads": list(SMALL.loads),

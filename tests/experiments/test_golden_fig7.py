@@ -19,29 +19,38 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import SMALL
-from repro.experiments.fig07_sweep16x22 import MESH
-from repro.experiments.sweep import PAPER_ALLOCATORS, run_sweep
+from repro.experiments.sweep import PAPER_ALLOCATORS
+from repro.runner import run_many, sweep_specs
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "fig7_small_golden.json"
 
 #: Relative tolerance for float noise; the run itself is deterministic.
 RTOL = 1e-6
 
-PANEL_KWARGS = dict(patterns=("all-to-all",), allocators=PAPER_ALLOCATORS)
+#: Fig 7's machine, the SDSC Paragon partition.
+MESH_SHAPE = (16, 22)
 
 
 def compute_panel() -> dict[str, float]:
     """``"allocator@load" -> mean_response`` for the snapshot panel."""
-    panel = run_sweep(MESH, SMALL, **PANEL_KWARGS)[0]
+    specs = sweep_specs(
+        MESH_SHAPE,
+        ("all-to-all",),
+        SMALL.loads,
+        PAPER_ALLOCATORS,
+        seed=SMALL.seed,
+        n_jobs=SMALL.n_jobs,
+        runtime_scale=SMALL.runtime_scale,
+    )
     return {
-        f"{cell.allocator}@{cell.load_factor:g}": cell.mean_response
-        for cell in panel.cells
+        f"{cell.summary.allocator}@{cell.summary.load_factor:g}": cell.summary.mean_response
+        for cell in run_many(specs)
     }
 
 
 def test_fig7_small_panel_matches_golden_snapshot():
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert golden["mesh"] == list(MESH.shape)
+    assert golden["mesh"] == list(MESH_SHAPE)
     assert golden["scale"] == SMALL.name and golden["seed"] == SMALL.seed
 
     actual = compute_panel()
@@ -63,7 +72,7 @@ def _regenerate() -> None:
     payload = {
         "figure": "fig7",
         "panel": "all-to-all",
-        "mesh": list(MESH.shape),
+        "mesh": list(MESH_SHAPE),
         "scale": SMALL.name,
         "seed": SMALL.seed,
         "loads": list(SMALL.loads),

@@ -95,13 +95,14 @@ def test_figswf_medium_matches_golden(tmp_path):
 
 
 def _regenerate() -> None:
-    from repro.experiments.figswf_realtrace import SWF_ALLOCATORS, SWF_PATTERNS
+    from repro.campaign import bundled_campaign_path, load_campaign
 
+    axes = load_campaign(bundled_campaign_path("figswf")).axes
     payload = {
         "figure": "figswf",
         "fixture": "sdsc_mini.swf",
-        "patterns": list(SWF_PATTERNS),
-        "allocators": list(SWF_ALLOCATORS),
+        "patterns": list(axes["pattern"]),
+        "allocators": list(axes["allocator"]),
         "scales": {},
     }
     for scale_name in GOLDEN_SCALES:

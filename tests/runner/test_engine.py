@@ -3,8 +3,6 @@
 import pytest
 
 from repro.experiments.config import Scale
-from repro.experiments.sweep import build_sweep_specs, run_sweep
-from repro.mesh.topology import Mesh2D
 from repro.runner import (
     MIXED_A2A_NBODY,
     ExperimentSpec,
@@ -161,32 +159,15 @@ class TestTraceInterning:
 
 
 class TestSweepDeterminism:
-    def test_run_sweep_parallel_matches_serial(self):
-        mesh = Mesh2D(8, 8)
-        kwargs = dict(patterns=("all-to-all",), allocators=("hilbert+bf", "mc1x1"))
-        serial = run_sweep(mesh, TINY, **kwargs)
-        parallel = run_sweep(mesh, TINY, jobs=4, tier="process", **kwargs)
-        assert [r.cells for r in parallel] == [r.cells for r in serial]
-
-    def test_build_sweep_specs_cell_order(self):
-        specs = build_sweep_specs(
-            Mesh2D(8, 8), TINY, patterns=("ring", "all-to-all"), allocators=("mc",)
-        )
-        # pattern-major, then load, then allocator -- the drivers' order
-        assert [(s.pattern, s.load) for s in specs] == [
-            ("ring", 1.0),
-            ("ring", 0.4),
-            ("all-to-all", 1.0),
-            ("all-to-all", 0.4),
-        ]
-
     def test_sweep_with_cache_matches_uncached(self, tmp_path):
-        mesh = Mesh2D(8, 8)
-        kwargs = dict(patterns=("ring",), allocators=("mc",))
+        specs = sweep_specs(
+            (8, 8), ("ring",), TINY.loads, ("mc",), seed=TINY.seed,
+            n_jobs=TINY.n_jobs, runtime_scale=TINY.runtime_scale,
+        )
         cache = ResultCache(tmp_path / "c")
-        uncached = run_sweep(mesh, TINY, **kwargs)
-        warmed = run_sweep(mesh, TINY, cache=cache, **kwargs)
-        cached = run_sweep(mesh, TINY, cache=cache, **kwargs)
-        assert warmed[0].cells == uncached[0].cells
-        assert cached[0].cells == uncached[0].cells
-        assert cache.hits == len(warmed[0].cells)
+        uncached = run_many(specs)
+        warmed = run_many(specs, cache=cache)
+        cached = run_many(specs, cache=cache)
+        assert [c.summary for c in warmed] == [c.summary for c in uncached]
+        assert [c.summary for c in cached] == [c.summary for c in uncached]
+        assert cache.hits == len(warmed)

@@ -23,8 +23,8 @@ from repro.runner import engine as engine_mod
 
 TRACE = tuple((i, 40.0 * i, 2 ** (i % 4), 25.0) for i in range(24))
 
-#: A mixed grid: explicit-trace cells (which intern to refs and exercise
-#: the shm segment) plus synthetic cells (which never touch a store).
+#: A mixed grid: explicit-trace cells (which intern to refs that workers
+#: hydrate from the store) plus synthetic cells (which never touch one).
 def _grid():
     refs = sweep_specs(
         (8, 8), ("ring",), (1.0, 0.5), ("mc", "hilbert+bf"), seed=3, trace=TRACE
@@ -36,13 +36,13 @@ def _grid():
     return refs + synth
 
 
-FORCED_TIERS = ("inline", "process", "process+shm")
+FORCED_TIERS = ("inline", "process")
 
 
 class TestCrossTierDeterminism:
     def test_all_tiers_byte_identical_artifacts_and_keys(self, tmp_path):
-        """The acceptance pin: same spec list, three tiers, three caches
-        -- identical artifact filenames (cache keys) and identical bytes
+        """The acceptance pin: same spec list, both forced tiers, two
+        caches -- identical artifact filenames (cache keys) and identical bytes
         in every file."""
         artifacts = {}
         for tier in FORCED_TIERS:
@@ -52,13 +52,11 @@ class TestCrossTierDeterminism:
                 p.name: p.read_bytes() for p in cache.root.glob("*.json.gz")
             }
         names = {tier: sorted(files) for tier, files in artifacts.items()}
-        assert names["inline"] == names["process"] == names["process+shm"]
+        assert names["inline"] == names["process"]
         assert len(names["inline"]) == len(set(s.cache_key() for s in _grid()))
         for name in names["inline"]:
             assert (
-                artifacts["inline"][name]
-                == artifacts["process"][name]
-                == artifacts["process+shm"][name]
+                artifacts["inline"][name] == artifacts["process"][name]
             ), f"artifact {name} differs across tiers"
 
     def test_auto_matches_forced_tiers(self, tmp_path):
@@ -74,10 +72,9 @@ class TestCrossTierDeterminism:
 
     def test_results_identical_across_all_tiers(self):
         baseline = run_many(_grid(), tier="inline")
-        for tier in ("process", "process+shm"):
-            cells = run_many(_grid(), jobs=3, tier=tier)
-            assert [c.summary for c in cells] == [c.summary for c in baseline]
-            assert [c.jobs for c in cells] == [c.jobs for c in baseline]
+        cells = run_many(_grid(), jobs=3, tier="process")
+        assert [c.summary for c in cells] == [c.summary for c in baseline]
+        assert [c.jobs for c in cells] == [c.jobs for c in baseline]
 
     def test_artifact_bytes_stable_across_repeat_runs(self, tmp_path):
         """Artifacts are a pure function of the cell: re-running the same
@@ -91,37 +88,27 @@ class TestCrossTierDeterminism:
         assert a == b
 
 
-class TestShmTier:
-    def test_shm_without_refs_degrades_to_process(self, tmp_path):
-        """A synthetic-only grid has nothing to pack; process+shm must
-        run it exactly like process (no segment, same cells)."""
-        grid = sweep_specs(
-            (8, 8), ("ring",), (1.0,), ("mc", "hilbert+bf"), seed=5, n_jobs=15,
-            runtime_scale=0.01,
-        )
-        shm = run_many(grid, jobs=2, tier="process+shm")
-        plain = run_many(grid, jobs=2, tier="process")
-        assert [c.summary for c in shm] == [c.summary for c in plain]
-
-    def test_shm_leaves_no_segment_files_behind(self, tmp_path, monkeypatch):
-        import tempfile
-
-        monkeypatch.setenv("TMPDIR", str(tmp_path / "tmp"))
-        (tmp_path / "tmp").mkdir()
-        tempfile.tempdir = None  # re-read TMPDIR
-        try:
-            cache = ResultCache(tmp_path / "c")
-            run_many(_grid(), jobs=2, cache=cache, tier="process+shm")
-            leftovers = list((tmp_path / "tmp").glob("repro-segment-*"))
-            assert leftovers == []
-        finally:
-            tempfile.tempdir = None
-
-
 class TestAutoPolicy:
     def test_rejects_unknown_tier(self):
         with pytest.raises(ValueError, match="unknown execution tier"):
             run_many(_grid()[:1], tier="gpu")
+
+    def test_only_inline_and_process_tiers(self):
+        """One Pool transport: the engine, the campaign loader and the
+        CLIs accept exactly ``TIERS`` and reject any other name."""
+        from repro.campaign import CampaignError, loads_campaign
+        from repro.experiments.__main__ import main
+
+        assert TIERS == ("auto", "inline", "process")
+        with pytest.raises(CampaignError, match="unknown \\[campaign\\] tier"):
+            loads_campaign(
+                "[campaign]\nname = 'x'\ntier = 'shm'\n"
+                "[defaults]\nn_jobs = 4\n[axes]\nmesh = ['4x4']\n"
+                "pattern = ['ring']\nload = [1.0]\nallocator = ['mc']\n"
+            )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig11", "--tier", "shm"])
+        assert exit_info.value.code == 2
 
     def test_none_tier_means_auto(self):
         """Drivers thread an unset --tier flag straight through as None."""
@@ -136,10 +123,6 @@ class TestAutoPolicy:
 
     def test_choose_tier_process_for_big_estimates(self):
         assert choose_tier(100, jobs=4, est_cell_s=0.5).tier == "process"
-        assert (
-            choose_tier(100, jobs=4, est_cell_s=0.5, has_refs=True).tier
-            == "process+shm"
-        )
 
     def test_choose_tier_single_worker_is_inline(self):
         assert choose_tier(100, jobs=1, est_cell_s=10.0).tier == "inline"
@@ -153,7 +136,7 @@ class TestAutoPolicy:
         (decision,) = decisions
         assert isinstance(decision, TierDecision)
         assert decision.requested == "auto"
-        assert decision.tier in ("inline", "process", "process+shm")
+        assert decision.tier in ("inline", "process")
         assert decision.est_cell_s is not None and decision.est_cell_s > 0
         assert "probed" in decision.reason
 
@@ -179,9 +162,9 @@ class TestAutoPolicy:
             grid, jobs=2, cache=cache, tier="auto", est_cell_s=5.0,
             on_decision=decisions.append,
         )
-        # interning gave the pending cells ref traces, so the big-grid
-        # fan-out upgrades itself to the shared-segment transport
-        assert decisions[0].tier == "process+shm"
+        # interned ref cells fan out like any other: workers hydrate
+        # them from the cache's store
+        assert decisions[0].tier == "process"
         assert len(cells) == len(grid)
 
 
@@ -211,31 +194,6 @@ class TestAutoJobs:
         assert len(cells) == len(grid)
         warm = run_many(grid, jobs=None, cache=ResultCache(cache.root))
         assert [c.summary for c in warm] == [c.summary for c in cells]
-
-
-class TestSegmentReuse:
-    def test_provided_segment_is_not_repacked(self, tmp_path, monkeypatch):
-        """A caller-supplied ``segment_path`` (a campaign drain cuts one
-        per drain) must be used as-is: the engine never re-packs."""
-        from repro.trace.segment import write_segment
-
-        cache = ResultCache(tmp_path / "c")
-        specs = [
-            s.intern(cache.traces) if s.trace is not None else s for s in _grid()
-        ]
-        digests = {s.trace_ref for s in specs if s.trace_ref is not None}
-        segment = tmp_path / "drain.segment"
-        write_segment(segment, {d: cache.traces.get(d) for d in digests})
-
-        def _no_repack(*a, **k):
-            raise AssertionError("engine re-packed a segment it was given")
-
-        monkeypatch.setattr(engine_mod, "cut_segment", _no_repack)
-        cells = run_many(
-            specs, jobs=2, cache=cache, tier="process+shm", segment_path=segment
-        )
-        assert len(cells) == len(specs)
-        assert segment.is_file()  # caller owns the lifecycle, not the pool
 
 
 def _explode_probe_guard():
