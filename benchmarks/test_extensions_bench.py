@@ -4,6 +4,7 @@
 * the pattern-dispatching hybrid (the paper's Section 5 proposal).
 """
 
+from repro.campaign import bundled_campaign_path, load_campaign
 from repro.experiments import contiguous_baseline, hybrid_workload
 
 
@@ -23,7 +24,8 @@ def test_hybrid_mixed_workload(run_once, scale):
     print()
     print(hybrid_workload.report(result))
     by_name = {c.allocator: c for c in result.cells}
-    assert set(by_name) == set(hybrid_workload.COMPETITORS)
+    campaign = load_campaign(bundled_campaign_path(hybrid_workload.CAMPAIGN))
+    assert set(by_name) == set(campaign.axes["allocator"])
     # The hybrid must be competitive: top half of the field on response.
     ordered = sorted(result.cells, key=lambda c: c.mean_response)
     rank = [c.allocator for c in ordered].index("hybrid")

@@ -23,6 +23,7 @@ from repro.experiments.config import Scale
 from repro.experiments.metric_correlation import _boosted_trace
 from repro.mesh.topology import Mesh2D
 from repro.runner import ExperimentSpec, ResultCache, run_cell, run_many, sweep_specs
+from repro.trace.archive import trace_rows
 
 #: Big enough that per-job payloads dominate fixed overheads, scaled so
 #: the n-body cell still simulates in seconds.
@@ -43,7 +44,7 @@ MESH = Mesh2D(16, 16)
 @pytest.fixture(scope="module")
 def boosted_trace():
     """The Fig 9/10 workload: scale trace with 128-node jobs boosted."""
-    return ExperimentSpec.from_trace(_boosted_trace(BENCH_SCALE, MESH))
+    return trace_rows(_boosted_trace(BENCH_SCALE, MESH))
 
 
 @pytest.fixture(scope="module")

@@ -318,8 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         add_engine_flags(
             p,
             jobs=(jobs_default, jobs_help),
-            tier="execution tier (default: the campaign file's tier, else "
-            "'auto'); results are identical for every tier",
+            tier="execution tier (default: 'auto'); results are identical "
+            "for every tier",
         )
         p.add_argument(
             "--quiet", action="store_true", help="suppress per-cell progress lines"

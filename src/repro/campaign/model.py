@@ -39,9 +39,7 @@ strings (``"16x22"``, ``"fattree:k=8"``, ``"leafspine:40x16"``,
 ``"dragonfly:9x4x2"``); declaring both axes is an error, since they
 describe the same machine coordinate.  Campaigns may also declare ``[[include]]``/``[[exclude]]`` filters over axis
 values, and ``[[override]]`` blocks that patch per-cell settings (e.g. a
-longer trace on a bigger machine).  The ``[campaign]`` header may pin a
-preferred execution ``tier`` for ``run`` (a dispatch hint only -- never
-part of any cache key).  See the bundled files under
+longer trace on a bigger machine).  See the bundled files under
 ``src/repro/campaign/data/`` for worked examples and
 ``docs/campaign-format.md`` for the complete key-by-key reference (its
 snippets are executed in CI, so it cannot drift from this parser).
@@ -342,11 +340,6 @@ class Campaign:
     exclude: list = field(default_factory=list)
     overrides: list = field(default_factory=list)
     base_dir: Path | None = None
-    #: Preferred execution tier for ``run`` (``auto``/``inline``/
-    #: ``process``); ``None`` defers to the engine's
-    #: ``auto`` policy.  A run-time dispatch preference only -- it never
-    #: reaches the specs, so it cannot change cache keys or results.
-    tier: str | None = None
 
     # -- validation ----------------------------------------------------
     def validate(self) -> None:
@@ -361,14 +354,8 @@ class Campaign:
         from repro.core.registry import allocator_names, allocator_names_clos
         from repro.patterns.base import pattern_names
 
-        from repro.runner.engine import TIERS
-
         if not self.name or not isinstance(self.name, str):
             raise CampaignError("campaign needs a non-empty string name")
-        if self.tier is not None and self.tier not in TIERS:
-            raise CampaignError(
-                f"unknown [campaign] tier {self.tier!r}; known tiers: {list(TIERS)}"
-            )
         for axis in self.axes:
             if axis not in KNOWN_AXES:
                 raise CampaignError(
@@ -509,13 +496,15 @@ class Campaign:
         """This campaign adapted to an experiment :class:`Scale`.
 
         The figure-driver shims use this to honour ``--scale``/``--seed``:
-        the ``load`` axis becomes ``scale.loads``, the synthetic-trace
+        a ``load`` axis of more than one value becomes ``scale.loads`` (a
+        single-load figure keeps its one load), the synthetic-trace
         length/time settings become the scale's, and SWF sources truncate
         and time-scale the log the same way.  Bundled campaign files are
         written at ``small`` scale, for which this is the identity.
         """
         axes = dict(self.axes)
-        axes["load"] = [float(v) for v in scale.loads]
+        if len(axes["load"]) > 1:
+            axes["load"] = [float(v) for v in scale.loads]
         if "workload" in axes:
             sources = [parse_trace_source(v) for v in axes["workload"]]
             axes["workload"] = [
@@ -539,11 +528,11 @@ def _campaign_from_data(data: dict, base_dir: Path | None) -> Campaign:
     header = data.get("campaign", {})
     if not isinstance(header, dict):
         raise CampaignError("[campaign] must be a table")
-    unknown_header = set(header) - {"name", "description", "tier"}
+    unknown_header = set(header) - {"name", "description"}
     if unknown_header:
         raise CampaignError(
             f"unknown [campaign] keys {sorted(unknown_header)}; "
-            "known: ['description', 'name', 'tier']"
+            "known: ['description', 'name']"
         )
     unknown = set(data) - {"campaign", "defaults", "axes", "include", "exclude", "override"}
     if unknown:
@@ -573,7 +562,6 @@ def _campaign_from_data(data: dict, base_dir: Path | None) -> Campaign:
     campaign = Campaign(
         name=header.get("name", ""),
         description=header.get("description", ""),
-        tier=header.get("tier"),
         axes=axes,
         defaults=dict(data.get("defaults", {})),
         include=list(data.get("include", [])),

@@ -17,8 +17,8 @@ cell into a cache hit, and the manifest is what makes that state
 
 :meth:`CampaignRun.sweep_results` regroups cells into the
 :class:`~repro.experiments.sweep.SweepResult` panels the report helpers
-consume; it is how the fig07/fig08/fig12/figswf drivers print tables
-from grids declared only in their bundled campaign files.
+consume; it is how the sweep figures' drivers print tables from grids
+declared only in their bundled campaign files.
 """
 
 from __future__ import annotations
@@ -161,8 +161,6 @@ def _execute(
     leaves a recorded cell to whoever recorded it, unless its artifact
     has since disappeared.  ``batch=None`` claims every wanted cell at once.
     """
-    if tier is None:
-        tier = campaign.tier if campaign.tier is not None else "auto"
     expansion = expand(campaign, store=cache.traces)
     if cache.traces is None:
         refs = [
@@ -368,8 +366,7 @@ def run_campaign(
         Optional ``callback(done, total, cell)`` fired as cells resolve.
     tier:
         Execution tier for the engine (``auto``/``inline``/``process``);
-        ``None`` falls back to the campaign file's ``[campaign] tier``
-        and then to ``auto``.  When the manifest has
+        ``None`` means ``auto``.  When the manifest has
         recorded compute timings, they calibrate the ``auto`` policy so
         resumed campaigns skip the probe.  Results, artifacts and cache
         keys are identical for every tier.

@@ -33,7 +33,7 @@ from collections import Counter
 import numpy as np
 
 from repro.core.base import Allocation, Allocator, Request
-from repro.core.curves import Curve, get_curve
+from repro.core.curves import get_curve
 from repro.mesh.machine import Machine
 from repro.mesh.topology import Mesh2D, Mesh3D
 
@@ -257,10 +257,6 @@ class PagingAllocator(Allocator):
         cached = (curve, page_of, page_nodes)
         self._mesh_cache[key] = cached
         return cached
-
-    def curve_for(self, mesh: Mesh2D | Mesh3D) -> Curve:
-        """The (cached) curve this allocator uses on ``mesh``."""
-        return self._bind(mesh)[0]
 
     # -- allocation ------------------------------------------------------
     def allocate(self, request: Request, machine: Machine) -> Allocation | None:

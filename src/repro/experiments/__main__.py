@@ -45,10 +45,13 @@ Cache lifecycle tooling lives in ``python -m repro.runner``
 (``ls`` / ``prune --older-than DAYS | --max-mb N | --spec-substr S`` /
 ``vacuum``).
 
-``fig7``, ``fig8``, ``fig12`` and ``figswf`` are thin shims over bundled
-*campaign files* (``src/repro/campaign/data/``): declarative sweeps you
-can copy, edit and run directly with resumable manifests --
-``python -m repro.campaign run|status|expand|report CAMPAIGN``.
+Every trace-driven experiment is a thin shim over a bundled *campaign
+file* (``src/repro/campaign/data/``): ``fig7``/``fig8``/``fig12``/
+``figswf`` over ``fig07``/``fig08``/``fig12``/``figswf``, ``fig9`` and
+``fig10`` over ``fig09``, and ``fig11``/``hybrid``/``contiguous`` over
+the files of the same names.  They are declarative grids you can copy,
+edit and run directly with resumable manifests --
+``python -m repro.campaign run|drain|status|expand|report CAMPAIGN``.
 """
 
 from __future__ import annotations
@@ -203,10 +206,9 @@ def main(argv: list[str] | None = None) -> int:
             "(default: 1 = serial; results are identical for any value)",
         ),
         no_cache="recompute every cell instead of reusing .repro-cache/ artifacts",
-        tier="execution tier for the engine fan-out (default: the "
-        "bundled campaign file's tier for campaign-backed figures, else "
-        "auto -- tiny grids run in-process, big ones over workers); "
-        "results are identical for every tier",
+        tier="execution tier for the engine fan-out (default: auto -- "
+        "tiny grids run in-process, big ones over workers); results are "
+        "identical for every tier",
         cache_dir="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
     args = parser.parse_args(argv)

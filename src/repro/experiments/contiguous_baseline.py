@@ -6,7 +6,7 @@ the motivation for every noncontiguous strategy the paper studies.  This
 experiment replays the trace under the classic first-fit-submesh contiguous
 baseline and under Hilbert + Best Fit, and reports the queueing cost of
 contiguity (jobs wait for a free rectangle even when enough processors are
-free).
+free).  The two cells are declared in ``repro/campaign/data/contiguous.toml``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,14 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.experiments.config import SMALL, Scale
-from repro.runner import ExperimentSpec, ResultCache, run_many, sweep_specs
+from repro.experiments.sweep import run_figure_campaign
+from repro.runner import ResultCache
 from repro.sched.stats import RunSummary
 
-__all__ = ["run", "report", "ContiguousResult"]
+__all__ = ["run", "report", "ContiguousResult", "CAMPAIGN"]
+
+#: Bundled campaign this driver is a shim over.
+CAMPAIGN = "contiguous"
 
 
 @dataclass
@@ -38,19 +42,8 @@ def run(
     tier: str | None = None,
 ) -> ContiguousResult:
     """Replay the all-to-all trace under both allocation disciplines."""
-    if seed is not None:
-        scale = scale.with_seed(seed)
-    specs = sweep_specs(
-        (16, 16),
-        ("all-to-all",),
-        (1.0,),
-        ("contiguous", "hilbert+bf"),
-        seed=scale.seed,
-        n_jobs=scale.n_jobs,
-        runtime_scale=scale.runtime_scale,
-        network=ExperimentSpec.from_network_params(scale.network_params()),
-    )
-    contiguous, noncontiguous = run_many(specs, jobs=jobs, cache=cache, tier=tier)
+    crun = run_figure_campaign(CAMPAIGN, scale, seed, jobs, cache, tier)
+    contiguous, noncontiguous = crun.results
     return ContiguousResult(
         contiguous=contiguous.summary,
         noncontiguous=noncontiguous.summary,

@@ -41,7 +41,7 @@ def run(
     """
     (panels,) = run_figure_campaign(
         CAMPAIGN, scale, seed, jobs, cache, tier, trace
-    ).values()
+    ).sweep_results().values()
     return panels
 
 

@@ -9,6 +9,9 @@ sorted free list, plus MC, MC1x1, and Gen-Alg.  The paper's headline:
 "the curve-based strategies allocate into fewer components than the
 others" -- yet neither contiguity metric explains the response-time
 orderings, which is Section 4.3's point.
+
+The grid is declared once, in ``repro/campaign/data/fig11.toml``; this
+driver runs it and prints the table.
 """
 
 from __future__ import annotations
@@ -17,26 +20,15 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.experiments.config import SMALL, Scale
-from repro.runner import ExperimentSpec, ResultCache, run_many, sweep_specs
+from repro.experiments.sweep import run_figure_campaign
+from repro.runner import ResultCache
 from repro.sched.stats import RunSummary
 
-__all__ = ["run", "report", "Fig11Result", "FIG11_ALLOCATORS"]
+__all__ = ["run", "report", "Fig11Result", "CAMPAIGN"]
 
-#: The twelve rows of the paper's table (its own ordering is by result).
-FIG11_ALLOCATORS = (
-    "s-curve+bf",
-    "hilbert+bf",
-    "hilbert+ff",
-    "h-indexing+bf",
-    "s-curve+ff",
-    "h-indexing+ff",
-    "mc",
-    "mc1x1",
-    "s-curve",
-    "h-indexing",
-    "gen-alg",
-    "hilbert",
-)
+#: Bundled campaign this driver is a shim over; its allocator axis lists
+#: the twelve rows of the paper's table.
+CAMPAIGN = "fig11"
 
 
 @dataclass
@@ -68,19 +60,8 @@ def run(
     tier: str | None = None,
 ) -> Fig11Result:
     """Run the twelve allocators on the Fig 8 all-to-all load-1.0 cell."""
-    if seed is not None:
-        scale = scale.with_seed(seed)
-    specs = sweep_specs(
-        (16, 16),
-        ("all-to-all",),
-        (1.0,),
-        FIG11_ALLOCATORS,
-        seed=scale.seed,
-        n_jobs=scale.n_jobs,
-        runtime_scale=scale.runtime_scale,
-        network=ExperimentSpec.from_network_params(scale.network_params()),
-    )
-    return Fig11Result(cells=[c.summary for c in run_many(specs, jobs=jobs, cache=cache, tier=tier)])
+    crun = run_figure_campaign(CAMPAIGN, scale, seed, jobs, cache, tier)
+    return Fig11Result(cells=[r.summary for r in crun.results])
 
 
 def report(result: Fig11Result) -> str:

@@ -62,7 +62,9 @@ def run(
     reference sweep restricts to the same 3-D-capable allocator subset so
     the comparison table is cell-for-cell aligned.
     """
-    groups = run_figure_campaign(CAMPAIGN, scale, seed, jobs, cache, tier)
+    groups = run_figure_campaign(
+        CAMPAIGN, scale, seed, jobs, cache, tier
+    ).sweep_results()
     return {"torus": groups["8x8x8t"], "mesh2d": groups["16x16"]}
 
 

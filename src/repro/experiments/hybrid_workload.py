@@ -10,30 +10,26 @@ job communicates with either the all-to-all or the n-body pattern (seeded
 50/50 split) -- comparing the pattern-dispatching
 :class:`~repro.core.hybrid.HybridAllocator` against the fixed strategies.
 This goes beyond the paper (its experiments give every job the same
-pattern), so it is labelled an extension in DESIGN.md.
+pattern), so it is labelled an extension in DESIGN.md.  The grid is
+declared once, in ``repro/campaign/data/hybrid.toml``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.experiments.config import SMALL, Scale
-from repro.mesh.topology import Mesh2D
-from repro.runner import (
-    MIXED_A2A_NBODY,
-    ExperimentSpec,
-    ResultCache,
-    mixed_pattern_selector,
-    run_many,
-    sweep_specs,
-)
+from repro.experiments.sweep import run_figure_campaign
+from repro.runner import ResultCache, mixed_pattern_selector
 from repro.sched.stats import RunSummary
-from repro.trace.synthetic import drop_oversized, sdsc_paragon_trace
 
-__all__ = ["run", "report", "HybridResult", "COMPETITORS"]
+__all__ = ["run", "report", "HybridResult", "CAMPAIGN"]
 
-COMPETITORS = ("hybrid", "mc", "hilbert+bf", "gen-alg", "s-curve", "mc1x1")
+#: Bundled campaign this driver is a shim over; its allocator axis lists
+#: the hybrid and the fixed strategies it competes with.
+CAMPAIGN = "hybrid"
 
 
 @dataclass
@@ -52,32 +48,13 @@ def run(
     tier: str | None = None,
 ) -> HybridResult:
     """Run the mixed workload under every competitor."""
-    if seed is not None:
-        scale = scale.with_seed(seed)
-    mesh = Mesh2D(16, 16)
-    trace = drop_oversized(
-        sdsc_paragon_trace(
-            seed=scale.seed, n_jobs=scale.n_jobs, runtime_scale=scale.runtime_scale
-        ),
-        mesh.n_nodes,
-    )
-    selector = mixed_pattern_selector(scale.seed)
-    split: dict[str, int] = {}
-    for job in trace:
-        split[selector(job).name] = split.get(selector(job).name, 0) + 1
-
-    specs = sweep_specs(
-        mesh.shape,
-        (MIXED_A2A_NBODY,),
-        (1.0,),
-        COMPETITORS,
-        seed=scale.seed,
-        n_jobs=scale.n_jobs,
-        runtime_scale=scale.runtime_scale,
-        network=ExperimentSpec.from_network_params(scale.network_params()),
-    )
-    cells = [c.summary for c in run_many(specs, jobs=jobs, cache=cache, tier=tier)]
-    return HybridResult(cells=cells, pattern_split=split)
+    crun = run_figure_campaign(CAMPAIGN, scale, seed, jobs, cache, tier)
+    # Every cell replays the same jobs, each with the pattern the seeded
+    # selector gives its id.
+    spec = crun.results[0].spec
+    select = mixed_pattern_selector(spec.seed)
+    split = Counter(select(job).name for job in spec.build_jobs())
+    return HybridResult(cells=[r.summary for r in crun.results], pattern_split=dict(split))
 
 
 def report(result: HybridResult) -> str:

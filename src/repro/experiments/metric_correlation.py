@@ -17,7 +17,9 @@ band than the paper's 39,900-44,000 window -- remain comparable.
 At reduced trace scale 128-node jobs are rare, so the driver raises the
 share of 128-node jobs in the trace until ``scale.fig9_min_samples``
 instances exist per simulation (a sample-count substitution only; the full
-scale needs no boost).
+scale needs no boost).  The grid is declared in
+``repro/campaign/data/fig09.toml``; the boosted trace replaces its workload
+axis.
 """
 
 from __future__ import annotations
@@ -26,17 +28,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.correlation import LinearFit, linear_fit, pearson_r
+from repro.analysis.correlation import LinearFit, linear_fit
 from repro.experiments.config import SMALL, Scale
-from repro.experiments.sweep import PAPER_ALLOCATORS
+from repro.experiments.sweep import run_figure_campaign
 from repro.mesh.topology import Mesh2D
-from repro.runner import ExperimentSpec, ResultCache, run_many, sweep_specs
+from repro.runner import ResultCache
 from repro.sched.job import Job
 from repro.trace.synthetic import drop_oversized, sdsc_paragon_trace
 
-__all__ = ["run", "report_fig9", "report_fig10", "CorrelationResult", "TARGET_SIZE"]
+__all__ = [
+    "run", "report_fig9", "report_fig10", "CorrelationResult", "TARGET_SIZE", "CAMPAIGN"
+]
 
 TARGET_SIZE = 128  # "instances of the largest jobs (128 processors)"
+
+#: Bundled campaign this driver is a shim over (its workload axis is
+#: replaced by the boosted trace).
+CAMPAIGN = "fig09"
 
 
 @dataclass
@@ -94,21 +102,10 @@ def run(
     """Run the pooled n-body simulations and collect both scatters."""
     if seed is not None:
         scale = scale.with_seed(seed)
-    mesh = Mesh2D(16, 16)
-    trace = _boosted_trace(scale, mesh)
-    # The boosted trace differs from the synthetic default, so the specs
-    # carry it explicitly (it is part of the cache key).
-    specs = sweep_specs(
-        mesh.shape,
-        ("n-body",),
-        (1.0,),
-        PAPER_ALLOCATORS,
-        seed=scale.seed,
-        trace=ExperimentSpec.from_trace(trace),
-        network=ExperimentSpec.from_network_params(scale.network_params()),
-    )
+    trace = _boosted_trace(scale, Mesh2D(16, 16))
+    crun = run_figure_campaign(CAMPAIGN, scale, None, jobs, cache, tier, trace)
     pairwise, message, tpm = [], [], []
-    for cell in run_many(specs, jobs=jobs, cache=cache, tier=tier):
+    for cell in crun.results:
         for job in cell.jobs:
             if job.size != TARGET_SIZE:
                 continue
@@ -122,7 +119,7 @@ def run(
         pairwise_hops=pairwise_arr,
         message_hops=message_arr,
         time_per_message=tpm_arr,
-        allocators=list(PAPER_ALLOCATORS),
+        allocators=[cell.spec.allocator for cell in crun.results],
         n_jobs=len(tpm_arr),
         fit_pairwise=linear_fit(pairwise_arr, tpm_arr),
         fit_message=linear_fit(message_arr, tpm_arr),

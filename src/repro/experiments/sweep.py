@@ -1,15 +1,15 @@
-"""Shared machinery for the response-time sweeps (Figs 7 and 8).
+"""Shared machinery for the trace-driven figures.
 
 A sweep runs every (allocator, load factor) cell for one mesh and one
 communication pattern on the same trace, exactly as the paper's graphs are
 organised: the x-axis is the load factor ("decreasing"), the y-axis the
 mean job response time, one series per allocation strategy.
 
-Each figure's grid is declared once, in its bundled campaign file
-(``src/repro/campaign/data/``); :func:`run_figure_campaign` runs it on
-the parallel experiment engine (:mod:`repro.runner`): ``jobs=N`` fans
-the grid out over worker processes and ``cache=ResultCache(...)`` makes
-repeated sweeps free.
+Each trace-driven figure's grid is declared once, in its bundled campaign
+file (``src/repro/campaign/data/``); :func:`run_figure_campaign` runs it
+through the campaign loop on the parallel experiment engine
+(:mod:`repro.runner`): ``jobs=N`` fans the grid out over worker processes
+and ``cache=ResultCache(...)`` makes repeated runs free.
 """
 
 from __future__ import annotations
@@ -17,10 +17,14 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 
+from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
+from repro.campaign.model import TraceSource
+from repro.campaign.runner import CampaignRun
 from repro.experiments.config import Scale
-from repro.runner import ExperimentSpec, ResultCache
+from repro.runner import ResultCache
 from repro.sched.job import Job
 from repro.sched.stats import RunSummary
+from repro.trace.archive import trace_rows
 
 __all__ = [
     "SweepResult",
@@ -67,11 +71,6 @@ class SweepResult:
             values.sort(key=lambda lv: -lv[0])
         return out
 
-    def ranking(self, load: float, metric: str = "mean_response") -> list[str]:
-        """Allocators best-to-worst at one load factor."""
-        cells = [c for c in self.cells if c.load_factor == load]
-        return [c.allocator for c in sorted(cells, key=lambda c: getattr(c, metric))]
-
 
 def run_figure_campaign(
     name: str,
@@ -81,8 +80,12 @@ def run_figure_campaign(
     cache: ResultCache | None = None,
     tier: str | None = None,
     trace: list[Job] | None = None,
-) -> dict[str, list[SweepResult]]:
-    """Run a figure's bundled campaign at ``scale``; its panels per mesh.
+) -> CampaignRun:
+    """Run a figure's bundled campaign at ``scale``.
+
+    The sweep figures regroup the returned run into panels with
+    :meth:`~repro.campaign.runner.CampaignRun.sweep_results`; the others
+    read its per-cell ``results``.
 
     ``trace`` (the jobs of an SWF log) replaces the campaign's workload
     axis and is replayed as recorded: its rows are interned as a ``ref``
@@ -91,9 +94,6 @@ def run_figure_campaign(
     without a cache the rows go to a throwaway cache root that is
     removed on return.
     """
-    from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
-    from repro.campaign.model import TraceSource
-
     campaign = load_campaign(bundled_campaign_path(name)).scaled(scale, seed)
     if trace is not None:
         if cache is None:
@@ -101,9 +101,9 @@ def run_figure_campaign(
                 return run_figure_campaign(
                     name, scale, seed, jobs, ResultCache(root), tier, trace
                 )
-        digest = cache.traces.put(ExperimentSpec.from_trace(trace))
+        digest = cache.traces.put(trace_rows(trace))
         campaign.axes["workload"] = [TraceSource(kind="ref", digest=digest)]
-    return run_campaign(campaign, cache=cache, jobs=jobs, tier=tier).sweep_results()
+    return run_campaign(campaign, cache=cache, jobs=jobs, tier=tier)
 
 
 def report_sweep(results: list[SweepResult], metric: str = "mean_response") -> str:

@@ -391,12 +391,3 @@ class FluidNetwork:
         if self._n == 0:
             return {}
         return dict(zip(self._ids, self.rates_vector().tolist()))
-
-    def link_utilisation(self, rates: dict[int, float] | None = None) -> np.ndarray:
-        """Fraction of each link's capacity consumed under ``rates``."""
-        if rates is None:
-            rates = self.rates()
-        flow = np.zeros(self.space.n_links, dtype=np.float64)
-        for i, fid in enumerate(self._ids):
-            flow += rates.get(fid, 0.0) * self._weights[i]
-        return flow / self.capacities

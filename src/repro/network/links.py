@@ -5,14 +5,14 @@ likewise simulates full-duplex channels).  Links are numbered in two blocks
 per axis -- positive direction first, then negative -- in axis order, so a
 2-D mesh keeps the historical E / W / N / S block layout:
 
-======  =======================  ==========================================
+======  =======================  ==================================================
 block   direction                id layout (2-D)
-======  =======================  ==========================================
-E       ``(x, y) -> (x+1, y)``   ``E_off + y * ew_cols + x``
-W       ``(x+1, y) -> (x, y)``   ``W_off + y * ew_cols + x``
-N       ``(x, y) -> (x, y+1)``   ``N_off + y * width + x``
-S       ``(x, y+1) -> (x, y)``   ``S_off + y * width + x``
-======  =======================  ==========================================
+======  =======================  ==================================================
+E       ``(x, y) -> (x+1, y)``   ``axis_offsets[0][0] + y * axis_cols[0] + x``
+W       ``(x+1, y) -> (x, y)``   ``axis_offsets[0][1] + y * axis_cols[0] + x``
+N       ``(x, y) -> (x, y+1)``   ``axis_offsets[1][0] + y * width + x``
+S       ``(x, y+1) -> (x, y)``   ``axis_offsets[1][1] + y * width + x``
+======  =======================  ==================================================
 
 Generally, the directed link in axis ``k``'s positive block at position
 ``(c_0, .., c_{D-1})`` (with ``c_k`` the link "column", i.e. it connects
@@ -79,14 +79,6 @@ class LinkSpace:
             strides.append(acc)
             acc *= n
         self._node_strides = tuple(strides)
-        if self.n_dims == 2:
-            # Historical 2-D aliases (kept for callers and tests).
-            self.ew_cols = self.axis_cols[0]
-            self.ns_rows = self.axis_cols[1]
-            self.n_ew = self.axis_block[0]
-            self.n_ns = self.axis_block[1]
-            self.E_off, self.W_off = self.axis_offsets[0]
-            self.N_off, self.S_off = self.axis_offsets[1]
 
     @classmethod
     def for_mesh(cls, mesh: Mesh2D | Mesh3D) -> "LinkSpace":

@@ -451,11 +451,6 @@ class ResultCache:
             if result is not None:
                 yield path, result
 
-    def iter_results(self) -> Iterator[CellResult]:
-        """Every readable artifact in the cache (unreadable files skipped)."""
-        for _, result in self.iter_entries():
-            yield result
-
     def clear(self) -> int:
         """Delete all artifacts; returns how many were removed."""
         removed = 0
@@ -549,18 +544,6 @@ class ResultCache:
             if not dry_run:
                 path.unlink(missing_ok=True)
         return evicted, total
-
-    def referenced_digests(self) -> set[str]:
-        """Trace digests referenced by any readable artifact."""
-        refs: set[str] = set()
-        for path in self._artifact_paths():
-            data = self._read_payload(path)
-            if data is None:
-                continue
-            digest = (data.get("spec") or {}).get("trace_ref")
-            if digest:
-                refs.add(digest)
-        return refs
 
     def _needs_repack(self, path: Path, data: dict) -> bool:
         """Whether an artifact is in a legacy on-disk form.

@@ -12,11 +12,10 @@ SHA-256 of the spec's canonical JSON form.
 Explicit traces come in two interchangeable forms: inline rows
 (``trace``) or a content-address into the workload store
 (``trace_ref``, see :mod:`repro.trace.store`).  :meth:`ExperimentSpec.intern`
-converts inline to ref, :meth:`ExperimentSpec.resolve` converts back, and
-:meth:`ExperimentSpec.cache_key` resolves refs before hashing -- so both
-forms of the same cell share one byte-identical cache key, which is what
-lets the engine intern traces without invalidating any pre-existing
-``.repro-cache/`` artifact.
+converts inline to ref, and :meth:`ExperimentSpec.cache_key` hashes a ref's
+rows in place of its digest -- so both forms of the same cell share one
+byte-identical cache key, which is what lets the engine intern traces
+without invalidating any pre-existing ``.repro-cache/`` artifact.
 """
 
 from __future__ import annotations
@@ -290,18 +289,12 @@ class ExperimentSpec:
         """Ref form of this spec: inline rows moved into ``store``.
 
         No-op for synthetic and already-interned specs.  The returned spec
-        has the byte-identical cache key of the original (the key is
-        computed over the resolved inline form either way).
+        has the byte-identical cache key of the original (the key hashes
+        the trace rows either way).
         """
         if self.trace is None:
             return self
         return replace(self, trace=None, trace_ref=store.put(self.trace))
-
-    def resolve(self, store: TraceStore | None = None) -> "ExperimentSpec":
-        """Inline form of this spec: ref hydrated back to explicit rows."""
-        if self.trace_ref is None:
-            return self
-        return replace(self, trace=self.base_trace(store), trace_ref=None)
 
     def with_trace_digest(self) -> "ExperimentSpec":
         """Digest-normalised form (pure -- no store access).
@@ -401,10 +394,10 @@ class ExperimentSpec:
     def cache_key(self, store: TraceStore | None = None) -> str:
         """SHA-256 hex digest of the canonical *inline* JSON form.
 
-        Ref specs resolve their trace from ``store`` (default workload
-        store when ``None``) before hashing, so interning is cache-key
-        neutral: both forms of a cell address the same artifact, and every
-        pre-refactor inline key is byte-identical.
+        Ref specs hash the store's canonical rows (``store`` defaults to
+        the workload store) in place of their digest, so interning is
+        cache-key neutral: both forms of a cell address the same artifact,
+        and every pre-refactor inline key is byte-identical.
 
         >>> spec = ExperimentSpec(mesh_shape=(8, 8), pattern="ring",
         ...                       allocator="mc", load=1.0, seed=1, n_jobs=10)
@@ -413,21 +406,11 @@ class ExperimentSpec:
         >>> ExperimentSpec.from_dict(spec.to_dict()) == spec
         True
         """
-        spec = self.resolve(store) if self.trace_ref is not None else self
-        canonical = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+        data = self.to_dict()
+        if data.pop("trace_ref", None) is not None:
+            data["trace"] = [list(row) for row in self.base_trace(store)]
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-    @staticmethod
-    def from_trace(jobs: list[Job]) -> tuple[TraceRow, ...]:
-        """Serialize an explicit base trace for the ``trace`` field.
-
-        Tenancy columns are emitted only when non-default (the canonical
-        collapse), so tenant-free traces keep their legacy row bytes.
-        """
-        return canonical_trace(
-            (j.job_id, j.arrival, j.size, j.runtime, j.user_id, j.priority_class)
-            for j in jobs
-        )
 
 
 # ----------------------------------------------------------------------

@@ -172,20 +172,6 @@ class SimulationResult:
             return 0.0
         return float(np.mean([j.n_components for j in self.jobs]))
 
-    def filter_jobs(self, **bounds) -> list[JobResult]:
-        """Jobs matching attribute bounds, e.g. ``size=128`` or
-        ``min_quota=39900, max_quota=44000`` (the Fig 9/10 selection)."""
-        out = []
-        for j in self.jobs:
-            if "size" in bounds and j.size != bounds["size"]:
-                continue
-            if "min_quota" in bounds and j.quota < bounds["min_quota"]:
-                continue
-            if "max_quota" in bounds and j.quota > bounds["max_quota"]:
-                continue
-            out.append(j)
-        return out
-
     def mean_utilization(self) -> float:
         """Time-averaged fraction of busy processors over the makespan.
 

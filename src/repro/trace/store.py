@@ -9,7 +9,7 @@ and serialized into each cell's cache artifact.  This module stores a trace
 worker payloads) carries only the 64-character digest.
 
 The digest doubles as the identity used by the experiment cache: an
-interned spec resolves back to its inline form before hashing, so a spec
+interned spec hashes its trace's rows in place of the digest, so a spec
 referencing a trace by digest has the *byte-identical* cache key of the
 same spec carrying the rows inline (see
 :meth:`~repro.runner.spec.ExperimentSpec.cache_key`).  Interning therefore

@@ -35,24 +35,31 @@ class TestBundledInventory:
     def test_expected_campaigns_ship(self):
         names = bundled_campaign_names()
         for expected in (
-            "clos", "fig07", "fig08", "fig12", "figswf", "multishape", "smoke"
+            "clos", "contiguous", "fig07", "fig08", "fig09", "fig11", "fig12",
+            "figswf", "hybrid", "multishape", "smoke",
         ):
             assert expected in names
 
     @pytest.mark.parametrize(
-        "name", ["clos", "fig07", "fig08", "fig12", "figswf", "multishape", "smoke"]
+        "name",
+        [
+            "clos", "contiguous", "fig07", "fig08", "fig09", "fig11", "fig12",
+            "figswf", "hybrid", "multishape", "smoke",
+        ],
     )
     def test_every_bundled_campaign_loads_and_expands(self, name):
         expansion = expand(_bundled(name))
         assert expansion.cells
 
 
-def _grid(shape, allocators, patterns=PAPER_PATTERNS, torus=False, **workload):
+def _grid(
+    shape, allocators, patterns=PAPER_PATTERNS, torus=False, loads=SMALL.loads, **workload
+):
     """A figure grid at ``small`` scale, built straight from the engine."""
     if not workload:
         workload = dict(n_jobs=SMALL.n_jobs, runtime_scale=SMALL.runtime_scale)
     return sweep_specs(
-        shape, patterns, SMALL.loads, allocators, seed=SMALL.seed, torus=torus,
+        shape, patterns, loads, allocators, seed=SMALL.seed, torus=torus,
         **workload,
     )
 
@@ -103,6 +110,64 @@ class TestSpecEquality:
             )
         campaign = [c.spec for c in expand(_bundled("figswf")).cells]
         assert campaign == driver
+
+    def test_fig09_campaign_equals_driver_grid(self, tmp_path):
+        """The boosted trace replaces the workload axis as a ``ref``; the
+        cells key exactly as inline rows on the hand-built grid do."""
+        from repro.campaign.model import TraceSource
+        from repro.experiments.metric_correlation import _boosted_trace
+        from repro.mesh.topology import Mesh2D
+        from repro.trace.archive import trace_rows
+
+        rows = trace_rows(_boosted_trace(SMALL, Mesh2D(16, 16)))
+        driver = _grid(
+            (16, 16), PAPER_ALLOCATORS, patterns=("n-body",), loads=(1.0,), trace=rows
+        )
+        cache = ResultCache(tmp_path / "cache")
+        campaign = _bundled("fig09").scaled(SMALL)
+        digest = cache.traces.put(rows)
+        campaign.axes["workload"] = [TraceSource(kind="ref", digest=digest)]
+        cells = [c.spec for c in expand(campaign, store=cache.traces).cells]
+        assert cells == [s.intern(cache.traces) for s in driver]
+        assert [cache.key_for(s) for s in cells] == [s.cache_key() for s in driver]
+
+    def test_fig11_campaign_equals_driver_grid(self):
+        driver = _grid(
+            (16, 16),
+            (
+                "s-curve+bf", "hilbert+bf", "hilbert+ff", "h-indexing+bf",
+                "s-curve+ff", "h-indexing+ff", "mc", "mc1x1", "s-curve",
+                "h-indexing", "gen-alg", "hilbert",
+            ),
+            patterns=("all-to-all",),
+            loads=(1.0,),
+        )
+        campaign = [c.spec for c in expand(_bundled("fig11")).cells]
+        assert campaign == driver
+
+    def test_hybrid_campaign_equals_driver_grid(self):
+        driver = _grid(
+            (16, 16),
+            ("hybrid", "mc", "hilbert+bf", "gen-alg", "s-curve", "mc1x1"),
+            patterns=("mixed(a2a+nbody)",),
+            loads=(1.0,),
+        )
+        campaign = [c.spec for c in expand(_bundled("hybrid")).cells]
+        assert campaign == driver
+
+    def test_contiguous_campaign_equals_driver_grid(self):
+        driver = _grid(
+            (16, 16), ("contiguous", "hilbert+bf"), patterns=("all-to-all",), loads=(1.0,)
+        )
+        campaign = [c.spec for c in expand(_bundled("contiguous")).cells]
+        assert campaign == driver
+
+    def test_single_load_campaigns_keep_their_load_at_every_scale(self):
+        from repro.experiments.config import FULL
+
+        for name in ("fig09", "fig11", "hybrid", "contiguous"):
+            assert _bundled(name).scaled(FULL).axes["load"] == [1.0]
+        assert _bundled("fig08").scaled(FULL).axes["load"] == list(FULL.loads)
 
 
 class TestMultishape:

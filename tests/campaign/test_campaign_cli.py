@@ -131,22 +131,15 @@ class TestTierFlag:
         out = capsys.readouterr().out
         assert "[tier] inline" in out
 
-    def test_campaign_file_tier_is_honoured(self, tmp_path, cache_dir, capsys):
+    def test_file_tier_key_is_unknown(self, tmp_path, cache_dir, capsys):
+        """The execution tier is a run-time choice (``--tier``), not part
+        of a campaign file: even a valid tier name is an unknown key."""
         path = tmp_path / "tiered.toml"
         path.write_text(CAMPAIGN.replace(
             'name = "clitest"', 'name = "clitest"\ntier = "inline"'
         ))
-        assert main(["run", str(path), "--cache-dir", cache_dir, "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "[tier] inline (inline: forced)" in out
-
-    def test_bad_file_tier_rejected(self, tmp_path, cache_dir, capsys):
-        path = tmp_path / "bad.toml"
-        path.write_text(CAMPAIGN.replace(
-            'name = "clitest"', 'name = "clitest"\ntier = "gpu"'
-        ))
-        assert main(["run", str(path), "--cache-dir", cache_dir]) == 2
-        assert "unknown [campaign] tier" in capsys.readouterr().err
+        assert main(["run", str(path), "--cache-dir", cache_dir, "--quiet"]) == 2
+        assert "unknown [campaign] keys ['tier']" in capsys.readouterr().err
 
 
 class TestReportExport:

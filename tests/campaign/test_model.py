@@ -233,5 +233,6 @@ class TestProgrammaticCampaigns:
         campaign = Campaign(name="prog", axes=self._axes(), defaults={"n_jobs": 5})
         expansion = expand(campaign)
         assert len(expansion.cells) == 1
-        scaled = Campaign(name="prog2", axes=self._axes(), defaults={"n_jobs": 5}).scaled(SMALL)
+        axes = {**self._axes(), "load": [1.0, 0.5]}  # scaled() keeps a single load
+        scaled = Campaign(name="prog2", axes=axes, defaults={"n_jobs": 5}).scaled(SMALL)
         assert scaled.axes["load"] == list(SMALL.loads)

@@ -81,7 +81,7 @@ class TestKeyCoverage:
         for section in ("[campaign]", "[defaults]", "[axes]",
                         "[[include]]", "[[exclude]]", "[[override]]"):
             assert section in text, f"section {section} undocumented"
-        for key in ("name", "description", "tier", "when", "set"):
+        for key in ("name", "description", "when", "set"):
             assert f"`{key}`" in text, f"key {key!r} undocumented"
 
     def test_tiers_documented(self):

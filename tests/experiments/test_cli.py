@@ -91,6 +91,21 @@ class TestEngineFlags:
         assert _report_body(second) == _report_body(first)
         assert len(list(default_cache_root().glob("*.json.gz"))) == 12
 
+    @pytest.mark.parametrize("experiment, n_cells", [("hybrid", 6), ("contiguous", 2)])
+    def test_single_load_figures_rerun_from_cache(
+        self, experiment, n_cells, tiny_scale, tmp_path, capsys
+    ):
+        """Like fig11 above: each runs its bundled campaign, and a second
+        run computes nothing."""
+        cache_dir = str(tmp_path / "c")
+        assert main([experiment, "--cache-dir", cache_dir]) == 0
+        first = capsys.readouterr().out
+        assert f"hits=0 misses={n_cells}" in first
+        assert main([experiment, "--cache-dir", cache_dir]) == 0
+        second = capsys.readouterr().out
+        assert f"hits={n_cells} misses=0" in second
+        assert _report_body(second) == _report_body(first)
+
     def test_no_cache_flag_disables_artifacts(self, tiny_scale, capsys):
         assert main(["fig11", "--no-cache"]) == 0
         out = capsys.readouterr().out
@@ -152,7 +167,8 @@ class TestTraceInput:
             SweepResult,
             report_sweep,
         )
-        from repro.runner import ExperimentSpec, run_many, sweep_specs
+        from repro.runner import run_many, sweep_specs
+        from repro.trace.archive import trace_rows
         from repro.trace.swf import read_swf
 
         path = _write_trace(tmp_path / "late.swf", first_id=1, first_arrival=500.0)
@@ -164,7 +180,7 @@ class TestTraceInput:
             tiny_scale.loads,
             PAPER_ALLOCATORS,
             seed=tiny_scale.seed,
-            trace=ExperimentSpec.from_trace(jobs),
+            trace=trace_rows(jobs),
         )
         cells = run_many(specs)
         per_pattern = len(tiny_scale.loads) * len(PAPER_ALLOCATORS)

@@ -112,8 +112,6 @@ class TestSweep:
         assert len(panel.cells) == 2 * len(TINY.loads)
         series = panel.series()
         assert set(series) == {"hilbert+bf", "mc1x1"}
-        ranking = panel.ranking(load=1.0)
-        assert len(ranking) == 2
         assert "mean_response" in report_sweep(results)
 
     def test_paper_grids_defined(self):
@@ -121,8 +119,9 @@ class TestSweep:
         assert PAPER_PATTERNS == ("all-to-all", "n-body", "random")
 
     def test_custom_trace_passthrough(self):
-        from repro.runner import ExperimentSpec, run_many, sweep_specs
+        from repro.runner import run_many, sweep_specs
         from repro.sched.job import Job
+        from repro.trace.archive import trace_rows
 
         trace = [Job(i, 50.0 * i, 4, 10.0) for i in range(5)]
         specs = sweep_specs(
@@ -131,7 +130,7 @@ class TestSweep:
             TINY.loads,
             ("hilbert+bf",),
             seed=TINY.seed,
-            trace=ExperimentSpec.from_trace(trace),
+            trace=trace_rows(trace),
         )
         assert run_many(specs)[0].summary.n_jobs == 5
 

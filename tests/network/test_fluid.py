@@ -159,8 +159,6 @@ class TestFluidNetwork:
         shared = net.rates()
         assert shared[0] < solo
         assert shared[0] == pytest.approx(shared[1])
-        util = net.link_utilisation(shared)
-        assert util.max() <= 1.0 + 1e-9
 
     def test_contention_factor_zero_isolates_latency(self, mesh16):
         """gamma = 0 reduces the model to pure issue + hop latency."""
@@ -169,12 +167,3 @@ class TestFluidNetwork:
         hops = self._shuttle_job(mesh16, net, params, 0, row=4)
         expected = 1.0 / (1.0 + params.hop_latency * hops)
         assert net.rates()[0] == pytest.approx(expected)
-
-    def test_utilisation_reflects_rates(self, mesh8):
-        params = NetworkParams()
-        net = FluidNetwork(mesh8, params)
-        nodes = np.arange(8)
-        loads = build_load_vector(mesh8, nodes, AllToAll().cycle(8), params.message_flits)
-        net.add_flow(0, loads, mean_hops=3.0)
-        util = net.link_utilisation()
-        assert util.max() > 0

@@ -77,12 +77,12 @@ class TestResultCache:
     def test_len_iter_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         assert len(cache) == 0
-        assert list(cache.iter_results()) == []
+        assert list(cache.iter_entries()) == []
         specs = [_spec(), _spec(load=0.5), _spec(allocator="mc")]
         for spec in specs:
             cache.put(run_cell(spec))
         assert len(cache) == 3
-        loaded = {cell.spec for cell in cache.iter_results()}
+        loaded = {cell.spec for _, cell in cache.iter_entries()}
         assert loaded == set(specs)
         assert cache.clear() == 3
         assert len(cache) == 0
@@ -247,7 +247,7 @@ class TestPruneFilters:
         cache = self._warm(tmp_path)
         removed = cache.prune(spec_substr='"pattern":"all-to-all"')
         assert len(removed) == 1
-        assert {c.spec.pattern for c in cache.iter_results()} == {"ring"}
+        assert {c.spec.pattern for _, c in cache.iter_entries()} == {"ring"}
 
     def test_requires_some_criterion(self, tmp_path):
         import pytest
@@ -262,7 +262,7 @@ class TestPruneFilters:
         removed = cache.prune(keys=keys)
         assert len(removed) == 2
         assert {p.name.partition(".")[0] for p in removed} == keys
-        assert {c.spec.pattern for c in cache.iter_results()} == {"all-to-all"}
+        assert {c.spec.pattern for _, c in cache.iter_entries()} == {"all-to-all"}
 
     def test_keys_combine_with_spec_substr(self, tmp_path):
         cache = self._warm(tmp_path)

@@ -87,7 +87,7 @@ class TestPruneSpecSubstr:
         out = capsys.readouterr().out
         assert "removed 1 artifacts with spec matching 'all-to-all'" in out
         assert len(warm_cache) == 2
-        remaining = {c.spec.pattern for c in warm_cache.iter_results()}
+        remaining = {c.spec.pattern for _, c in warm_cache.iter_entries()}
         assert remaining == {"ring"}
 
     def test_combines_with_age_cutoff(self, warm_cache, capsys):
@@ -103,7 +103,7 @@ class TestPruneSpecSubstr:
         out = capsys.readouterr().out
         assert "older than 7 days and with spec matching" in out
         assert len(warm_cache) == 2
-        assert all(c.spec.allocator != "mc" for c in warm_cache.iter_results())
+        assert all(c.spec.allocator != "mc" for _, c in warm_cache.iter_entries())
 
     def test_no_criteria_is_an_error(self, warm_cache, capsys):
         assert main(["--cache-dir", str(warm_cache.root), "prune"]) == 2
@@ -182,7 +182,9 @@ class TestVacuum:
         # delete the referenced trace out from under its artifact
         from repro.trace import store as store_mod
 
-        digest = next(iter(warm_cache.referenced_digests()))
+        digest = next(
+            c.spec.trace_ref for _, c in warm_cache.iter_entries() if c.spec.trace_ref
+        )
         warm_cache.traces.remove(digest)
         store_mod._MEMO.clear()
         assert main(["--cache-dir", str(warm_cache.root), "vacuum"]) == 0

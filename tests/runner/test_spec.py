@@ -1,6 +1,7 @@
 """Tests for ExperimentSpec / CellResult serialization and hashing."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.runner.spec import (
     summary_to_dict,
 )
 from repro.sched.job import Job, JobResult
+from repro.trace.archive import trace_rows
 from repro.trace.store import TraceStore, trace_digest
 from repro.trace.synthetic import apply_load_factor, drop_oversized, sdsc_paragon_trace
 
@@ -171,7 +173,7 @@ class TestExperimentSpec:
             allocator="mc",
             load=0.5,
             seed=0,
-            trace=ExperimentSpec.from_trace(trace),
+            trace=trace_rows(trace),
         )
         jobs = spec.build_jobs()
         assert len(jobs) == 1  # the 100-proc job is oversized for 8x8
@@ -209,7 +211,7 @@ class TestExperimentSpec3D:
             allocator="hilbert",
             load=1.0,
             seed=0,
-            trace=ExperimentSpec.from_trace(trace),
+            trace=trace_rows(trace),
         )
         jobs = spec.build_jobs()
         assert [j.size for j in jobs] == [400]  # 600 > 512 dropped
@@ -246,7 +248,7 @@ class TestTraceRefSpecs:
         ref = inline.intern(store)
         assert ref.trace is None
         assert ref.trace_ref == trace_digest(self.TRACE)
-        assert ref.resolve(store) == inline
+        assert replace(ref, trace=ref.base_trace(store), trace_ref=None) == inline
         assert inline.intern(store) == ref  # idempotent
         assert ref.intern(store) == ref
 

@@ -94,18 +94,11 @@ class TestAutoPolicy:
             run_many(_grid()[:1], tier="gpu")
 
     def test_only_inline_and_process_tiers(self):
-        """One Pool transport: the engine, the campaign loader and the
-        CLIs accept exactly ``TIERS`` and reject any other name."""
-        from repro.campaign import CampaignError, loads_campaign
+        """One Pool transport: the engine and the CLIs accept exactly
+        ``TIERS`` and reject any other name."""
         from repro.experiments.__main__ import main
 
         assert TIERS == ("auto", "inline", "process")
-        with pytest.raises(CampaignError, match="unknown \\[campaign\\] tier"):
-            loads_campaign(
-                "[campaign]\nname = 'x'\ntier = 'shm'\n"
-                "[defaults]\nn_jobs = 4\n[axes]\nmesh = ['4x4']\n"
-                "pattern = ['ring']\nload = [1.0]\nallocator = ['mc']\n"
-            )
         with pytest.raises(SystemExit) as exit_info:
             main(["fig11", "--tier", "shm"])
         assert exit_info.value.code == 2

@@ -137,13 +137,6 @@ class TestDeterminismAndMetrics:
         assert summary.mean_components >= 1
         assert summary.mean_stretch >= 1.0 - 1e-9
 
-    def test_result_filter_jobs(self):
-        jobs = [Job(0, 0.0, 4, 10.0), Job(1, 0.0, 8, 99.0)]
-        result = make_sim(jobs).run()
-        assert len(result.filter_jobs(size=8)) == 1
-        assert len(result.filter_jobs(min_quota=50)) == 1
-        assert len(result.filter_jobs(min_quota=5, max_quota=20)) == 1
-
 
 class TestConservation:
     @given(
