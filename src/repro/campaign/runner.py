@@ -29,13 +29,14 @@ import tempfile
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.campaign.expand import CampaignCell, Expansion, cell_digest, expand
 from repro.campaign.lease import DEFAULT_LEASE_TTL, LeaseDir, lease_dir_path
 from repro.campaign.manifest import CampaignManifest, manifest_path
-from repro.campaign.model import Campaign, CampaignError
+from repro.campaign.model import Campaign, CampaignError, TraceSource
 from repro.runner import CellResult, ResultCache, TierDecision, run_many
 
 __all__ = [
@@ -152,6 +153,7 @@ def _execute(
     limit: int | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll_s: float = 0.25,
+    private: bool = False,
 ) -> CampaignRun:
     """The one execution loop: a drain as ``runner``, or a ``run`` if None.
 
@@ -160,6 +162,10 @@ def _execute(
     the cache lookup :func:`run_many` makes anyway serves them.  A drain
     leaves a recorded cell to whoever recorded it, unless its artifact
     has since disappeared.  ``batch=None`` claims every wanted cell at once.
+    ``private`` marks a root no other runner can reach (a
+    :class:`_ScratchCache`'s): its cells are claimed through
+    :class:`_NoLeases`, and the returned manifest has no path, since its
+    file goes with the root.
     """
     expansion = expand(campaign, store=cache.traces)
     if cache.traces is None:
@@ -194,11 +200,14 @@ def _execute(
         want = [c for c in want if c.digest not in done or not exists(c)][:limit]
     by_digest = {c.digest: c for c in want}
     batch = batch or max(1, len(want))
-    leases = LeaseDir(
-        lease_dir_path(cache.root, campaign.name, expansion.digest),
-        runner=runner or f"{socket.gethostname()}-{os.getpid()}",
-        ttl=lease_ttl,
-    )
+    if private:
+        leases = _NoLeases()
+    else:
+        leases = LeaseDir(
+            lease_dir_path(cache.root, campaign.name, expansion.digest),
+            runner=runner or f"{socket.gethostname()}-{os.getpid()}",
+            ttl=lease_ttl,
+        )
     if runner is not None:
         manifest.heartbeat(runner)
 
@@ -208,10 +217,12 @@ def _execute(
         while not stop.wait(lease_ttl / 4.0):
             leases.heartbeat()
 
-    beater = threading.Thread(
-        target=_beat, name=f"lease-heartbeat-{leases.runner}", daemon=True
-    )
-    beater.start()
+    beater = None
+    if not private:
+        beater = threading.Thread(
+            target=_beat, name=f"lease-heartbeat-{leases.runner}", daemon=True
+        )
+        beater.start()
 
     resolved: dict[str, CellResult] = {}
     decisions: list[TierDecision] = []
@@ -292,14 +303,17 @@ def _execute(
             mode="run" if runner is None else "drain",
         )
     finally:
-        stop.set()
-        beater.join(timeout=5.0)
+        if beater is not None:
+            stop.set()
+            beater.join(timeout=5.0)
         # One flush however the loop ends -- an interrupted run still
         # records every cell it completed -- and only then the release
         # of whatever leases are still held.
         manifest.flush()
         if leases.held():
             leases.release_all()
+    if private:
+        manifest.path = None
     selected = [c for c in want if c.digest in resolved]
     return CampaignRun(
         expansion=expansion,
@@ -317,19 +331,46 @@ def _execute(
 
 
 class _ScratchCache(ResultCache):
-    """What a cache-less run executes against: a root for its manifest and
-    leases that lives for one call.  Nothing put in it could ever be read
-    back, so it keeps nothing: every lookup misses, no artifact is
-    written, and with no workload store the traces stay inline."""
+    """What a cache-less run executes against: a root for its manifest
+    that lives for one call (:func:`_scratch_cache`).  Nothing put in it
+    could ever be read back, so it keeps nothing: every lookup misses and
+    no artifact is written.  With ``traces=False`` it has no workload
+    store and traces stay inline; ``traces=True`` keeps the root's store
+    for the one ``ref`` workload a replayed trace is interned as."""
 
-    def __init__(self, root):
+    def __init__(self, root, traces: bool = False):
         super().__init__(root)
-        self.traces = None
+        if not traces:
+            self.traces = None
 
     def get(self, spec):
         self.misses += 1
 
     def put(self, result):
+        pass
+
+
+@contextmanager
+def _scratch_cache(traces: bool = False):
+    """A :class:`_ScratchCache` in a temporary root, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as root:
+        yield _ScratchCache(root, traces=traces)
+
+
+class _NoLeases:
+    """The lease set of a private run: every claim succeeds and nothing
+    touches the disk, since no other runner shares the root."""
+
+    def claim_batch(self, digests, n: int) -> tuple[list[str], list[str]]:
+        return list(digests)[:n], []
+
+    def held(self) -> set[str]:
+        return set()
+
+    def release(self, digest: str) -> None:
+        pass
+
+    def release_all(self) -> None:
         pass
 
 
@@ -340,6 +381,7 @@ def run_campaign(
     limit: int | None = None,
     progress: Callable[[int, int, CellResult], None] | None = None,
     tier: str | None = None,
+    trace: list[tuple] | None = None,
 ) -> CampaignRun:
     """Expand and run a campaign as one runner, resuming from its manifest.
 
@@ -351,9 +393,10 @@ def run_campaign(
         Artifact cache; also supplies the workload store SWF sources are
         interned into and the directory the manifest and leases live
         next to.  ``None`` runs against a throwaway cache root that is
-        removed on return -- same results, nothing persists -- and
-        raises :class:`CampaignError` for a ``ref`` workload, whose
-        trace only a cache's workload store can hold.
+        removed on return -- same results, nothing persists, no artifact
+        or lease file is written -- and raises :class:`CampaignError` for
+        a ``ref`` workload of the campaign's own, whose trace only a
+        cache's workload store can hold.
     jobs:
         Worker processes for the engine fan-out; ``None`` auto-tunes
         from the host's CPUs and the manifest's recorded mean cell cost
@@ -370,15 +413,30 @@ def run_campaign(
         recorded compute timings, they calibrate the ``auto`` policy so
         resumed campaigns skip the probe.  Results, artifacts and cache
         keys are identical for every tier.
+    trace:
+        Trace rows (:func:`repro.trace.archive.trace_rows`) that replace
+        the campaign's workload axis, replayed as recorded: they are
+        interned as a ``ref`` workload in the cache's workload store, or
+        without a cache in the throwaway root's own store.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+
+    def replaying(store) -> Campaign:
+        if trace is None:
+            return campaign
+        ref = TraceSource(kind="ref", digest=store.put(trace))
+        return replace(campaign, axes={**campaign.axes, "workload": [ref]})
+
     if cache is not None:
-        return _execute(campaign, cache, None, jobs, progress, tier, limit=limit)
-    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as root:
-        run = _execute(campaign, _ScratchCache(root), None, jobs, progress, tier, limit=limit)
-    run.manifest.path = None  # its file went with the root
-    return run
+        return _execute(
+            replaying(cache.traces), cache, None, jobs, progress, tier, limit=limit
+        )
+    with _scratch_cache(traces=trace is not None) as scratch:
+        return _execute(
+            replaying(scratch.traces), scratch, None, jobs, progress, tier,
+            limit=limit, private=True,
+        )
 
 
 def drain_campaign(

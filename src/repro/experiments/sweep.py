@@ -14,11 +14,9 @@ and ``cache=ResultCache(...)`` makes repeated runs free.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 
 from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
-from repro.campaign.model import TraceSource
 from repro.campaign.runner import CampaignRun
 from repro.experiments.config import Scale
 from repro.runner import ResultCache
@@ -90,20 +88,11 @@ def run_figure_campaign(
     ``trace`` (the jobs of an SWF log) replaces the campaign's workload
     axis and is replayed as recorded: its rows are interned as a ``ref``
     workload, which the archive pipeline never renumbers, rescales or
-    truncates.  A ref workload lives in a cache's workload store, so
-    without a cache the rows go to a throwaway cache root that is
-    removed on return.
+    truncates (see :func:`~repro.campaign.runner.run_campaign`).
     """
     campaign = load_campaign(bundled_campaign_path(name)).scaled(scale, seed)
-    if trace is not None:
-        if cache is None:
-            with tempfile.TemporaryDirectory(prefix="repro-trace-") as root:
-                return run_figure_campaign(
-                    name, scale, seed, jobs, ResultCache(root), tier, trace
-                )
-        digest = cache.traces.put(trace_rows(trace))
-        campaign.axes["workload"] = [TraceSource(kind="ref", digest=digest)]
-    return run_campaign(campaign, cache=cache, jobs=jobs, tier=tier)
+    rows = None if trace is None else trace_rows(trace)
+    return run_campaign(campaign, cache=cache, jobs=jobs, tier=tier, trace=rows)
 
 
 def report_sweep(results: list[SweepResult], metric: str = "mean_response") -> str:

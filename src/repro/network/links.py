@@ -22,11 +22,15 @@ replaced by its column count: ``extent`` on a torus (the extra column being
 the wraparound edge), ``extent - 1`` on a plain mesh.  For 2-D meshes this
 reproduces the table above bit for bit.
 
-Per-direction loads accumulate with NumPy difference arrays: each axis leg
-of a dimension-ordered route covers a (circular) interval of columns, so a
-batch of messages reduces to scattered +/- marks followed by a ``cumsum``
-along the leg axis -- O(messages + links), no Python-level loop, on meshes
-*and* tori.
+Loads accumulate in one scatter: each axis leg of a dimension-ordered
+route covers a (circular) interval of one *line* of same-direction link
+columns, so a batch of messages reduces to ``+weight`` / ``-weight`` marks
+in one flat difference buffer of lines (a single ``np.bincount``), then
+one ``cumsum`` along the lines and one gather into link-id order --
+O(messages + links) and a fixed handful of NumPy calls per batch, on
+meshes *and* tori.  Batches carry per-message weights, so the traffic
+layer routes a pattern's distinct pairs once each, weighted by how often
+each is sent; with integer weights every load is an exact integer.
 
 Switched fabrics (:mod:`repro.mesh.clos`) get the same two-sided surface
 from :class:`GraphLinkSpace`, which numbers the directed links of an
@@ -43,6 +47,20 @@ import numpy as np
 from repro.mesh.topology import Mesh2D, Mesh3D, Topology
 
 __all__ = ["LinkSpace", "GraphLinkSpace", "link_space_for"]
+
+
+def _message_weights(weight, shape: tuple[int, ...]) -> np.ndarray:
+    """``weight`` broadcast to the messages' ``shape``, flattened.
+
+    Integer and bool weights become ``int64`` (so ``-weight`` is a true
+    negative and hop totals stay exact integers); anything else becomes
+    ``float64``.
+    """
+    weight = np.asarray(weight)
+    dtype = np.int64 if weight.dtype.kind in "iub" else np.float64
+    if weight.shape != shape:
+        weight = np.broadcast_to(weight, shape)
+    return weight.ravel().astype(dtype, copy=False)
 
 
 class LinkSpace:
@@ -79,6 +97,7 @@ class LinkSpace:
             strides.append(acc)
             acc *= n
         self._node_strides = tuple(strides)
+        self._scatter_layout()
 
     @classmethod
     def for_mesh(cls, mesh: Mesh2D | Mesh3D) -> "LinkSpace":
@@ -208,97 +227,144 @@ class LinkSpace:
         -------
         numpy.ndarray
             Dense float array of length :attr:`n_links`; entry ``l`` is the
-            weighted number of messages crossing directed link ``l``.
+            weighted number of messages crossing directed link ``l``.  With
+            integer-valued weights every entry is an exact integer.
+        """
+        return self.route_tally(src, dst, weight)[0]
 
-        Notes
-        -----
-        Each axis leg of a dimension-ordered route covers a (circular)
-        interval of same-direction links in one row, so the whole batch
-        reduces to scattered +/- marks in per-direction difference arrays
-        followed by a ``cumsum`` (O(messages + links), no Python loop).  On
-        a torus a wrapping leg splits into two plain intervals.
+    def route_tally(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weight: float | np.ndarray = 1.0,
+    ) -> tuple[np.ndarray, int | float]:
+        """``(loads, hops)``: :meth:`accumulate_route_loads` plus the
+        weighted hop total ``sum(weight * distance)`` of the same routes.
+
+        The hop total is an exact integer (``int``) when ``weight`` is an
+        integer array, which is how the traffic layer passes a weighted
+        cycle's message counts.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise ValueError("src and dst must have the same shape")
-        weight_arr = np.broadcast_to(
-            np.asarray(weight, dtype=np.float64), src.shape
-        ).ravel()
-        src = src.ravel()
-        dst = dst.ravel()
+        weight = _message_weights(weight, src.shape)
+        loads, total = self._scatter(src.ravel(), dst.ravel(), weight)
+        return loads, (int if weight.dtype == np.int64 else float)(total)
 
-        src_c = [
-            (src // s) % n for s, n in zip(self._node_strides, self.extents)
-        ]
-        dst_c = [
-            (dst // s) % n for s, n in zip(self._node_strides, self.extents)
-        ]
+    def _scatter_layout(self) -> None:
+        """Precompute the flat difference buffer and per-node lookup tables.
 
-        loads = np.empty(self.n_links, dtype=np.float64)
-        for axis, n in enumerate(self.extents):
-            a, b = src_c[axis], dst_c[axis]
-            # Leg position: axes already corrected sit at dst, later at src.
-            row = [dst_c[k] if k < axis else src_c[k] for k in range(self.n_dims)]
-            if self.torus:
-                fwd = (b - a) % n
-                back = (a - b) % n
-                go_pos = (fwd > 0) & (fwd <= back)
-                go_neg = back < fwd
-            else:
-                fwd = b - a
-                back = a - b
-                go_pos = fwd > 0
-                go_neg = back > 0
-            for positive, mask, start, length in (
-                (True, go_pos, a, fwd),
-                (False, go_neg, b, back),
-            ):
-                off = self.axis_offsets[axis][0 if positive else 1]
-                block = self._accumulate_axis_legs(
-                    axis, row, mask, start, length, weight_arr
-                )
-                loads[off : off + self.axis_block[axis]] = block
-        return loads
+        The buffer is a stack of *lines*, one per (axis, direction, row):
+        the link columns a leg along that axis can cover, padded to a
+        common width ``max(n) + 1`` so an interval end at column ``n``
+        stays on its line.  Lines are ordered axis by axis, positive
+        direction then negative, rows in the link blocks' own order, so
+        ``_take`` -- the buffer position of every link id -- is one gather.
+        """
+        extents, d = self.extents, self.n_dims
+        width = max(extents) + 1
+        coords = np.indices(tuple(reversed(extents)), dtype=np.int64)
+        coords = coords.reshape(d, -1)[::-1]  # (d, n_nodes), x fastest
+        src_part = np.zeros((d, self.mesh.n_nodes), dtype=np.int64)
+        dst_part = np.zeros_like(src_part)
+        half = []
+        take = []
+        base = 0
+        for axis, n in enumerate(extents):
+            rows = self.mesh.n_nodes // n
+            # A leg's row is the ravel (x fastest) of its other coordinates:
+            # axes below ``axis`` already at the destination's value, axes
+            # above still at the source's.
+            dims = [self.axis_cols[axis] if k == axis else e
+                    for k, e in enumerate(extents)]
+            link = np.unravel_index(
+                np.arange(self.axis_block[axis]), tuple(reversed(dims))
+            )[::-1]
+            row = np.zeros(self.axis_block[axis], dtype=np.int64)
+            stride = 1
+            for k in range(d):
+                if k == axis:
+                    continue
+                part = dst_part if k < axis else src_part
+                part[axis] += coords[k] * stride
+                row += link[k] * stride
+                stride *= extents[k]
+            src_part[axis] = (src_part[axis] + base) * width
+            dst_part[axis] *= width
+            half.append(rows * width)
+            for direction in range(2):
+                take.append((base + direction * rows + row) * width + link[axis])
+            base += 2 * rows
+        # Per node: its coordinates, then its share of each axis's line
+        # index (times ``width``) as a message's source / destination.
+        self._src_table = np.concatenate([coords, src_part])
+        self._dst_table = np.concatenate([coords, dst_part])
+        self._half = np.asarray(half, dtype=np.int64)[:, None]
+        self._extent_col = np.asarray(extents, dtype=np.int64)[:, None]
+        self._lines = (base, width)
+        self._take = np.concatenate(take)
 
-    def _accumulate_axis_legs(
-        self, axis, row, mask, start, length, weight
-    ) -> np.ndarray:
-        """Difference-array accumulation of one direction's axis legs."""
-        n = self.extents[axis]
-        # Reversed-coordinate dims (C order, x fastest), axis widened by one
-        # column so interval ends never spill.
-        shape = tuple(
-            (n + 1) if k == axis else self.extents[k]
-            for k in reversed(range(self.n_dims))
-        )
-        diff = np.zeros(shape, dtype=np.float64)
-        axis_pos = self.n_dims - 1 - axis  # axis's position in the dims
+    def _scatter(
+        self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
+    ) -> tuple[np.ndarray, np.integer | np.floating]:
+        """``(loads, hops)`` of a batch of dimension-ordered messages.
 
-        def at(col, sel):
-            return tuple(
-                col[sel] if k == axis else row[k][sel]
-                for k in reversed(range(self.n_dims))
-            )
-
-        end = start + length
-        plain = mask & (end <= n)
-        if np.any(plain):
-            np.add.at(diff, at(start, plain), weight[plain])
-            np.add.at(diff, at(end, plain), -weight[plain])
+        Every axis leg covers a (circular) interval of one line of
+        same-direction link columns.  Its ``+weight`` mark at the first
+        column and ``-weight`` mark one past the last land in one flat
+        difference buffer through a single ``np.bincount``; a torus leg
+        that wraps is split into ``[start, n)`` and ``[0, end - n)``.  The
+        marks go in as plain starts, plain ends, then the wrap pieces,
+        each in message order, so every bin adds its marks in the
+        sequence that per-block ``np.add.at`` calls would.  A leg that
+        does not move (or the other kind's slot of one that does) carries
+        weight 0, which leaves every bin unchanged.  One ``cumsum`` along
+        the lines turns the marks into loads.  ``hops`` is the weighted
+        sum of every message's leg lengths.
+        """
+        d = self.n_dims
+        at_src = self._src_table.take(src, axis=1)
+        at_dst = self._dst_table.take(dst, axis=1)
+        a, b = at_src[:d], at_dst[:d]
+        line = at_src[d:] + at_dst[d:]
         if self.torus:
-            wrap = mask & (end > n)
-            if np.any(wrap):
-                full = np.full_like(start, n)
-                zero = np.zeros_like(start)
-                np.add.at(diff, at(start, wrap), weight[wrap])
-                np.add.at(diff, at(full, wrap), -weight[wrap])
-                np.add.at(diff, at(zero, wrap), weight[wrap])
-                np.add.at(diff, at(end - n, wrap), -weight[wrap])
-        cum = np.cumsum(diff, axis=axis_pos)
-        sel = [slice(None)] * self.n_dims
-        sel[axis_pos] = slice(0, self.axis_cols[axis])
-        return cum[tuple(sel)].ravel()
+            n = self._extent_col
+            fwd = (b - a) % n
+            back = (a - b) % n
+            negative = back < fwd  # ties go positive
+            start = np.where(negative, b, a)
+            length = np.where(negative, back, fwd)
+        else:
+            negative = b < a
+            start = np.minimum(a, b)
+            length = np.abs(b - a)
+        line += negative * self._half
+        first = line + start
+        w = weight * (length > 0)
+        hops = np.vdot(length, w)
+        if self.torus:
+            end = start + length
+            wrap = end > n
+            w_wrap = w * wrap
+            w = w - w_wrap
+            marks = (
+                first, line + np.minimum(end, n),
+                first, line + n, line, line + np.where(wrap, end - n, 0),
+            )
+            signed = (w, -w, w_wrap, -w_wrap, w_wrap, -w_wrap)
+        else:
+            marks = (first, first + length)
+            signed = (w, -w)
+        n_lines, width = self._lines
+        buf = np.bincount(
+            np.concatenate(marks).ravel(),
+            weights=np.concatenate(signed).ravel(),
+            minlength=n_lines * width,
+        )
+        loads = np.cumsum(buf.reshape(n_lines, width), axis=1).ravel()
+        return loads[self._take], hops
 
 
 class GraphLinkSpace:
@@ -392,6 +458,20 @@ class GraphLinkSpace:
                 )
             np.add.at(loads, ids, weight_arr[mask])
         return loads
+
+    def route_tally(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weight: float | np.ndarray = 1.0,
+    ) -> tuple[np.ndarray, int | float]:
+        """``(loads, hops)`` as :meth:`LinkSpace.route_tally`, with the hop
+        total taken from the topology's route lengths."""
+        loads = self.accumulate_route_loads(src, dst, weight)
+        dist = np.asarray(self.topology.distance(src, dst), dtype=np.int64)
+        weight = _message_weights(weight, dist.shape)
+        total = np.vdot(dist.ravel(), weight)
+        return loads, (int if weight.dtype == np.int64 else float)(total)
 
 
 def link_space_for(topology: Topology):

@@ -8,6 +8,18 @@ fluid engine and the analysis layer need:
   message sent (averaged over one pattern cycle, x-y routed),
 * the *mean message hops*: average Manhattan distance travelled per message
   -- the "average message distance" metric of Fig 10.
+
+Every path follows one load convention: a load vector is the *integer*
+number of times the cycle's messages cross each link, times
+``message_flits``, divided by the cycle length.  The crossing counts come
+from one route scatter over the cycle's pairs weighted by how often each
+is sent (:meth:`~repro.patterns.base.Pattern.cached_cycle`), or from the
+all-pairs census closed form; either way they are exact, so a link no
+route crosses reads exactly 0 and no load is ever negative, whatever
+``message_flits`` is.  With integer-valued ``message_flits`` every product
+is exact too, which is what keeps the paths bit-identical to each other.
+The mean hop count is the exact integer ``sum(counts * distance)`` over
+the cycle length.
 """
 
 from __future__ import annotations
@@ -73,13 +85,27 @@ def build_load_vector(
 
     An empty cycle (single-processor job) yields the zero vector.
     """
-    space = link_space_for(mesh)
     src, dst = pairs_to_nodes(nodes, pairs)
-    if src.size == 0:
-        return np.zeros(space.n_links, dtype=np.float64)
-    loads = space.accumulate_route_loads(src, dst, weight=message_flits)
-    loads /= len(src)
-    return loads
+    counts = np.ones(len(src), dtype=np.int64)
+    return _profile(mesh, src, dst, counts, message_flits)[0]
+
+
+def _profile(
+    mesh: Topology,
+    src: np.ndarray,
+    dst: np.ndarray,
+    counts: np.ndarray,
+    message_flits: float,
+) -> tuple[np.ndarray, float, int]:
+    """``(load, mean_hops, m)`` of node pairs sent ``counts`` times each."""
+    space = link_space_for(mesh)
+    m = int(counts.sum())
+    if m == 0:
+        return np.zeros(space.n_links, dtype=np.float64), 0.0, 0
+    crossings, hops = space.route_tally(src, dst, counts)
+    crossings *= message_flits
+    crossings /= m
+    return crossings, hops / m, m
 
 
 def mean_message_hops(mesh: Topology, nodes: np.ndarray, pairs: np.ndarray) -> float:
@@ -196,10 +222,12 @@ def pattern_flow_profile(
     The simulator's per-start entry point: uniform all-pairs patterns on
     plain meshes take the closed-form census path (the factorisation is a
     mesh identity, so Clos fabrics fall through to the generic
-    accumulation), other deterministic patterns reuse one cached cycle per
-    job size, and stochastic patterns draw a fresh cycle from ``rng``.
-    All the paths are bit-identical to building the cycle and accumulating
-    its routes message by message.
+    accumulation), other deterministic patterns route their cached
+    weighted cycle (one row per pair with its message count), and
+    stochastic patterns draw a fresh cycle from ``rng``.  All the paths
+    count crossings exactly, so they are bit-identical to
+    :func:`build_load_vector` and :func:`mean_message_hops` on the full
+    cycle.
     """
     p = len(nodes)
     if (
@@ -216,9 +244,11 @@ def pattern_flow_profile(
             p * (p - 1),
         )
     if getattr(pattern, "deterministic_cycle", False):
-        pairs = pattern.cached_cycle(p)
+        # Ranks were checked against [0, p) when the form was cached.
+        pairs, counts = pattern.cached_cycle(p)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        src, dst = nodes[pairs[:, 0]], nodes[pairs[:, 1]]
     else:
-        pairs = pattern.cycle(p, rng)
-    load = build_load_vector(mesh, nodes, pairs, message_flits)
-    hops = mean_message_hops(mesh, nodes, pairs)
-    return load, hops, len(pairs)
+        src, dst = pairs_to_nodes(nodes, pattern.cycle(p, rng))
+        counts = np.ones(len(src), dtype=np.int64)
+    return _profile(mesh, src, dst, counts, message_flits)

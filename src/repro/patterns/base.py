@@ -22,14 +22,21 @@ class Pattern(ABC):
 
     Deterministic patterns ignore the ``rng`` argument; stochastic ones
     (``random``) use it so experiments stay reproducible.
+
+    Besides the message-by-message :meth:`cycle`, a deterministic pattern
+    has a *weighted cycle* (:meth:`weighted_cycle`): rank pairs with the
+    integer number of times each is sent per cycle.  Routing cost then
+    scales with the pattern's distinct pairs -- ``2p`` rows for n-body
+    instead of ``p * (p // 2 + 1)`` messages -- while the crossing counts,
+    and so every load vector, stay the same exact integers.
     """
 
     #: Registry key and display name, set by subclasses.
     name: str = "abstract"
 
     #: True when ``cycle(p)`` depends on ``p`` alone (no rng).  The
-    #: simulator skips per-job rng construction for such patterns and may
-    #: reuse one cached cycle per size via :meth:`cached_cycle`.
+    #: simulator skips per-job rng construction for such patterns and
+    #: reuses one cached weighted cycle per size via :meth:`cached_cycle`.
     deterministic_cycle: bool = False
 
     #: True when one cycle is exactly the set of all ordered rank pairs
@@ -62,24 +69,47 @@ class Pattern(ABC):
         """Cycle length for deterministic patterns (used for quota math)."""
         return len(self.cycle(p))
 
-    def cached_cycle(self, p: int) -> np.ndarray:
-        """Memoised, read-only ``cycle(p)`` for deterministic patterns.
+    def weighted_cycle(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """``cycle(p)`` folded to rank pairs with integer message counts.
 
-        One job-size cycle is shared across every job of that size, so the
-        returned array is marked non-writeable; stochastic patterns must
-        keep going through :meth:`cycle`.
+        Returns ``(pairs, counts)``: ``pairs`` has shape ``(k, 2)`` and
+        ``counts`` shape ``(k,)``; pair ``i`` is sent ``counts[i]`` times
+        per cycle, so ``counts.sum() == len(cycle(p))``.  Link loads and
+        hop totals only depend on how often each pair is sent, so the
+        traffic layer routes ``k`` rows instead of the whole cycle.  The
+        default is the cycle itself with every count 1; a pattern whose
+        cycle repeats pairs (n-body) overrides this with a closed form.
+        A pair may appear in more than one row.
+        """
+        pairs = self.cycle(p)
+        return pairs, np.ones(len(pairs), dtype=np.int64)
+
+    def cached_cycle(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Memoised, read-only :meth:`weighted_cycle` for deterministic patterns.
+
+        One job-size form is shared across every job of that size, so its
+        arrays are marked non-writeable, and its ranks are checked against
+        ``[0, p)`` once here rather than on every job start.  Stochastic
+        patterns must keep going through :meth:`cycle`.
         """
         if not self.deterministic_cycle:
             raise ValueError(
                 f"pattern {self.name!r} is stochastic; cycles cannot be cached"
             )
         cache = self.__dict__.setdefault("_cycle_cache", {})
-        pairs = cache.get(p)
-        if pairs is None:
-            pairs = self.cycle(p)
+        form = cache.get(p)
+        if form is None:
+            pairs, counts = self.weighted_cycle(p)
+            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != (len(pairs),) or np.any(counts < 1):
+                raise ValueError("weighted cycle needs one positive count per pair")
+            if pairs.size and (pairs.min() < 0 or pairs.max() >= p):
+                raise ValueError("pair rank out of range for job size")
             pairs.setflags(write=False)
-            cache[p] = pairs
-        return pairs
+            counts.setflags(write=False)
+            form = cache[p] = (pairs, counts)
+        return form
 
     @staticmethod
     def _check_size(p: int) -> None:

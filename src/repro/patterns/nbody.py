@@ -38,6 +38,21 @@ class NBody(Pattern):
         chord = np.stack([src, (src + p // 2) % p], axis=1)
         return np.concatenate([np.tile(ring, (p // 2, 1)), chord], axis=0)
 
+    def weighted_cycle(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``p`` ring pairs sent ``floor(p/2)`` times, then the ``p``
+        chord pairs sent once: ``2p`` rows for a ``p * (p//2 + 1)``-message
+        cycle."""
+        self._check_size(p)
+        if p == 1:
+            return self.empty(), np.empty(0, dtype=np.int64)
+        src = np.arange(p, dtype=np.int64)
+        pairs = np.stack(
+            [np.tile(src, 2), np.concatenate([src + 1, src + p // 2]) % p],
+            axis=1,
+        )
+        counts = np.repeat(np.array([p // 2, 1], dtype=np.int64), p)
+        return pairs, counts
+
     def rounds(
         self, p: int, rng: np.random.Generator | None = None
     ) -> list[np.ndarray]:

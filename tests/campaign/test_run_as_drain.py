@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.campaign import (
     DEFAULT_LEASE_TTL,
     CampaignManifest,
@@ -163,6 +165,25 @@ class TestRunLoop:
         assert calls == [N_CELLS]
         assert run.tier_decision.tier == "process"
         assert len(run.results) == N_CELLS
+
+    def test_run_without_cache_creates_no_lease_file(self, tmp_path, monkeypatch):
+        """A cache-less run's root is private to it: no other runner could
+        see a lease there, so it claims its cells without creating any."""
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        seen = []
+        run_many = campaign_runner.run_many
+
+        def looking(specs, **kwargs):
+            seen.extend(tmp_path.rglob("*.leases"))
+            return run_many(specs, **kwargs)
+
+        monkeypatch.setattr(campaign_runner, "run_many", looking)
+        monkeypatch.setattr(
+            LeaseDir, "__init__", lambda *a, **k: pytest.fail("lease dir made")
+        )
+        run = run_campaign(loads_campaign(CAMPAIGN), tier="inline")
+        assert run.misses == N_CELLS and len(run.results) == N_CELLS
+        assert seen == []
 
     def test_run_without_cache_leaves_no_root(self, tmp_path, monkeypatch):
         monkeypatch.setattr("tempfile.tempdir", str(tmp_path))

@@ -144,6 +144,30 @@ class TestMetricCorrelation:
         assert "Pearson r" in metric_correlation.report_fig9(result)
         assert "message distance" in metric_correlation.report_fig10(result)
 
+    def test_cacheless_trace_run_writes_no_artifact(self, tmp_path, monkeypatch):
+        """Without a cache the trace goes to a scratch workload store; the
+        run writes no artifact and no lease, and its tables match a cached
+        run's."""
+        from repro.campaign.lease import LeaseDir
+        from repro.runner import ResultCache
+
+        cached = metric_correlation.run(TINY, cache=ResultCache(tmp_path))
+        puts = []
+        put = ResultCache.put
+        monkeypatch.setattr(
+            ResultCache, "put", lambda self, r: (puts.append(r), put(self, r))
+        )
+        monkeypatch.setattr(
+            LeaseDir, "__init__", lambda *a, **k: pytest.fail("lease dir made")
+        )
+        bare = metric_correlation.run(TINY, cache=None)
+        assert puts == []
+        for report in (
+            metric_correlation.report_fig9,
+            metric_correlation.report_fig10,
+        ):
+            assert report(bare) == report(cached)
+
 
 class TestFig11:
     def test_twelve_rows(self):

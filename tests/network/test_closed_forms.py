@@ -100,8 +100,11 @@ class TestPatternFlowProfile:
         pattern = AllToAll()
         first = pattern.cached_cycle(8)
         assert pattern.cached_cycle(8) is first
-        assert not first.flags.writeable
-        assert np.array_equal(first, pattern.cycle(8))
+        pairs, counts = first
+        assert not pairs.flags.writeable
+        assert not counts.flags.writeable
+        assert np.array_equal(pairs, pattern.cycle(8))
+        assert np.array_equal(counts, np.ones(len(pairs)))
 
     def test_stochastic_pattern_cannot_cache(self):
         from repro.patterns.base import get_pattern

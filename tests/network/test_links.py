@@ -122,6 +122,36 @@ class TestAccumulateLoads:
         expected = self._reference(mesh, src, dst, [2.0, 2.0])
         assert np.allclose(got, expected)
 
+    @pytest.mark.parametrize("torus", [False, True])
+    def test_2d_batch_with_row_weight(self, torus):
+        mesh = Mesh2D(5, 4, torus=torus)
+        space = LinkSpace.for_mesh(mesh)
+        rng = np.random.default_rng(3)
+        src = rng.integers(0, mesh.n_nodes, (3, 4))
+        dst = rng.integers(0, mesh.n_nodes, (3, 4))
+        row = np.array([1.0, 2.0, 0.5, 3.0])
+        full = np.broadcast_to(row, src.shape)
+        expected = self._reference(mesh, src.ravel(), dst.ravel(), full.ravel())
+        for weight in (full.copy(), row):
+            got = space.accumulate_route_loads(src, dst, weight)
+            assert np.allclose(got, expected)
+        loads, hops = space.route_tally(src, dst, full.copy())
+        assert np.allclose(loads, expected)
+        assert hops == pytest.approx(expected.sum())
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.bool_])
+    def test_integer_and_bool_weights(self, dtype):
+        mesh = Mesh2D(6, 5, torus=True)
+        space = LinkSpace.for_mesh(mesh)
+        rng = np.random.default_rng(8)
+        src = rng.integers(0, mesh.n_nodes, 40)
+        dst = rng.integers(0, mesh.n_nodes, 40)
+        weight = rng.integers(0, 2, 40).astype(dtype)
+        expected = self._reference(mesh, src, dst, weight.astype(float))
+        loads, hops = space.route_tally(src, dst, weight)
+        assert np.array_equal(loads, expected)
+        assert type(hops) is int and hops == expected.sum()
+
     def test_self_messages_contribute_nothing(self):
         mesh = Mesh2D(4, 4)
         space = LinkSpace.for_mesh(mesh)
