@@ -10,6 +10,8 @@ reports, and asserts the qualitative shape that survives trace scaling.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,13 @@ from repro.experiments.config import SMALL
 #: tier comparisons compete with each other for the same two cores, and
 #: their ratios measured 1.5-1.7x against 1.8x and 2.0x floors.
 TIMING_CORES = 4
+
+# The frozen loop engine the sim-core bench races lives with the test
+# oracles in tests/oracles; a benchmarks-only run never loads
+# tests/conftest.py, so put tests/ on the import path here too.
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 
 def pytest_configure(config):

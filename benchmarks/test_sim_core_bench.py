@@ -1,6 +1,8 @@
 """Bench: vectorised simulation core vs the frozen per-event loop engine.
 
-One experiment *cell* is a full fig07-style simulation on the paper's
+The loop engine is the test oracle ``tests/oracles/loop_engine.py``
+(``benchmarks/conftest.py`` puts ``tests/`` on the import path).  One
+experiment *cell* is a full fig07-style simulation on the paper's
 16x22 grid: the synthetic SDSC Paragon trace, all-to-all communication,
 Hilbert + Best Fit allocation.  Both engines run the same cells and must
 produce bit-identical :class:`JobResult` lists -- the speedup claim is
@@ -20,6 +22,8 @@ Two regimes are pinned:
 """
 
 import time
+
+from oracles.loop_engine import run_engine
 
 from repro.core.registry import make_allocator
 from repro.mesh.topology import Mesh2D
@@ -54,9 +58,8 @@ def _run_cell(engine, jobs):
         get_pattern("all-to-all"),
         jobs,
         seed=SEED,
-        engine=engine,
     )
-    return sim.run()
+    return run_engine(sim, engine)
 
 
 def _time_cell(engine, jobs, repeats):

@@ -45,11 +45,11 @@ link ``l`` per message sent (averaged over one pattern cycle, x-y routed; see
    ``message_flits / hop_latency`` this is the hard limit of one message
    occupying a link at a time.
 
-Because utilisations depend on rates and vice versa, :meth:`FluidNetwork.rates`
-resolves the coupled system with a damped fixed point (deterministic, a
-fixed number of dense NumPy iterations).  Rates are piecewise-constant
-between scheduler events; the simulator drains each job's remaining quota
-at its current rate.
+Because utilisations depend on rates and vice versa,
+:meth:`FluidNetwork.rates_vector` resolves the coupled system with a damped
+fixed point (deterministic, a fixed number of dense NumPy iterations).
+Rates are piecewise-constant between scheduler events; the simulator
+drains each job's remaining quota at its current rate.
 """
 
 from __future__ import annotations
@@ -220,25 +220,27 @@ class FluidNetwork:
     """Tracks active flows and computes their contended message rates.
 
     The scheduler registers a flow when a job starts (:meth:`add_flow`) and
-    removes it at completion (:meth:`remove_flow`); :meth:`rates` returns the
-    current messages/sec of every active job under the model described in
-    the module docstring.
+    removes it at completion (:meth:`remove_flow`); :meth:`rates_vector`
+    returns the current messages/sec of every active job, in the row order
+    of :meth:`flow_ids`, under the model described in the module docstring.
 
-    State layout (the vectorised-core refactor): the first ``n_flows`` rows
-    of a preallocated, geometrically grown ``(J_max, L)`` matrix hold the
-    active flows' load vectors, with per-row caches of the derived
-    quantities ``rates`` needs (hop shares, idle per-message time, the
-    path-holding coefficient).  ``remove_flow`` compacts by shifting the
-    rows above the hole down one slot rather than swapping the last row in:
-    a swap would permute rows, and row order is what fixes the floating
-    point reduction order of ``max_min_rates``'s column sums -- order-
-    preserving compaction keeps every array op bit-identical to restacking
-    the flow dict from scratch.  A per-link running column sum, updated by
-    difference on add/remove, powers an uncongested fast path: when every
-    flow could issue at its cap without filling any link (with a wide
-    conservative margin, so drift in the running sum can never flip the
-    decision), the water-filling solve is skipped because its result is
-    exactly the cap vector.
+    State layout: the first ``n_flows`` rows of a preallocated,
+    geometrically grown ``(J_max, L)`` matrix hold the active flows' load
+    vectors, with per-row caches of the derived quantities the rates need
+    (hop shares, idle per-message time, the path-holding coefficient).
+    This class is the one owner of the flow-to-row map: flows are appended
+    in start order, and ``remove_flow`` compacts by shifting the rows above
+    the hole down one slot (returning the removed row, so callers keeping
+    row-parallel arrays shift theirs the same way) rather than swapping
+    the last row in.  A swap would permute rows, and row order is what
+    fixes the floating point reduction order of ``max_min_rates``'s column
+    sums -- order-preserving compaction keeps every array op bit-identical
+    to restacking an insertion-ordered flow dict from scratch.  A per-link
+    running column sum, updated by difference on add/remove, powers an
+    uncongested fast path: when every flow could issue at its cap without
+    filling any link (with a wide conservative margin, so drift in the
+    running sum can never flip the decision), the water-filling solve is
+    skipped because its result is exactly the cap vector.
     """
 
     #: Uncongested fast-path margin on link capacity.  max_min_rates
@@ -319,8 +321,12 @@ class FluidNetwork:
         self._row_of[flow_id] = row
         self._n = row + 1
 
-    def remove_flow(self, flow_id: int) -> None:
-        """Deregister a completed job (order-preserving row compaction)."""
+    def remove_flow(self, flow_id: int) -> int:
+        """Deregister a completed job; returns the row it occupied.
+
+        The rows above it shift down one slot (order-preserving
+        compaction).
+        """
         row = self._row_of.pop(flow_id, None)
         if row is None:
             raise ValueError(f"flow {flow_id} not active")
@@ -339,12 +345,16 @@ class FluidNetwork:
             # Idle network: reset the running sum so float drift from the
             # +=/-= updates can never accumulate across the whole trace.
             self._colsum[:] = 0.0
+        return row
 
     def rates_vector(self) -> np.ndarray:
-        """Message rates aligned with :meth:`flow_ids` (row order).
+        """Message rate (messages/sec) of each active flow, in the row
+        order of :meth:`flow_ids`.
 
-        Same fixed point as :meth:`rates`, returned as a dense vector for
-        the simulator's array-based event loop.
+        Resolves the rate/utilisation fixed point of the module docstring:
+        rates start at the idle-network bound, utilisations are computed,
+        congestion stretches per-hop latency, and the two relax together
+        under 0.5 damping for a fixed iteration count (deterministic).
         """
         n = self._n
         if n == 0:
@@ -378,16 +388,3 @@ class FluidNetwork:
             t = issue + hop_latency * (hop_shares @ stretch)
             r = 0.5 * r + 0.5 * np.minimum(feasible, 1.0 / t)
         return r
-
-    def rates(self) -> dict[int, float]:
-        """Message rate (messages/sec) of each active flow.
-
-        Resolves the rate/utilisation fixed point of the module docstring:
-        rates start at the idle-network bound, utilisations are computed,
-        congestion stretches per-hop latency, and the two relax together
-        under 0.5 damping for a fixed iteration count (deterministic).
-        Dict-shim over :meth:`rates_vector` (insertion-ordered ids).
-        """
-        if self._n == 0:
-            return {}
-        return dict(zip(self._ids, self.rates_vector().tolist()))

@@ -11,19 +11,14 @@ completions, so the simulator advances directly between those instants.
 Between events every active job's remaining quota drains linearly at its
 current rate.
 
-Two engines execute the same event loop:
-
-* ``engine="vector"`` (default) keeps the active jobs' remaining quotas,
-  rates and held-processor counts in parallel NumPy arrays whose rows
-  mirror the fluid network's flow rows, so advancing time, finding the
-  next completion and detecting finished jobs are single array ops; job
-  starts route traffic through the closed forms of
-  :func:`repro.network.traffic.pattern_flow_profile` instead of
-  materialising a pattern cycle per start.
-* ``engine="loop"`` is the frozen pre-vectorisation implementation
-  (:mod:`repro.sched._loop_reference`), kept as a bit-exact reference:
-  the equivalence suite pins the two engines' results identical, byte for
-  byte, across mesh/pattern/scheduler combinations.
+The active jobs' remaining quotas, rates and held-processor counts live in
+parallel NumPy arrays whose rows follow the fluid network's flow rows, so
+advancing time, finding the next completion and detecting finished jobs
+are single array ops; job starts route traffic through the closed forms of
+:func:`repro.network.traffic.pattern_flow_profile` instead of
+materialising a pattern cycle per start.  The test suite keeps the frozen
+pre-vectorisation per-event loop as an oracle and pins this engine's
+results to it, byte for byte, across mesh/pattern/scheduler combinations.
 
 With ``A`` concurrently active jobs and ``N`` trace jobs the run costs
 ``O(N * (A * links))`` NumPy work -- minutes for the full 6087-job trace
@@ -82,23 +77,20 @@ class _ActiveJob:
 class _ActiveTable:
     """Row-parallel hot state of active jobs (remaining, rate, held count).
 
-    Rows mirror :class:`repro.network.fluid.FluidNetwork`'s flow rows: jobs
-    are appended on start and compacted with the same order-preserving
-    block shift on completion, so ``rate[:n] = network.rates_vector()`` is
-    a straight copy and every reduction sees the same row order the loop
-    engine's insertion-ordered dict iteration would.
+    :class:`repro.network.fluid.FluidNetwork` owns the flow ids and their
+    rows.  A job's row is appended here when its flow is added there, and
+    removed with the row ``FluidNetwork.remove_flow`` reports, so
+    ``rate[:n] = network.rates_vector()`` is aligned by construction.
     """
 
     def __init__(self) -> None:
         cap = 16
         self.n = 0
-        self.ids: list[int] = []
-        self.row_of: dict[int, int] = {}
         self.remaining = np.zeros(cap, dtype=np.float64)
         self.rate = np.zeros(cap, dtype=np.float64)
         self.held = np.zeros(cap, dtype=np.int64)
 
-    def add(self, job_id: int, remaining: float, held_count: int) -> None:
+    def add(self, remaining: float, held_count: int) -> None:
         row = self.n
         if row == len(self.remaining):
             for name in ("remaining", "rate", "held"):
@@ -109,20 +101,15 @@ class _ActiveTable:
         self.remaining[row] = remaining
         self.rate[row] = 0.0
         self.held[row] = held_count
-        self.ids.append(job_id)
-        self.row_of[job_id] = row
         self.n = row + 1
 
-    def remove(self, job_id: int) -> None:
-        row = self.row_of.pop(job_id)
+    def remove(self, row: int) -> None:
+        """Drop ``row``, shifting the rows above it down one slot."""
         n = self.n
         if row != n - 1:
             self.remaining[row : n - 1] = self.remaining[row + 1 : n]
             self.rate[row : n - 1] = self.rate[row + 1 : n]
             self.held[row : n - 1] = self.held[row + 1 : n]
-        del self.ids[row]
-        for i in range(row, n - 1):
-            self.row_of[self.ids[i]] = i
         self.n = n - 1
 
 
@@ -225,10 +212,6 @@ class Simulation:
     load_factor:
         Recorded in the result for reporting; arrival times must already
         reflect it.
-    engine:
-        ``"vector"`` (default) for the array-based event loop, ``"loop"``
-        for the frozen per-event reference implementation.  Both produce
-        bit-identical results; the choice is not part of any cache key.
     """
 
     def __init__(
@@ -242,7 +225,6 @@ class Simulation:
         load_factor: float = 1.0,
         pattern_label: str | None = None,
         scheduler: str = "fcfs",
-        engine: str = "vector",
     ):
         self.mesh = mesh
         self.allocator = allocator
@@ -261,11 +243,6 @@ class Simulation:
         # head's capacity reservation.  "wfq"/"drr" swap the FIFO for a
         # fairness discipline from repro.sched.registry.
         self.scheduler = validate_scheduler(scheduler)
-        if engine not in ("vector", "loop"):
-            raise ValueError(
-                f"engine must be 'vector' or 'loop', got {engine!r}"
-            )
-        self.engine = engine
         self.jobs = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
         for job in self.jobs:
             if job.size > mesh.n_nodes:
@@ -276,13 +253,6 @@ class Simulation:
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Execute the trace to completion and return per-job results."""
-        if self.engine == "loop":
-            from repro.sched._loop_reference import run_loop
-
-            return run_loop(self)
-        return self._run_vector()
-
-    def _run_vector(self) -> SimulationResult:
         machine = Machine(self.mesh)
         network = FluidNetwork(self.mesh, self.params)
         # Registry disciplines (wfq/drr) replace the FIFO wholesale; they
@@ -339,8 +309,8 @@ class Simulation:
                 n_components=n_components(self.mesh, allocation.nodes),
                 message_pairs=cycle_len,
             )
-            table.add(job.job_id, float(job.quota), len(allocation.held))
             network.add_flow(job.job_id, load, hops)
+            table.add(float(job.quota), len(allocation.held))
             return True
 
         def head_reservation(head: Job) -> tuple[float, int]:
@@ -470,11 +440,11 @@ class Simulation:
                 # (starts happen above, removals only below), so the
                 # snapshot's row indices are still valid.
                 done[due_rows] = True
-            finished = [table.ids[r] for r in np.nonzero(done)[0]]
+            ids = network.flow_ids()
+            finished = [ids[r] for r in np.nonzero(done)[0]]
             for jid in finished:
                 rec = records.pop(jid)
-                table.remove(jid)
-                network.remove_flow(jid)
+                table.remove(network.remove_flow(jid))
                 machine.release(rec.held)
                 results.append(
                     JobResult(

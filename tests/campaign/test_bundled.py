@@ -35,18 +35,12 @@ class TestBundledInventory:
     def test_expected_campaigns_ship(self):
         names = bundled_campaign_names()
         for expected in (
-            "clos", "contiguous", "fig07", "fig08", "fig09", "fig11", "fig12",
-            "figswf", "hybrid", "multishape", "smoke",
+            "clos", "contiguous", "fairness", "fig07", "fig08", "fig09", "fig11",
+            "fig12", "figswf", "hybrid", "multishape", "smoke",
         ):
             assert expected in names
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "clos", "contiguous", "fig07", "fig08", "fig09", "fig11", "fig12",
-            "figswf", "hybrid", "multishape", "smoke",
-        ],
-    )
+    @pytest.mark.parametrize("name", bundled_campaign_names())
     def test_every_bundled_campaign_loads_and_expands(self, name):
         expansion = expand(_bundled(name))
         assert expansion.cells

@@ -34,7 +34,7 @@ def fluid_time_per_message(mesh, nodes, pattern, p):
     pairs = pattern.cycle(p)
     loads = build_load_vector(mesh, nodes, pairs, params.message_flits)
     net.add_flow(0, loads, mean_message_hops(mesh, nodes, pairs))
-    return 1.0 / net.rates()[0]
+    return 1.0 / net.rates_vector()[0]
 
 
 @pytest.fixture

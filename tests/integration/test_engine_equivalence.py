@@ -1,9 +1,9 @@
 """The vectorised engine is bit-identical to the frozen loop engine.
 
-``Simulation(engine="vector")`` replaced the per-event Python loop with
-array state, closed-form traffic profiles and an incremental fluid
-network; ``engine="loop"`` (:mod:`repro.sched._loop_reference`) preserves
-the original implementation.  Everything the simulator reports -- start,
+``Simulation.run`` replaced the per-event Python loop with array state,
+closed-form traffic profiles and an incremental fluid network; the test
+oracle :mod:`oracles.loop_engine` (``tests/oracles/loop_engine.py``)
+preserves the original implementation.  Everything the simulator reports -- start,
 completion, the hop metrics, component counts, makespan -- must agree
 *exactly* (``==``, not approx) across mesh shape, torus wrap, pattern,
 allocator and scheduler, or cached artifacts produced before and after
@@ -11,6 +11,7 @@ the refactor would diverge.
 """
 
 import pytest
+from oracles.loop_engine import run_engine
 
 from repro.core.registry import make_allocator
 from repro.mesh.clos import Dragonfly, FatTree, LeafSpine
@@ -35,15 +36,15 @@ def _jobs_for(mesh, n_jobs=60, seed=3, runtime_scale=0.02):
 
 
 def _run(mesh, allocator, pattern, scheduler, engine, jobs, seed=7):
-    return Simulation(
+    sim = Simulation(
         mesh,
         make_allocator(allocator),
         get_pattern(pattern),
         jobs,
         seed=seed,
         scheduler=scheduler,
-        engine=engine,
-    ).run()
+    )
+    return run_engine(sim, engine)
 
 
 COMBOS = [
@@ -93,10 +94,6 @@ class TestEngineEquivalence:
         assert vector.jobs == loop.jobs
         assert vector.scheduler == loop.scheduler
         assert vector.allocator == loop.allocator
-
-    def test_engine_choice_validated(self):
-        with pytest.raises(ValueError):
-            _run(Mesh2D(4, 4), "hilbert+bf", "ring", "fcfs", "turbo", [])
 
     def test_stochastic_pattern_same_per_job_seeds(self):
         """The random pattern draws per-job cycles from the same seeds in

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.loop_engine import ENGINES, run_engine
 
 from repro.core.registry import make_allocator
 from repro.mesh.topology import Mesh2D, Mesh3D
@@ -152,16 +153,18 @@ class TestFractionalFlits:
         jobs = [j for j in jobs if j.size <= mesh.n_nodes]
         params = NetworkParams(message_flits=0.3, link_capacity=0.05)
         vector, loop = (
-            Simulation(
-                mesh,
-                make_allocator("hilbert+bf"),
-                get_pattern(name),
-                jobs,
-                params,
-                seed=5,
-                engine=engine,
-            ).run()
-            for engine in ("vector", "loop")
+            run_engine(
+                Simulation(
+                    mesh,
+                    make_allocator("hilbert+bf"),
+                    get_pattern(name),
+                    jobs,
+                    params,
+                    seed=5,
+                ),
+                engine,
+            )
+            for engine in ENGINES
         )
         assert vector.makespan == loop.makespan
         assert vector.jobs == loop.jobs

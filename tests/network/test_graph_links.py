@@ -118,7 +118,7 @@ class TestFluidOnClos:
             build_load_vector(ft, nodes_b, pairs, net.params.message_flits),
             mean_message_hops(ft, nodes_b, pairs),
         )
-        rates = net.rates()
+        rates = dict(zip(net.flow_ids(), net.rates_vector()))
         assert set(rates) == {1, 2}
         assert all(r > 0 for r in rates.values())
         # The intra-edge flow travels 2 hops; the cross-pod flow 6.

@@ -1,12 +1,14 @@
-"""Frozen per-event loop engine: the vectorised core's reference twin.
+"""Frozen per-event loop engine: the simulator's bit-exact test oracle.
 
 This module preserves the simulator's original Python-loop implementation
 -- a dict-keyed fluid network restacked at every ``rates()`` call, per-job
 ``advance`` / ``next_completion`` loops, per-start pattern-cycle routing and
 a BFS component count -- so the vectorised engine in
 :mod:`repro.sched.simulator` can be pinned *bit-identical* to it by the
-equivalence suite, and so the cells/second micro-benchmark has an honest
-pre-refactor baseline to beat.
+equivalence suites, and so the cells/second micro-benchmark
+(``benchmarks/test_sim_core_bench.py``) has an honest pre-refactor
+baseline to beat.  It lives with the tests because nothing in the package
+runs it.
 
 The three semantic fixes that shipped with the vectorised core are mirrored
 here (they are fixes to the model, not to the vectorisation):
@@ -19,7 +21,8 @@ here (they are fixes to the model, not to the vectorisation):
 * arrival batching uses a relative time tolerance, so late arrivals in
   long traces are not glued to the wrong event by an absolute epsilon.
 
-Do not "optimise" this module -- its slowness is the point.
+Do not "optimise" this module -- its slowness is the point.  It imports
+nothing beyond numpy and ``repro`` so the benchmarks job can load it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from repro.network.traffic import build_load_vector, mean_message_hops
 from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
 from repro.sched.registry import make_discipline
+from repro.sched.simulator import SimulationResult
 
-__all__ = ["run_loop"]
+__all__ = ["ENGINES", "run_engine", "run_loop"]
 
 _EPS = 1e-9
 
@@ -120,15 +124,13 @@ class _ActiveJob:
         self.message_pairs = message_pairs
 
 
-def run_loop(sim) -> "SimulationResult":
+def run_loop(sim) -> SimulationResult:
     """Execute ``sim``'s trace with the frozen per-event loop engine.
 
     ``sim`` is a :class:`repro.sched.simulator.Simulation`; the result is
-    interchangeable with (and, by the equivalence suite, bit-identical to)
+    interchangeable with (and, by the equivalence suites, bit-identical to)
     ``sim.run()``'s.
     """
-    from repro.sched.simulator import SimulationResult
-
     machine = Machine(sim.mesh)
     network = _LoopFluidNetwork(sim.mesh, sim.params)
     # Registry disciplines are shared, pure-Python policy objects; calling
@@ -315,3 +317,17 @@ def run_loop(sim) -> "SimulationResult":
         makespan=now,
         scheduler=sim.scheduler,
     )
+
+
+#: Engine labels the equivalence suites parametrise over.
+ENGINES = ("vector", "loop")
+
+
+def run_engine(sim, engine: str) -> SimulationResult:
+    """Run ``sim`` with the package's engine (``"vector"``) or this oracle
+    (``"loop"``)."""
+    if engine == "vector":
+        return sim.run()
+    if engine == "loop":
+        return run_loop(sim)
+    raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.loop_engine import ENGINES, run_engine
 
 from repro.core.registry import make_allocator
 from repro.mesh.topology import Mesh2D
@@ -126,15 +127,15 @@ class TestHeadReservationFreshRates:
             Job(2, 0.0, 2, 10_000.0),  # C: tiny but with a huge quota
         ]
         fcfs = {j.job_id: j for j in run(jobs, "fcfs").jobs}
-        for engine in ("vector", "loop"):
-            result = Simulation(
+        for engine in ENGINES:
+            sim = Simulation(
                 Mesh2D(8, 8),
                 make_allocator("hilbert+bf"),
                 get_pattern("ring"),
                 jobs,
                 scheduler="easy",
-                engine=engine,
-            ).run()
+            )
+            result = run_engine(sim, engine)
             easy = {j.job_id: j for j in result.jobs}
             # The head keeps its FCFS start; C never jumps it.  (Pre-fix,
             # C backfilled at t=0 and pushed B's start past t=13000.)

@@ -1,6 +1,7 @@
 """Tests for repro.sched.registry: disciplines and priority policies."""
 
 import pytest
+from oracles.loop_engine import ENGINES, run_engine
 
 from repro.core.registry import make_allocator
 from repro.mesh.topology import Mesh2D
@@ -20,15 +21,15 @@ from repro.sched.simulator import Simulation
 
 
 def run_sim(jobs, scheduler, engine="vector"):
-    return Simulation(
+    sim = Simulation(
         Mesh2D(8, 8),
         make_allocator("hilbert+bf"),
         get_pattern("all-to-all"),
         jobs,
         seed=7,
         scheduler=scheduler,
-        engine=engine,
-    ).run()
+    )
+    return run_engine(sim, engine)
 
 
 class TestRegistry:
@@ -182,7 +183,7 @@ class TestDegenerateEquivalence:
             for i in range(24)
         ]
 
-    @pytest.mark.parametrize("engine", ["vector", "loop"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_wfq_single_class_matches_fcfs(self, engine):
         jobs = self._trace()
         assert all(j.priority_class == 0 for j in jobs)
@@ -191,7 +192,7 @@ class TestDegenerateEquivalence:
         assert wfq.jobs == fcfs.jobs
         assert wfq.makespan == fcfs.makespan
 
-    @pytest.mark.parametrize("engine", ["vector", "loop"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_drr_single_tenant_matches_fcfs(self, engine):
         jobs = self._trace(user_id=5)
         fcfs = run_sim(jobs, "fcfs", engine)

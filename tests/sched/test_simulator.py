@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.loop_engine import ENGINES, run_engine
 
 from repro.core.registry import make_allocator
 from repro.mesh.topology import Mesh2D
@@ -196,8 +197,8 @@ class TestArrivalTolerance:
             Job(0, big, 4, 10.0),
             Job(1, big + 0.5, 4, 10.0),  # within relative tol, >> 1e-9
         ]
-        for engine in ("vector", "loop"):
-            result = make_sim(jobs, engine=engine).run()
+        for engine in ENGINES:
+            result = run_engine(make_sim(jobs), engine)
             by_id = {j.job_id: j for j in result.jobs}
             # One event: both jobs start together at the first arrival.
             assert by_id[0].start == big
@@ -208,8 +209,8 @@ class TestArrivalTolerance:
             Job(0, 0.0, 4, 10.0),
             Job(1, 1e-3, 4, 10.0),  # far outside tol = 1e-9 near t=0
         ]
-        for engine in ("vector", "loop"):
-            result = make_sim(jobs, engine=engine).run()
+        for engine in ENGINES:
+            result = run_engine(make_sim(jobs), engine)
             by_id = {j.job_id: j for j in result.jobs}
             assert by_id[0].start == 0.0
             assert by_id[1].start == 1e-3
