@@ -22,10 +22,19 @@ overrides the inference.
 
 Conventions the paper leaves open (DESIGN.md substitution #5): candidate
 placements are all anchor positions where the submesh lies inside the mesh
-(every free processor for MC1x1); shells are clipped at mesh boundaries;
-within a tied shell processors are taken in row-major order; tied anchors
-resolve to the lowest row-major anchor.  Returned rank order is
-(shell, row-major) -- innermost first.
+(every free processor for MC1x1); shells are clipped at mesh boundaries,
+and do not wrap on a torus; within a tied shell processors are taken in
+row-major order; tied anchors resolve to the lowest row-major anchor.
+Returned rank order is (shell, row-major) -- innermost first.
+
+Scoring costs O(F * S) for F free processors and S = max(W, H) shells,
+not O(F^2): :func:`shell_costs` reads how many free processors lie in
+shells ``0..s`` of a candidate from one summed-area table of the free
+grid (Crow, SIGGRAPH 1984), and the cost is the identity
+``sum_s max(k - C_s, 0)`` over those counts.  It is all integer
+arithmetic, so costs, the first-minimum anchor and the selection equal the
+literal ``F x F`` shell-matrix form, which is kept as the test oracle
+``tests/oracles/mc.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from repro.core.base import Allocation, Allocator, Request
 from repro.mesh.machine import Machine
 from repro.mesh.topology import Mesh2D
 
-__all__ = ["MCAllocator", "infer_shape", "shell_map"]
+__all__ = ["MCAllocator", "infer_shape", "shell_costs", "shell_map"]
 
 
 def infer_shape(k: int, mesh: Mesh2D) -> tuple[int, int]:
@@ -77,6 +86,52 @@ def shell_map(mesh: Mesh2D, anchor_x: int, anchor_y: int, shape: tuple[int, int]
     return np.maximum(dx, dy)
 
 
+def shell_costs(
+    machine: Machine,
+    anchor_x: np.ndarray,
+    anchor_y: np.ndarray,
+    shape: tuple[int, int],
+    k: int,
+) -> np.ndarray:
+    """MC cost of each ``a x b`` submesh anchored at ``(anchor_x, anchor_y)``.
+
+    The cost is the summed shell number of the ``k`` innermost free
+    processors.  With ``C_s`` the free processors in shells ``0..s`` -- the
+    submesh grown by ``s`` on every side, clipped to the mesh, so 4
+    lookups in a summed-area table of the free grid -- exactly
+    ``max(k - C_s, 0)`` of those ``k`` lie beyond shell ``s``, so the cost
+    is ``sum_s max(k - C_s, 0)``.  ``C_s`` never decreases, so an anchor
+    is done at its first ``C_s >= k``; shells are scored in doubling
+    blocks (``s`` in [0, 4), [4, 8), [8, 16), ...) over the anchors not
+    yet done, and no shell exceeds ``max(W - a, H - b)``.  Anchors must
+    keep the submesh inside the mesh.
+    """
+    mesh = machine.mesh
+    w, h = mesh.width, mesh.height
+    a, b = shape
+    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
+    sat[1:, 1:] = machine.free_mask.reshape(h, w).cumsum(axis=0).cumsum(axis=1)
+    sat = sat.ravel()
+    n_shells = max(w - a, h - b)
+    costs = np.zeros(len(anchor_x), dtype=np.int64)
+    live = np.arange(len(anchor_x))
+    lo, hi = 0, 4
+    while lo < n_shells and len(live):
+        s = np.arange(lo, min(hi, n_shells))
+        ax = anchor_x[live, None]
+        ay = anchor_y[live, None]
+        # Rectangle x in [x0, x1), y in [y0, y1); y pre-scaled to SAT rows.
+        x0 = np.maximum(ax - s, 0)
+        x1 = np.minimum(ax + (a + s), w)
+        y0 = np.maximum(ay - s, 0) * (w + 1)
+        y1 = np.minimum(ay + (b + s), h) * (w + 1)
+        short = k - (sat[y1 + x1] - sat[y0 + x1] - sat[y1 + x0] + sat[y0 + x0])
+        costs[live] += np.maximum(short, 0).sum(axis=1)
+        live = live[short[:, -1] > 0]
+        lo, hi = hi, 2 * hi
+    return costs
+
+
 class MCAllocator(Allocator):
     """MC (shaped shells) or MC1x1 (point shells) allocator.
 
@@ -113,31 +168,14 @@ class MCAllocator(Allocator):
         # clamped so the a x b rectangle stays inside the mesh.  Free
         # processors are in ascending node id, so cost ties resolve to the
         # lowest row-major centre.
-        anchor_x = np.clip(fx - (a - 1) // 2, 0, mesh.width - a)
-        anchor_y = np.clip(fy - (b - 1) // 2, 0, mesh.height - b)
-
-        # Shell number of every free node w.r.t. every anchor:
-        #   shell = max(axis distance outside the submesh interval).
-        dx = np.maximum(
-            np.maximum(anchor_x[:, None] - fx[None, :], 0),
-            fx[None, :] - (anchor_x[:, None] + a - 1),
-        )
-        dy = np.maximum(
-            np.maximum(anchor_y[:, None] - fy[None, :], 0),
-            fy[None, :] - (anchor_y[:, None] + b - 1),
-        )
-        shells = np.maximum(dx, dy)
-
-        # Cost = sum of the k smallest shell numbers (innermost-first greedy).
-        part = np.partition(shells, k - 1, axis=1)[:, :k]
-        costs = part.sum(axis=1)
-        best_anchor = int(np.argmin(costs))  # first min = lowest anchor
+        anchor_x = np.minimum(np.maximum(fx - (a - 1) // 2, 0), mesh.width - a)
+        anchor_y = np.minimum(np.maximum(fy - (b - 1) // 2, 0), mesh.height - b)
+        best = int(np.argmin(shell_costs(machine, anchor_x, anchor_y, shape, k)))
 
         # Select the k free nodes for that anchor: by (shell, row-major id).
-        anchor_shells = shells[best_anchor]
-        order = np.lexsort((free, anchor_shells))
-        nodes = free[order[:k]]
-        return Allocation(job_id=request.job_id, nodes=nodes)
+        shells = shell_map(mesh, int(anchor_x[best]), int(anchor_y[best]), shape)
+        order = np.lexsort((free, shells[free]))
+        return Allocation(job_id=request.job_id, nodes=free[order[:k]])
 
     @staticmethod
     def anchor_costs(
@@ -146,12 +184,13 @@ class MCAllocator(Allocator):
         """Cost of every anchor position (introspection/visualisation aid)."""
         mesh = machine.mesh
         a, b = shape
-        free = machine.free_nodes()
-        if len(free) < k:
+        if machine.n_free < k:
             raise ValueError("not enough free processors")
-        out: dict[tuple[int, int], int] = {}
-        for x in range(mesh.width - a + 1):
-            for y in range(mesh.height - b + 1):
-                sm = shell_map(mesh, x, y, shape)[free]
-                out[(x, y)] = int(np.partition(sm, k - 1)[:k].sum())
-        return out
+        xs, ys = np.divmod(
+            np.arange((mesh.width - a + 1) * (mesh.height - b + 1)),
+            mesh.height - b + 1,
+        )
+        costs = shell_costs(machine, xs, ys, shape, k)
+        return {
+            (int(x), int(y)): int(c) for x, y, c in zip(xs, ys, costs, strict=True)
+        }

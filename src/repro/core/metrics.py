@@ -121,23 +121,63 @@ def components(mesh: AnyMesh, nodes) -> list[list[int]]:
     return out
 
 
+def _small_n_components(mesh: AnyMesh, ids: list[int]) -> int:
+    """:func:`n_components` for a few processors: a scalar union-find.
+
+    Each node is joined to its forward neighbour along every axis (and
+    across the wraparound edge of a torus axis longer than 2) when that
+    neighbour is allocated too.  At these sizes a pass of NumPy calls
+    costs more than the Python walk.
+    """
+    parent = {v: v for v in ids}
+    if len(parent) != len(ids):
+        raise ValueError("duplicate nodes")
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    count = len(ids)
+    stride = 1
+    for extent in mesh.shape:
+        span = stride * extent
+        wrap = mesh.torus and extent > 2
+        for v in ids:
+            if (v // stride) % extent < extent - 1:
+                u = v + stride
+            elif wrap:
+                u = v + stride - span
+            else:
+                continue
+            if u in parent:
+                ra, rb = find(v), find(u)
+                if ra != rb:
+                    parent[rb] = ra
+                    count -= 1
+        stride = span
+    return count
+
+
 def n_components(mesh: AnyMesh, nodes) -> int:
     """Number of mesh-connected components of the allocation.
 
-    Counted without the BFS of :func:`components`: adjacent same-job node
-    pairs are extracted per axis with vectorised id arithmetic (including
-    the wraparound edges of a torus) and merged by vectorised min-label
-    propagation, so the per-job cost on the simulator's hot path is a few
-    O(k)-sized array rounds for k allocated processors instead of a Python
-    neighbour walk.  Switched fabrics count distinct first-hop switches
-    instead (see :func:`components`).
+    Counted without the BFS of :func:`components`.  Allocations of fewer
+    than 64 processors -- most jobs -- take a scalar union-find over
+    forward neighbours (:func:`_small_n_components`); larger ones extract
+    adjacent same-job node pairs per axis with vectorised id arithmetic
+    (including the wraparound edges of a torus) and merge them by
+    vectorised min-label propagation, a few O(k)-sized array rounds for k
+    allocated processors.  Switched fabrics count distinct first-hop
+    switches instead (see :func:`components`).
     """
     if not getattr(mesh, "is_mesh", True):
         return mesh.n_components(nodes)
     nodes = np.asarray(nodes, dtype=np.int64)
     k = len(nodes)
-    if k == 0:
-        return 0
+    if k < 64:
+        return _small_n_components(mesh, nodes.tolist())
     occupied = np.zeros(mesh.n_nodes, dtype=bool)
     occupied[nodes] = True
     if int(np.count_nonzero(occupied)) != k:
@@ -165,24 +205,6 @@ def n_components(mesh: AnyMesh, nodes) -> int:
     b = np.concatenate(edges_b)
     if a.size == 0:
         return k
-    if k < 64:
-        # Small allocations are dominated by per-call numpy overhead, so a
-        # scalar union-find over the few edges is the faster path.
-        parent = {int(v): int(v) for v in nodes}
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]  # path halving
-                v = parent[v]
-            return v
-
-        count = k
-        for pa, pb in zip(a.tolist(), b.tolist()):
-            ra, rb = find(pa), find(pb)
-            if ra != rb:
-                parent[rb] = ra
-                count -= 1
-        return count
 
     # Min-label propagation with pointer jumping: each round pulls the
     # smaller endpoint label across every edge at once, then collapses

@@ -37,6 +37,7 @@ __all__ = [
     "total_message_hops",
     "all_pairs_load_vector",
     "all_pairs_mean_hops",
+    "all_pairs_closed_form",
     "pattern_flow_profile",
 ]
 
@@ -210,6 +211,22 @@ def all_pairs_mean_hops(mesh: Mesh2D | Mesh3D, nodes: np.ndarray) -> float:
     return float(2 * total_pairwise_hops(mesh, nodes)) / (p * (p - 1))
 
 
+def all_pairs_closed_form(mesh: Topology, pattern) -> bool:
+    """True when :func:`pattern_flow_profile` takes the all-pairs census
+    path: a uniform all-pairs pattern on a plain (non-torus) mesh.
+
+    Its mean hops is then ``2T / (p(p-1))`` for the exact integer pair
+    total ``T``, the same IEEE quotient as the job's average pairwise hops
+    ``T / (p(p-1)/2)``, so the simulator reuses it instead of summing the
+    pairs a second time.
+    """
+    return (
+        getattr(pattern, "uniform_all_pairs", False)
+        and getattr(mesh, "is_mesh", True)
+        and not mesh.torus
+    )
+
+
 def pattern_flow_profile(
     mesh: Topology,
     pattern,
@@ -230,11 +247,7 @@ def pattern_flow_profile(
     cycle.
     """
     p = len(nodes)
-    if (
-        getattr(pattern, "uniform_all_pairs", False)
-        and getattr(mesh, "is_mesh", True)
-        and not mesh.torus
-    ):
+    if all_pairs_closed_form(mesh, pattern):
         if p < 2:
             space = link_space_for(mesh)
             return np.zeros(space.n_links, dtype=np.float64), 0.0, 0

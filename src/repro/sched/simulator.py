@@ -38,7 +38,7 @@ from repro.core.metrics import average_pairwise_hops, n_components
 from repro.mesh.machine import Machine
 from repro.mesh.topology import Mesh2D, Mesh3D
 from repro.network.fluid import FluidNetwork, NetworkParams
-from repro.network.traffic import pattern_flow_profile
+from repro.network.traffic import all_pairs_closed_form, pattern_flow_profile
 from repro.patterns.base import Pattern
 from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
@@ -299,12 +299,16 @@ class Simulation:
                 self.params.message_flits,
                 rng,
             )
+            if all_pairs_closed_form(self.mesh, pattern):
+                pairwise_hops = hops  # the same quotient of the same pair sum
+            else:
+                pairwise_hops = average_pairwise_hops(self.mesh, allocation.nodes)
             records[job.job_id] = _ActiveJob(
                 job=job,
                 nodes=allocation.nodes,
                 held=allocation.held,
                 start=now,
-                pairwise_hops=average_pairwise_hops(self.mesh, allocation.nodes),
+                pairwise_hops=pairwise_hops,
                 message_hops=hops,
                 n_components=n_components(self.mesh, allocation.nodes),
                 message_pairs=cycle_len,

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.mc import mc_anchor_costs, mc_nodes
 
 from repro.core.base import Request
-from repro.core.mc import MCAllocator, infer_shape, shell_map
+from repro.core.mc import MCAllocator, infer_shape, shell_costs, shell_map
 from repro.core.metrics import average_pairwise_hops, is_contiguous
 from repro.mesh.machine import Machine
 from repro.mesh.topology import Mesh2D
@@ -203,3 +204,103 @@ class TestMCShaped:
             assert a is not None and len(a.nodes) == k
             assert all(machine.is_free(int(n)) for n in a.nodes)
             assert len(set(a.nodes.tolist())) == k
+
+
+@st.composite
+def _fills(draw, max_side=12):
+    """A mesh or torus of any aspect (``1 x n`` included), a random set of
+    busy nodes leaving at least one free, and a size ``k`` that is often
+    exactly 1 or every free node."""
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    mesh = Mesh2D(w, h, torus=draw(st.booleans()))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_busy = draw(st.integers(0, mesh.n_nodes - 1))
+    machine = Machine(mesh)
+    machine.allocate(rng.choice(mesh.n_nodes, n_busy, replace=False), job_id=9)
+    n_free = machine.n_free
+    k = draw(st.one_of(st.just(1), st.just(n_free), st.integers(1, n_free)))
+    return machine, k
+
+
+@st.composite
+def _shapes(draw, mesh):
+    """None (inferred), a shape spanning the width or the height, or any."""
+    a = st.integers(1, mesh.width)
+    b = st.integers(1, mesh.height)
+    return draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.just(mesh.width), b),
+            st.tuples(a, st.just(mesh.height)),
+            st.tuples(a, b),
+        )
+    )
+
+
+class TestSummedAreaTableMatchesShellMatrix:
+    """The summed-area-table scoring returns exactly the node arrays, order
+    included, of the ``F x F`` shell-matrix form (``oracles.mc``)."""
+
+    @given(fill=_fills(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mc_nodes(self, fill, data):
+        machine, k = fill
+        shape = data.draw(_shapes(machine.mesh))
+        got = MCAllocator(shaped=True).allocate(
+            Request(size=k, job_id=1, shape=shape), machine
+        )
+        assert np.array_equal(got.nodes, mc_nodes(machine, k, True, shape))
+
+    @given(fill=_fills())
+    @settings(max_examples=200, deadline=None)
+    def test_mc1x1_nodes(self, fill):
+        machine, k = fill
+        got = MCAllocator(shaped=False).allocate(Request(size=k, job_id=1), machine)
+        assert np.array_equal(got.nodes, mc_nodes(machine, k, False))
+
+    @pytest.mark.parametrize(
+        "width, height, torus",
+        [(4, 13, False), (13, 4, False), (1, 17, False), (17, 1, False), (9, 6, True)],
+    )
+    @pytest.mark.parametrize("shaped", [True, False])
+    def test_seeded_fills(self, width, height, torus, shaped):
+        mesh = Mesh2D(width, height, torus=torus)
+        rng = np.random.default_rng(width * 100 + height)
+        for _ in range(40):
+            machine = Machine(mesh)
+            busy = rng.choice(mesh.n_nodes, rng.integers(0, mesh.n_nodes), replace=False)
+            machine.allocate(busy, job_id=9)
+            for k in {1, machine.n_free, int(rng.integers(1, machine.n_free + 1))}:
+                got = MCAllocator(shaped=shaped).allocate(
+                    Request(size=k, job_id=1), machine
+                )
+                assert np.array_equal(got.nodes, mc_nodes(machine, k, shaped))
+
+    @given(fill=_fills(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_anchor_costs(self, fill, data):
+        """Every anchor's cost is the oracle's ``np.partition`` sum, keyed
+        in the same order."""
+        machine, k = fill
+        mesh = machine.mesh
+        shape = data.draw(
+            st.tuples(st.integers(1, mesh.width), st.integers(1, mesh.height))
+        )
+        got = MCAllocator.anchor_costs(machine, k, shape)
+        expected = mc_anchor_costs(machine, k, shape)
+        assert list(got.items()) == list(expected.items())
+
+    def test_anchor_costs_rejects_short_machine(self, mesh8):
+        machine = Machine(mesh8)
+        machine.allocate(range(62), job_id=9)
+        with pytest.raises(ValueError):
+            MCAllocator.anchor_costs(machine, k=3, shape=(1, 1))
+
+    def test_shell_costs_full_mesh_shape_is_free(self, mesh8):
+        """An ``a == W, b == H`` submesh holds every free node in shell 0."""
+        machine = Machine(mesh8)
+        machine.allocate(range(0, 64, 3), job_id=9)
+        zero = np.zeros(1, dtype=np.int64)
+        assert shell_costs(machine, zero, zero, (8, 8), machine.n_free).tolist() == [0]

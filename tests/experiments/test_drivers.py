@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.mc import mc_anchor_costs
 
 from repro.experiments import config
 from repro.experiments import (
@@ -70,6 +71,19 @@ class TestFig4:
             result.anchor_costs.values()
         )
         assert "#" in result.art
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 5])
+    def test_report_matches_shell_matrix_costs(self, seed, monkeypatch):
+        """The summed-area-table costs print the same report, costs and
+        best anchor as the oracle's per-anchor shell-matrix costs."""
+        result = fig04_shells.run(TINY, seed=seed)
+        monkeypatch.setattr(
+            fig04_shells.MCAllocator, "anchor_costs", staticmethod(mc_anchor_costs)
+        )
+        expected = fig04_shells.run(TINY, seed=seed)
+        assert list(result.anchor_costs.items()) == list(expected.anchor_costs.items())
+        assert result.best_anchor == expected.best_anchor
+        assert fig04_shells.report(result) == fig04_shells.report(expected)
 
 
 class TestFig5:

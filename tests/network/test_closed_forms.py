@@ -124,6 +124,10 @@ class TestComponentCount:
             Mesh2D(2, 6, torus=True),  # extent-2 axis: wrap == forward edge
             Mesh3D(3, 3, 3),
             Mesh3D(2, 3, 4, torus=True),
+            # Large enough for both the scalar (k < 64) and vectorised paths.
+            Mesh2D(16, 22),
+            Mesh2D(9, 10, torus=True),
+            Mesh3D(4, 5, 6, torus=True),
         ],
         ids=lambda m: f"{m.shape}{'t' if m.torus else ''}",
     )

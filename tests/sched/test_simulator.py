@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.loop_engine import ENGINES, run_engine
 
+from repro.core.base import Allocator
+from repro.core.metrics import average_pairwise_hops
 from repro.core.registry import make_allocator
+from repro.mesh.clos import FatTree
 from repro.mesh.topology import Mesh2D
 from repro.network.fluid import NetworkParams
 from repro.patterns.base import get_pattern
@@ -214,3 +217,47 @@ class TestArrivalTolerance:
             by_id = {j.job_id: j for j in result.jobs}
             assert by_id[0].start == 0.0
             assert by_id[1].start == 1e-3
+
+
+
+class _RecordingAllocator(Allocator):
+    """Delegates to a registry allocator and keeps each job's nodes."""
+
+    def __init__(self, name):
+        self.inner = make_allocator(name)
+        self.name = self.inner.name
+        self.nodes = {}
+
+    def allocate(self, request, machine):
+        allocation = self.inner.allocate(request, machine)
+        if allocation is not None:
+            self.nodes[request.job_id] = allocation.nodes
+        return allocation
+
+
+class TestPairwiseHopsRecord:
+    """``JobResult.pairwise_hops`` is ``average_pairwise_hops`` bit for bit,
+    also where the all-pairs census mean is reused for it."""
+
+    @pytest.mark.parametrize(
+        "mesh, allocator",
+        [
+            pytest.param(Mesh2D(8, 8), "mc1x1", id="mesh"),
+            pytest.param(Mesh2D(8, 8, torus=True), "hilbert+bf", id="torus"),
+            pytest.param(FatTree(4), "rack-aware", id="fattree"),
+        ],
+    )
+    @pytest.mark.parametrize("pattern", ["all-to-all", "all-to-all-broadcast"])
+    def test_matches_average_pairwise_hops(self, mesh, allocator, pattern):
+        rng = np.random.default_rng(7)
+        jobs = [
+            Job(i, float(i), int(rng.integers(1, mesh.n_nodes // 2 + 1)), 20.0)
+            for i in range(30)
+        ]
+        recorder = _RecordingAllocator(allocator)
+        result = Simulation(mesh, recorder, get_pattern(pattern), jobs).run()
+        assert len(result.jobs) == len(jobs)
+        assert any(j.size > 2 for j in result.jobs)
+        for job in result.jobs:
+            nodes = recorder.nodes[job.job_id]
+            assert job.pairwise_hops == average_pairwise_hops(mesh, nodes)
