@@ -13,7 +13,7 @@
 import numpy as np
 
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.fluid import NetworkParams
 from repro.patterns.base import get_pattern
 from repro.sched.simulator import Simulation
@@ -44,7 +44,7 @@ def _run_cell(mesh, allocator, jobs, scale, pattern="all-to-all", params=None):
 
 def test_ablation_scurve_run_direction(run_once, scale):
     """Short- vs long-direction S-curve on 16x22 (paper's quick sims)."""
-    mesh = Mesh2D(16, 22)
+    mesh = Mesh(16, 22)
     jobs = _jobs(scale, mesh)
 
     def both():
@@ -65,7 +65,7 @@ def test_ablation_scurve_run_direction(run_once, scale):
 
 def test_ablation_page_size_fragmentation(run_once, scale):
     """s=1 pages hold whole 2x2 blocks: fragmentation the paper avoids."""
-    mesh = Mesh2D(16, 16)
+    mesh = Mesh(16, 16)
     jobs = _jobs(scale, mesh)
 
     def both():
@@ -87,7 +87,7 @@ def test_ablation_page_size_fragmentation(run_once, scale):
 
 def test_ablation_bin_policy_spread_vs_curve_spread(run_once, scale):
     """Paper: "the choice of curve seems to have the dominant effect"."""
-    mesh = Mesh2D(16, 16)
+    mesh = Mesh(16, 16)
     jobs = _jobs(scale, mesh)
 
     def grid():
@@ -109,7 +109,7 @@ def test_ablation_bin_policy_spread_vs_curve_spread(run_once, scale):
 
 def test_ablation_contention_factor(run_once, scale):
     """The reproduction's contention knob: stretch grows monotonically."""
-    mesh = Mesh2D(16, 16)
+    mesh = Mesh(16, 16)
     jobs = _jobs(scale, mesh)
 
     def sweep():

@@ -20,7 +20,7 @@ from repro.core.base import Request
 from repro.core.mc import MCAllocator
 from repro.core.registry import make_allocator
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 MESH_SHAPE = (16, 22)
 SIZES = (1, 4, 9, 16, 24, 48)
@@ -29,7 +29,7 @@ FLOOR = 2.0
 
 def _fragments(n_machines=12, seed=3):
     """Machines fragmented by placing random jobs and freeing half."""
-    mesh = Mesh2D(*MESH_SHAPE)
+    mesh = Mesh(*MESH_SHAPE)
     placer = make_allocator("hilbert+bf")
     rng = np.random.default_rng(seed)
     machines = []

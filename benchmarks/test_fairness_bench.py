@@ -18,7 +18,7 @@ import time
 
 from repro.analysis.fairness import fairness_summary
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.patterns.base import get_pattern
 from repro.runner import ExperimentSpec, ResultCache, run_many
 from repro.sched.registry import apply_priority
@@ -103,7 +103,7 @@ class TestDisciplineThroughput:
 
     def test_wfq_drr_within_2x_of_fcfs(self):
         """Fig07 slice: the fair disciplines hold >= half fcfs throughput."""
-        mesh = Mesh2D(16, 16)
+        mesh = Mesh(16, 16)
         jobs = apply_priority(
             drop_oversized(
                 sdsc_paragon_trace(seed=3, n_jobs=60, runtime_scale=0.01, n_users=6),

@@ -14,6 +14,6 @@ def test_fig06_truncation_gaps(run_once, scale):
         # ... and they all sit in the upper (truncated) region of the mesh.
         mesh = curve.mesh
         for rank, _ in result.gaps[name]:
-            y_after = int(mesh.ys(int(curve.order[rank + 1])))
-            y_before = int(mesh.ys(int(curve.order[rank])))
+            y_after = int(mesh.coords(int(curve.order[rank + 1]))[1])
+            y_before = int(mesh.coords(int(curve.order[rank]))[1])
             assert max(y_after, y_before) >= 16

@@ -14,7 +14,7 @@ from repro.core.base import Request
 from repro.core.curves import _CACHE, get_curve, hilbert_points
 from repro.core.registry import make_allocator
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.flit import FlitNetwork, FlitParams
 from repro.network.fluid import max_min_rates
 from repro.network.links import LinkSpace
@@ -24,7 +24,7 @@ from repro.patterns import AllToAll
 @pytest.fixture()
 def fragmented_machine():
     """16x22 machine at ~50% occupancy with scattered holes."""
-    mesh = Mesh2D(16, 22)
+    mesh = Mesh(16, 22)
     machine = Machine(mesh)
     rng = np.random.default_rng(42)
     busy = rng.choice(mesh.n_nodes, size=176, replace=False)
@@ -56,7 +56,7 @@ def test_curve_construction_uncached(benchmark):
 
     def build():
         _CACHE.clear()
-        return get_curve("hilbert", Mesh2D(16, 22))
+        return get_curve("hilbert", Mesh(16, 22))
 
     curve = benchmark(build)
     assert curve.n_nodes == 352
@@ -64,7 +64,7 @@ def test_curve_construction_uncached(benchmark):
 
 def test_link_load_accumulation(benchmark):
     """Vectorised per-link loads for a 128-proc all-to-all cycle."""
-    mesh = Mesh2D(16, 22)
+    mesh = Mesh(16, 22)
     space = LinkSpace.for_mesh(mesh)
     rng = np.random.default_rng(0)
     nodes = rng.choice(mesh.n_nodes, size=128, replace=False)
@@ -87,7 +87,7 @@ def test_max_min_solver(benchmark):
 
 def test_flit_engine_event_rate(benchmark):
     """Deliver a contended 400-message batch on an 8x8 mesh."""
-    mesh = Mesh2D(8, 8)
+    mesh = Mesh(8, 8)
     net = FlitNetwork(mesh, FlitParams(flit_time=0.1, router_delay=0.1))
     rng = np.random.default_rng(2)
     batch = [

@@ -10,7 +10,7 @@ erasing -- the differences between allocators.
 
 from repro.analysis.tables import format_table
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.patterns.base import get_pattern
 from repro.sched.simulator import Simulation
 from repro.sched.stats import summarize
@@ -18,7 +18,7 @@ from repro.trace.synthetic import drop_oversized, sdsc_paragon_trace
 
 
 def test_fcfs_vs_easy(run_once, scale):
-    mesh = Mesh2D(16, 16)
+    mesh = Mesh(16, 16)
     jobs = drop_oversized(
         sdsc_paragon_trace(
             seed=scale.seed, n_jobs=scale.n_jobs, runtime_scale=scale.runtime_scale

@@ -26,7 +26,7 @@ import time
 from oracles.loop_engine import run_engine
 
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.patterns.base import get_pattern
 from repro.sched.job import Job
 from repro.sched.simulator import Simulation
@@ -53,7 +53,7 @@ def _mixed_trace():
 
 def _run_cell(engine, jobs):
     sim = Simulation(
-        Mesh2D(*MESH_SHAPE),
+        Mesh(*MESH_SHAPE),
         make_allocator("hilbert+bf"),
         get_pattern("all-to-all"),
         jobs,

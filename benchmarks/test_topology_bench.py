@@ -15,11 +15,11 @@ import time
 import numpy as np
 
 from repro.mesh.clos import FatTree
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.fluid import FluidNetwork, NetworkParams
 from repro.network.links import LinkSpace, link_space_for
 
-MESH = Mesh2D(16, 22)
+MESH = Mesh(16, 22)
 N_MESSAGES = 4000
 SEED = 11
 

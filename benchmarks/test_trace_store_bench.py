@@ -21,7 +21,7 @@ import pytest
 
 from repro.experiments.config import Scale
 from repro.experiments.metric_correlation import _boosted_trace
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.runner import ExperimentSpec, ResultCache, run_cell, run_many, sweep_specs
 from repro.trace.archive import trace_rows
 
@@ -38,7 +38,7 @@ BENCH_SCALE = Scale(
     seed=3,
 )
 
-MESH = Mesh2D(16, 16)
+MESH = Mesh(16, 16)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ Run:  python examples/custom_trace.py
 import tempfile
 from pathlib import Path
 
-from repro import Mesh2D, make_allocator
+from repro import Mesh, make_allocator
 from repro.analysis.tables import format_table
 from repro.patterns import get_pattern
 from repro.sched import Simulation, summarize
@@ -51,7 +51,7 @@ with tempfile.TemporaryDirectory() as tmp:
 print(f"re-read {len(jobs)} jobs from SWF")
 
 # 3. Load-factor sweep on an 8x8 machine (Fig 7/8 style).
-mesh = Mesh2D(8, 8)
+mesh = Mesh(8, 8)
 rows = []
 for load in (1.0, 0.6, 0.2):
     sim = Simulation(

@@ -13,7 +13,7 @@ Run:  python examples/nbody_flit_demo.py
 
 import numpy as np
 
-from repro import Machine, Mesh2D, Request, make_allocator
+from repro import Machine, Mesh, Request, make_allocator
 from repro.network.flit import FlitNetwork, FlitParams
 from repro.network.traffic import mean_message_hops
 from repro.patterns import NBody
@@ -21,7 +21,7 @@ from repro.patterns import NBody
 P = 15
 REPEATS = 5
 
-mesh = Mesh2D(16, 16)
+mesh = Mesh(16, 16)
 pattern = NBody()
 rounds = pattern.rounds(P) * REPEATS
 print(

@@ -23,12 +23,12 @@ sweep is free::
 See ``examples/compare_allocators.py`` for driving the engine from code.
 """
 
-from repro import Machine, Mesh2D, Request, make_allocator
+from repro import Machine, Mesh, Request, make_allocator
 from repro.core.metrics import average_pairwise_hops, is_contiguous, n_components
 from repro.viz import render_occupancy
 
 # The paper's square machine: a 16x16 mesh of exclusively-dedicated CPUs.
-mesh = Mesh2D(16, 16)
+mesh = Mesh(16, 16)
 machine = Machine(mesh)
 
 # Allocate a few jobs with the paper's strongest overall strategy:

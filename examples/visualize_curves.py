@@ -8,10 +8,10 @@ art, then Fig 6: what happens when the 32x32 curves are cut down to the
 Run:  python examples/visualize_curves.py
 """
 
-from repro import Mesh2D, get_curve
+from repro import Mesh, get_curve
 from repro.viz import render_curve_path, render_curve_ranks, render_truncation
 
-mesh8 = Mesh2D(8, 8)
+mesh8 = Mesh(8, 8)
 labels = {
     "s-curve": "(a) S-curve",
     "hilbert": "(b) Hilbert curve",
@@ -24,11 +24,11 @@ for name, label in labels.items():
     print()
 
 print("Hilbert ranks on a 4x4 mesh (rank = position along the curve):")
-print(render_curve_ranks(get_curve("hilbert", Mesh2D(4, 4))))
+print(render_curve_ranks(get_curve("hilbert", Mesh(4, 4))))
 print()
 
 # Fig 6: truncation to the 16x22 machine.
-mesh = Mesh2D(16, 22)
+mesh = Mesh(16, 22)
 for name in ("hilbert", "h-indexing"):
     curve = get_curve(name, mesh)
     print(render_truncation(curve, top_rows=6))

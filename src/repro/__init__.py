@@ -14,9 +14,9 @@ regenerating every figure and table of the paper
 
 Quickstart::
 
-    from repro import Mesh2D, Machine, make_allocator, Request
+    from repro import Mesh, Machine, make_allocator, Request
 
-    mesh = Mesh2D(16, 16)
+    mesh = Mesh(16, 16)
     machine = Machine(mesh)
     alloc = make_allocator("hilbert+bf").allocate(Request(size=30), machine)
     machine.allocate(alloc.nodes, job_id=0)
@@ -32,16 +32,15 @@ from repro.core import (
     make_allocator,
     paper_allocators,
 )
-from repro.mesh import Machine, Mesh2D, Mesh3D
+from repro.mesh import Machine, Mesh
 from repro.patterns import get_pattern
 from repro.runner import ExperimentSpec, ResultCache, run_many
 from repro.trace import TraceStore
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "Mesh2D",
-    "Mesh3D",
+    "Mesh",
     "Machine",
     "Request",
     "Allocation",

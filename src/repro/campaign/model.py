@@ -52,6 +52,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.mesh.topology import Mesh, parse_mesh_string
 from repro.runner.engine import MIXED_A2A_NBODY
 from repro.sched.registry import scheduler_names, validate_priority, validate_scheduler
 
@@ -140,40 +141,39 @@ def parse_mesh(value) -> MeshAxis:
     if isinstance(value, MeshAxis):
         return value
     if isinstance(value, str):
-        text = value.strip().lower()
-        torus = text.endswith("t")
-        if torus:
-            text = text[:-1]
         try:
-            shape = tuple(int(part) for part in text.split("x"))
+            mesh = parse_mesh_string(value)
         except ValueError:
             raise CampaignError(
                 f"bad mesh {value!r} in axis 'mesh': expected WxH or WxHxD "
                 "(optionally suffixed 't' for a torus), e.g. '16x22' or '8x8x8t'"
             ) from None
-    elif isinstance(value, dict):
-        unknown = set(value) - {"shape", "torus"}
-        if unknown:
-            raise CampaignError(
-                f"bad mesh {value!r} in axis 'mesh': unknown keys {sorted(unknown)}"
-            )
-        try:
-            shape = tuple(int(n) for n in value["shape"])
-        except (KeyError, TypeError, ValueError):
-            raise CampaignError(
-                f"bad mesh {value!r} in axis 'mesh': 'shape' must be a list of ints"
-            ) from None
-        torus = bool(value.get("torus", False))
-    else:
+        return MeshAxis(shape=mesh.shape, torus=mesh.torus)
+    if not isinstance(value, dict):
         raise CampaignError(
             f"bad mesh {value!r} in axis 'mesh': expected a string or a table"
         )
-    if len(shape) not in (2, 3) or any(n < 1 for n in shape):
+    unknown = set(value) - {"shape", "torus"}
+    if unknown:
         raise CampaignError(
-            f"bad mesh {value!r} in axis 'mesh': shape must be 2-D or 3-D "
-            "with positive extents"
+            f"bad mesh {value!r} in axis 'mesh': unknown keys {sorted(unknown)}"
         )
-    return MeshAxis(shape=shape, torus=torus)
+    torus = value.get("torus", False)
+    if not isinstance(torus, bool):
+        raise CampaignError(
+            f"bad mesh {value!r} in axis 'mesh': 'torus' must be true or false, "
+            f"got {torus!r}"
+        )
+    shape = value.get("shape")
+    if not isinstance(shape, (list, tuple)):
+        raise CampaignError(
+            f"bad mesh {value!r} in axis 'mesh': 'shape' must be a list of ints"
+        )
+    try:
+        mesh = Mesh(*shape, torus=torus)
+    except ValueError as exc:
+        raise CampaignError(f"bad mesh {value!r} in axis 'mesh': {exc}") from None
+    return MeshAxis(shape=mesh.shape, torus=torus)
 
 
 def parse_topology(value) -> MeshAxis:

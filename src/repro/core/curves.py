@@ -25,6 +25,13 @@ Non-power-of-two meshes follow the paper exactly: "To get a curve for the
 16 x 22 machine, we truncated a 32 x 32 curve to the appropriate size.  The
 result is 'curves' with gaps" (Section 4, Fig 6).  :meth:`Curve.gap_ranks`
 exposes where those gaps fall.
+
+``row_major``, ``s_curve`` and ``hilbert`` also order 3-D meshes, which is
+what makes the Paging allocators built on them 3-D-capable: the S-curve
+snakes each z-plane along x and reverses every other plane, and
+:func:`hilbert_points` builds the Hilbert curve in any dimension (the
+multidimensional indexings of Alber & Niedermeier, which the paper cites),
+truncated from the enclosing ``2^k`` cube.  H-indexing is 2-D only.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 
 __all__ = [
     "Curve",
@@ -49,47 +56,48 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Point generators on 2^k x 2^k grids
+# Point generators on 2^k-sided grids
 # ----------------------------------------------------------------------
-def _hilbert_d2xy(order: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised index -> (x, y) on a ``2^order`` Hilbert curve.
+def hilbert_points(order: int, n_dims: int = 2) -> np.ndarray:
+    """All points of the ``n_dims``-D Hilbert curve on a ``2^order`` grid.
 
-    Standard bit-twiddling conversion; the curve starts at (0, 0) and ends
-    at (2^order - 1, 0).
+    Returns a ``(2^(order * n_dims), n_dims)`` array of coordinates in curve
+    order; ``order == 0`` yields the single origin cell.  This is
+    Skilling's transpose algorithm (J. Skilling, "Programming the Hilbert
+    curve", 2004) run over every index at once: the index bits are dealt
+    round-robin to the axes, most significant first, then Gray-decoded and
+    the excess rotations undone.  In 2-D the curve starts at (0, 0) and
+    ends at (2^order - 1, 0).
+
+    >>> hilbert_points(1).tolist()
+    [[0, 0], [0, 1], [1, 1], [1, 0]]
     """
-    n = 1 << order
-    t = np.asarray(d, dtype=np.int64).copy()
-    x = np.zeros_like(t)
-    y = np.zeros_like(t)
-    s = 1
-    while s < n:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        # Rotate the quadrant contents.
-        flip = ry == 0
-        swap_only = flip & (rx == 0)
-        flip_both = flip & (rx == 1)
-        x_f, y_f = x[flip_both], y[flip_both]
-        x[flip_both] = s - 1 - x_f
-        y[flip_both] = s - 1 - y_f
-        x_flip, y_flip = x[flip].copy(), y[flip].copy()
-        x[flip], y[flip] = y_flip, x_flip
-        del swap_only  # (swap applies to the whole flip branch)
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s *= 2
-    return x, y
-
-
-def hilbert_points(order: int) -> np.ndarray:
-    """All points of the 2^order Hilbert curve, as an ``(n*n, 2)`` array."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    n = 1 << order
-    d = np.arange(n * n, dtype=np.int64)
-    x, y = _hilbert_d2xy(order, d)
-    return np.stack([x, y], axis=1)
+    if order < 0 or n_dims < 1:
+        raise ValueError("order >= 0 and n_dims >= 1 required")
+    total_bits = order * n_dims
+    index = np.arange(1 << total_bits, dtype=np.int64)
+    x = np.zeros((n_dims, len(index)), dtype=np.int64)
+    for bit_pos in range(total_bits):
+        axis = bit_pos % n_dims
+        x[axis] = (x[axis] << 1) | ((index >> (total_bits - 1 - bit_pos)) & 1)
+    if order > 0:
+        # Gray decode by H ^ (H/2).
+        t = x[n_dims - 1] >> 1
+        for i in range(n_dims - 1, 0, -1):
+            x[i] ^= x[i - 1]
+        x[0] ^= t
+        # Undo excess work: where bit q of axis i is set, invert the low
+        # bits of axis 0; elsewhere exchange the low bits of axes 0 and i.
+        q = 2
+        while q != 1 << order:
+            p = q - 1
+            for i in range(n_dims - 1, -1, -1):
+                hit = (x[i] & q) != 0
+                t = np.where(hit, 0, (x[0] ^ x[i]) & p)
+                x[0] ^= np.where(hit, p, t)
+                x[i] ^= t
+            q <<= 1
+    return x.T.copy()
 
 
 def h_indexing_points(order: int) -> np.ndarray:
@@ -123,20 +131,20 @@ def h_indexing_points(order: int) -> np.ndarray:
     return np.concatenate([bl, tl, tr, br], axis=0)
 
 
-def _s_curve_points(width: int, height: int, runs: str) -> np.ndarray:
-    """Snake ordering points for an exact ``width x height`` grid."""
-    if runs not in ("x", "y"):
-        raise ValueError("runs must be 'x' or 'y'")
-    pts = []
-    if runs == "x":  # straight runs along x, snaking upward through rows
-        for y in range(height):
-            xs = range(width) if y % 2 == 0 else range(width - 1, -1, -1)
-            pts.extend((x, y) for x in xs)
-    else:  # straight runs along y, snaking across columns
-        for x in range(width):
-            ys = range(height) if x % 2 == 0 else range(height - 1, -1, -1)
-            pts.extend((x, y) for y in ys)
-    return np.asarray(pts, dtype=np.int64)
+def _snake(shape: tuple[int, ...]) -> np.ndarray:
+    """Boustrophedon ids of a row-major grid: runs along the first axis.
+
+    Each further axis stacks copies of the lower-dimensional snake, every
+    other copy reversed, so every step is a unit mesh step.
+    """
+    order = np.arange(shape[0], dtype=np.int64)
+    stride = shape[0]
+    for extent in shape[1:]:
+        block = np.arange(extent, dtype=np.int64)[:, None] * stride + order
+        block[1::2] = block[1::2, ::-1]
+        order = block.ravel()
+        stride *= extent
+    return order
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +167,7 @@ class Curve:
     """
 
     name: str
-    mesh: Mesh2D | Mesh3D
+    mesh: Mesh
     order: np.ndarray
     rank: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -208,56 +216,77 @@ class Curve:
         return np.stack(self.mesh.axis_coords(self.order), axis=1)
 
 
-def _points_to_curve(name: str, mesh: Mesh2D, pts: np.ndarray) -> Curve:
-    """Filter full-grid points to the mesh and build a Curve (truncation)."""
-    keep = (pts[:, 0] < mesh.width) & (pts[:, 1] < mesh.height)
-    pts = pts[keep]
-    order = pts[:, 1] * mesh.width + pts[:, 0]
-    return Curve(name=name, mesh=mesh, order=order)
+def _truncated(name: str, mesh: Mesh, pts: np.ndarray) -> Curve:
+    """Keep the points of an enclosing ``2^k`` grid curve inside ``mesh``.
+
+    This is the paper's truncation (Section 4): the mesh is cut from the
+    smallest power-of-two square (or cube) enclosing it, and the curve
+    jumps wherever the enclosing curve leaves the mesh.
+    """
+    shape = np.asarray(mesh.shape)
+    pts = pts[np.all(pts < shape, axis=1)]
+    strides = np.cumprod(np.concatenate(([1], shape[:-1])))
+    return Curve(name=name, mesh=mesh, order=pts @ strides)
 
 
-def _enclosing_order(mesh: Mesh2D) -> int:
-    side = max(mesh.width, mesh.height)
-    order = 0
-    while (1 << order) < side:
-        order += 1
-    return order
+def _enclosing_order(mesh: Mesh) -> int:
+    return (max(mesh.shape) - 1).bit_length()
 
 
 # ----------------------------------------------------------------------
 # Public builders
 # ----------------------------------------------------------------------
-def row_major(mesh: Mesh2D) -> Curve:
+def row_major(mesh: Mesh) -> Curve:
     """Row-major ordering (Lo et al.'s baseline page order)."""
     return Curve("row-major", mesh, np.arange(mesh.n_nodes, dtype=np.int64))
 
 
-def s_curve(mesh: Mesh2D, runs: str = "short") -> Curve:
+def s_curve(mesh: Mesh, runs: str = "short") -> Curve:
     """Boustrophedon (snake) ordering.
 
-    ``runs`` selects the direction of the straight runs: ``"x"``, ``"y"``,
-    ``"short"`` (runs along the shorter mesh dimension; the paper's choice)
-    or ``"long"``.  On square meshes ``"short"`` resolves to ``"x"``.
+    ``runs`` selects the direction of the straight runs on a 2-D mesh:
+    ``"x"``, ``"y"``, ``"short"`` (runs along the shorter mesh dimension;
+    the paper's choice) or ``"long"``.  On square meshes ``"short"``
+    resolves to ``"x"``.  A 3-D mesh snakes each z-plane along x and
+    reverses every other plane, so it takes only the default ``runs``.
     """
+    if mesh.n_dims != 2:
+        if runs != "short":
+            raise ValueError(f"runs={runs!r} applies to 2-D meshes only")
+        return Curve("s-curve", mesh, _snake(mesh.shape))
     if runs == "short":
         runs = "x" if mesh.width <= mesh.height else "y"
     elif runs == "long":
         runs = "y" if mesh.width <= mesh.height else "x"
-    pts = _s_curve_points(mesh.width, mesh.height, runs)
-    order = pts[:, 1] * mesh.width + pts[:, 0]
+    if runs == "x":
+        order = _snake(mesh.shape)
+    elif runs == "y":  # snake the transposed grid, then map ids back
+        order = _snake((mesh.height, mesh.width))
+        order = order % mesh.height * mesh.width + order // mesh.height
+    else:
+        raise ValueError("runs must be 'x' or 'y'")
     return Curve("s-curve", mesh, order)
 
 
-def hilbert(mesh: Mesh2D) -> Curve:
-    """Hilbert curve ordering, truncated from the enclosing 2^k square."""
-    pts = hilbert_points(_enclosing_order(mesh))
-    return _points_to_curve("hilbert", mesh, pts)
+def hilbert(mesh: Mesh) -> Curve:
+    """Hilbert curve ordering, truncated from the enclosing 2^k square/cube."""
+    pts = hilbert_points(_enclosing_order(mesh), mesh.n_dims)
+    return _truncated("hilbert", mesh, pts)
 
 
-def h_indexing(mesh: Mesh2D) -> Curve:
-    """H-indexing (closed fractal cycle), truncated from the enclosing square."""
+def h_indexing(mesh: Mesh) -> Curve:
+    """H-indexing (closed fractal cycle), truncated from the enclosing square.
+
+    H-indexing is a 2-D construction: a 3-D mesh raises :class:`ValueError`,
+    which is how the 2-D-only Paging allocators refuse 3-D machines.
+    """
+    if mesh.n_dims != 2:
+        raise ValueError(
+            f"curve 'h-indexing' has no {mesh.n_dims}-D construction; "
+            "3-D-capable curves: ['hilbert', 'row-major', 's-curve']"
+        )
     pts = h_indexing_points(_enclosing_order(mesh))
-    return _points_to_curve("h-indexing", mesh, pts)
+    return _truncated("h-indexing", mesh, pts)
 
 
 _BUILDERS = {
@@ -270,31 +299,18 @@ _BUILDERS = {
 _CACHE: dict[tuple, Curve] = {}
 
 
-def get_curve(name: str, mesh: Mesh2D | Mesh3D, **kwargs) -> Curve:
+def get_curve(name: str, mesh: Mesh, **kwargs) -> Curve:
     """Build (and cache) a named curve for a 2-D or 3-D mesh.
 
-    3-D meshes dispatch to :data:`repro.core.curves3d.BUILDERS_3D`; curve
-    names without a 3-D construction (``"h-indexing"``) raise a clear
-    :class:`ValueError`, which is how 2-D-only Paging allocators refuse
-    3-D machines.
+    Curve names without a 3-D construction (``"h-indexing"``) raise a
+    clear :class:`ValueError` on 3-D meshes.
     """
     if name not in _BUILDERS:
         raise KeyError(f"unknown curve {name!r}; known: {sorted(_BUILDERS)}")
-    if mesh.n_dims == 2:
-        builder = _BUILDERS[name]
-    else:
-        from repro.core.curves3d import BUILDERS_3D
-
-        builder = BUILDERS_3D.get(name)
-        if builder is None:
-            raise ValueError(
-                f"curve {name!r} has no {mesh.n_dims}-D construction; "
-                f"3-D-capable curves: {sorted(BUILDERS_3D)}"
-            )
     key = (name, tuple(mesh.shape), mesh.torus, tuple(sorted(kwargs.items())))
     curve = _CACHE.get(key)
     if curve is None:
-        curve = builder(mesh, **kwargs)
+        curve = _BUILDERS[name](mesh, **kwargs)
         _CACHE[key] = curve
     return curve
 

@@ -62,9 +62,8 @@ class GenAlgAllocator(Allocator):
         key = dist.astype(np.int64) * mesh.n_nodes + free[None, :]
         near = np.argpartition(key, k - 1, axis=1)[:, :k]
 
-        member_x = mesh.xs(free)[near]
-        member_y = mesh.ys(free)[near]
-        totals = _axis_pairwise_sums(member_x) + _axis_pairwise_sums(member_y)
+        fx, fy = mesh.axis_coords(free)
+        totals = _axis_pairwise_sums(fx[near]) + _axis_pairwise_sums(fy[near])
         centre = int(np.argmin(totals))  # first minimum = lowest centre id
         members = free[near[centre]]
         return Allocation(

@@ -43,12 +43,12 @@ import numpy as np
 
 from repro.core.base import Allocation, Allocator, Request
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 __all__ = ["MCAllocator", "infer_shape", "shell_costs", "shell_map"]
 
 
-def infer_shape(k: int, mesh: Mesh2D) -> tuple[int, int]:
+def infer_shape(k: int, mesh: Mesh) -> tuple[int, int]:
     """Most-square covering rectangle for ``k`` processors that fits ``mesh``.
 
     Minimises (perimeter, area, width) over rectangles with ``a * b >= k``
@@ -71,7 +71,7 @@ def infer_shape(k: int, mesh: Mesh2D) -> tuple[int, int]:
     return best[3]
 
 
-def shell_map(mesh: Mesh2D, anchor_x: int, anchor_y: int, shape: tuple[int, int]) -> np.ndarray:
+def shell_map(mesh: Mesh, anchor_x: int, anchor_y: int, shape: tuple[int, int]) -> np.ndarray:
     """Shell number of every node for a submesh anchored at (anchor_x, anchor_y).
 
     Shell 0 is the ``a x b`` submesh whose lower-left corner sits at the
@@ -79,8 +79,7 @@ def shell_map(mesh: Mesh2D, anchor_x: int, anchor_y: int, shape: tuple[int, int]
     (Fig 4).  Returns an ``(n_nodes,)`` int array.
     """
     a, b = shape
-    xs = mesh.xs()
-    ys = mesh.ys()
+    xs, ys = mesh.axis_coords()
     dx = np.maximum(np.maximum(anchor_x - xs, 0), xs - (anchor_x + a - 1))
     dy = np.maximum(np.maximum(anchor_y - ys, 0), ys - (anchor_y + b - 1))
     return np.maximum(dx, dy)
@@ -152,8 +151,7 @@ class MCAllocator(Allocator):
         mesh = machine.mesh
         k = request.size
         free = machine.free_nodes()
-        fx = mesh.xs(free)
-        fy = mesh.ys(free)
+        fx, fy = mesh.axis_coords(free)
 
         if self.shaped:
             shape = request.shape or infer_shape(k, mesh)

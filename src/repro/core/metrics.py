@@ -17,7 +17,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.mesh.topology import Mesh2D, Topology
+from repro.mesh.topology import Mesh, Topology
 
 __all__ = [
     "average_pairwise_hops",
@@ -238,7 +238,7 @@ def is_contiguous(mesh: AnyMesh, nodes) -> bool:
     return n_components(mesh, nodes) == 1
 
 
-def bounding_box(mesh: Mesh2D, nodes) -> tuple[int, int, int, int]:
+def bounding_box(mesh: Mesh, nodes) -> tuple[int, int, int, int]:
     """``(x_min, y_min, x_max, y_max)`` of the allocation (2-D meshes)."""
     if mesh.n_dims != 2:
         raise ValueError(
@@ -247,8 +247,7 @@ def bounding_box(mesh: Mesh2D, nodes) -> tuple[int, int, int, int]:
     nodes = np.asarray(nodes, dtype=np.int64)
     if len(nodes) == 0:
         raise ValueError("empty allocation has no bounding box")
-    xs = mesh.xs(nodes)
-    ys = mesh.ys(nodes)
+    xs, ys = mesh.axis_coords(nodes)
     return int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.base import Allocation, Allocator, Request
 from repro.core.curves import get_curve
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 
 __all__ = [
     "PagingAllocator",
@@ -221,7 +221,7 @@ class PagingAllocator(Allocator):
         self._mesh_cache: dict[tuple, tuple] = {}
 
     # -- mesh-specific precomputation -----------------------------------
-    def _bind(self, mesh: Mesh2D | Mesh3D):
+    def _bind(self, mesh: Mesh):
         key = (tuple(mesh.shape), mesh.torus)
         cached = self._mesh_cache.get(key)
         if cached is not None:
@@ -242,13 +242,12 @@ class PagingAllocator(Allocator):
                     f"mesh {mesh.width}x{mesh.height} not divisible by "
                     f"page side {side}"
                 )
-            page_mesh = Mesh2D(mesh.width // side, mesh.height // side)
+            page_mesh = Mesh(mesh.width // side, mesh.height // side)
             page_curve = get_curve(self.curve_name, page_mesh, **self.curve_kwargs)
             # page id (by page-curve rank) of each node, and nodes per page
             # ordered by the processor curve within the page.
-            px = mesh.xs() // side
-            py = mesh.ys() // side
-            page_of = page_curve.rank[py * page_mesh.width + px]
+            px, py = mesh.axis_coords()
+            page_of = page_curve.rank[py // side * page_mesh.width + px // side]
             page_nodes = []
             for rank in range(page_mesh.n_nodes):
                 members = np.flatnonzero(page_of == rank)

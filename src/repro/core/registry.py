@@ -23,8 +23,8 @@ and :func:`fig11_allocators` the twelve rows of the Fig 11 table.
 
 Strategies are built lazily against whatever mesh the machine carries, and
 the curve strategies backed by a 3-D ordering (``row-major``, ``s-curve``
-and ``hilbert`` -- see :mod:`repro.core.curves3d`) also place jobs on
-:class:`~repro.mesh.topology.Mesh3D` machines; :func:`allocator_names_3d`
+and ``hilbert`` -- see :mod:`repro.core.curves`) also place jobs on 3-D
+:class:`~repro.mesh.topology.Mesh` machines; :func:`allocator_names_3d`
 lists them.  Every other strategy raises a clear :class:`ValueError` when
 handed a 3-D mesh (shell/submesh geometry and H-indexing are 2-D
 constructions).
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from repro.core.base import Allocator
 from repro.core.contiguous import FirstFitSubmesh
-from repro.core.curves3d import BUILDERS_3D
 from repro.core.genalg import GenAlgAllocator
 from repro.core.hierarchy import (
     OversubAwareAllocator,
@@ -56,9 +55,8 @@ __all__ = [
 ]
 
 _CURVES = ("s-curve", "hilbert", "h-indexing", "row-major")
-#: Curve strategies with a 3-D ordering, in 2-D legend order -- derived
-#: from the builder table so a new 3-D curve is registered automatically.
-_CURVES_3D = tuple(c for c in _CURVES if c in BUILDERS_3D)
+#: Curve strategies with a 3-D ordering, in 2-D legend order.
+_CURVES_3D = ("s-curve", "hilbert", "row-major")
 _SUFFIX_POLICY = {"ff": "first-fit", "bf": "best-fit", "ss": "sum-of-squares"}
 
 

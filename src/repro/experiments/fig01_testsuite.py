@@ -25,7 +25,7 @@ from repro.core.metrics import average_pairwise_hops
 from repro.core.registry import make_allocator
 from repro.experiments.config import SMALL, Scale
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.flit import FlitNetwork, FlitParams
 from repro.patterns.composite import CplantTestSuite
 
@@ -46,7 +46,7 @@ class Fig1Result:
 
 
 def _dispersed_allocation(
-    mesh: Mesh2D, fraction: float, rng: np.random.Generator
+    mesh: Mesh, fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Compact 30-node placement with ``fraction`` of nodes scattered."""
     machine = Machine(mesh)
@@ -67,7 +67,7 @@ def _dispersed_allocation(
 def run(scale: Scale = SMALL, seed: int | None = None) -> Fig1Result:
     """Simulate the test suite over allocations of growing dispersal."""
     rng = np.random.default_rng(scale.seed if seed is None else seed)
-    mesh = Mesh2D(16, 22)
+    mesh = Mesh(16, 22)
     net = FlitNetwork(mesh, FlitParams())
     suite = CplantTestSuite(repetitions=scale.fig1_repetitions)
     rounds = suite.rounds(JOB_SIZE)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.core.curves import Curve, get_curve
 from repro.experiments.config import SMALL, Scale
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.viz.ascii_art import render_curve_path
 
 __all__ = ["run", "report", "Fig2Result", "CURVES"]
@@ -30,7 +30,7 @@ class Fig2Result:
 
 def run(scale: Scale = SMALL, seed: int | None = None, side: int = 8) -> Fig2Result:
     """Build the three orderings on a ``side x side`` mesh."""
-    mesh = Mesh2D(side, side)
+    mesh = Mesh(side, side)
     curves = {name: get_curve(name, mesh) for name in CURVES}
     art = {name: render_curve_path(curve) for name, curve in curves.items()}
     return Fig2Result(mesh_shape=mesh.shape, curves=curves, art=art)

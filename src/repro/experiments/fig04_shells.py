@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.mc import MCAllocator
 from repro.experiments.config import SMALL, Scale
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.viz.ascii_art import render_shells
 
 __all__ = ["run", "report", "Fig4Result", "SHAPE"]
@@ -37,7 +37,7 @@ class Fig4Result:
 def run(scale: Scale = SMALL, seed: int | None = None) -> Fig4Result:
     """Build the Fig 4 scenario: an 11x7 machine with some busy nodes."""
     rng = np.random.default_rng(scale.seed if seed is None else seed)
-    mesh = Mesh2D(11, 7)
+    mesh = Mesh(11, 7)
     machine = Machine(mesh)
     busy = rng.choice(mesh.n_nodes, size=18, replace=False)
     machine.allocate(busy, job_id=1)

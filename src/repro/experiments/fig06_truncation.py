@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.core.curves import Curve, get_curve
 from repro.experiments.config import SMALL, Scale
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.viz.ascii_art import render_truncation
 
 __all__ = ["run", "report", "Fig6Result", "TOP_ROWS"]
@@ -35,7 +35,7 @@ class Fig6Result:
 
 def run(scale: Scale = SMALL, seed: int | None = None) -> Fig6Result:
     """Truncate the 32x32 curves to 16x22 and locate the gaps."""
-    mesh = Mesh2D(16, 22)
+    mesh = Mesh(16, 22)
     curves = {name: get_curve(name, mesh) for name in ("hilbert", "h-indexing")}
     art = {n: render_truncation(c, top_rows=TOP_ROWS) for n, c in curves.items()}
     steps = {n: c.step_lengths() for n, c in curves.items()}

@@ -16,7 +16,7 @@ unchanged to the 3-D torus of a Cplant-class machine:
   the trace matches Fig 7's except for the three 320-node jobs that the
   16x16 run of Fig 8 had to drop.
 * **Strategies.**  The subset of the paper's one-dimensional-reduction
-  strategies with a 3-D ordering (see :mod:`repro.core.curves3d`):
+  strategies with a 3-D ordering (see :mod:`repro.core.curves`):
   row-major, the 3-D boustrophedon S-curve, and the 3-D Hilbert curve
   truncated from the enclosing 2^k cube -- each with the sorted free list
   and with Best Fit (plus Hilbert + First Fit, the Fig 11 row).  Shell

@@ -31,7 +31,7 @@ import numpy as np
 from repro.analysis.correlation import LinearFit, linear_fit
 from repro.experiments.config import SMALL, Scale
 from repro.experiments.sweep import run_figure_campaign
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.runner import ResultCache
 from repro.sched.job import Job
 from repro.trace.synthetic import drop_oversized, sdsc_paragon_trace
@@ -70,7 +70,7 @@ class CorrelationResult:
         return self.fit_message.r
 
 
-def _boosted_trace(scale: Scale, mesh: Mesh2D) -> list[Job]:
+def _boosted_trace(scale: Scale, mesh: Mesh) -> list[Job]:
     """Trace with enough TARGET_SIZE jobs for a meaningful scatter."""
     base = drop_oversized(
         sdsc_paragon_trace(
@@ -102,7 +102,7 @@ def run(
     """Run the pooled n-body simulations and collect both scatters."""
     if seed is not None:
         scale = scale.with_seed(seed)
-    trace = _boosted_trace(scale, Mesh2D(16, 16))
+    trace = _boosted_trace(scale, Mesh(16, 16))
     crun = run_figure_campaign(CAMPAIGN, scale, None, jobs, cache, tier, trace)
     pairwise, message, tpm = [], [], []
     for cell in crun.results:

@@ -3,8 +3,8 @@
 This package models the space-shared mesh-connected machines of the paper
 (Cplant-like 2-D meshes such as 16x22 and 16x16).  It provides:
 
-* :class:`~repro.mesh.topology.Mesh2D` / :class:`~repro.mesh.topology.Mesh3D`
-  -- node coordinate systems and distance metrics,
+* :class:`~repro.mesh.topology.Mesh` -- 2-D and 3-D meshes and tori: node
+  coordinate systems and distance metrics,
 * :mod:`~repro.mesh.routing` -- dimension-ordered (x-y) routing, the
   deadlock-free routing used by ProcSimity and by the paper's contiguity
   discussion ("messages use x-y routing rather than arbitrary paths"),
@@ -26,13 +26,11 @@ from repro.mesh.clos import (
 )
 from repro.mesh.machine import Machine
 from repro.mesh.routing import route_links, route_path
-from repro.mesh.topology import Mesh2D, Mesh3D, Topology, mesh_from_shape
+from repro.mesh.topology import Mesh, Topology
 
 __all__ = [
     "Topology",
-    "Mesh2D",
-    "Mesh3D",
-    "mesh_from_shape",
+    "Mesh",
     "ClosTopology",
     "FatTree",
     "LeafSpine",

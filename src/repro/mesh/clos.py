@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mesh.topology import Mesh2D, Mesh3D, Topology, mesh_from_shape
+from repro.mesh.topology import Mesh, Topology, parse_mesh_string
 
 __all__ = [
     "ClosTopology",
@@ -700,17 +700,6 @@ def _parse_params(rest: str, keys: dict[str, str]) -> dict[str, str]:
     return out
 
 
-def _parse_mesh_string(text: str):
-    """``16x22`` / ``8x8x8`` with optional trailing ``t`` for torus."""
-    torus = text.endswith("t")
-    body = text[:-1] if torus else text
-    try:
-        shape = tuple(int(part) for part in body.split("x"))
-    except ValueError:
-        raise ValueError(f"cannot parse topology string {text!r}") from None
-    return mesh_from_shape(shape, torus=torus)
-
-
 def build_topology(text: str) -> Topology:
     """Build a topology from its canonical string.
 
@@ -728,7 +717,7 @@ def build_topology(text: str) -> Topology:
     if not text:
         raise ValueError("empty topology string")
     if ":" not in text:
-        return _parse_mesh_string(text)
+        return parse_mesh_string(text)
     kind, _, rest = text.partition(":")
     kind = kind.replace("-", "").replace("_", "")
     rest = rest.strip()
@@ -796,7 +785,7 @@ def topology_label(topology: Topology) -> str:
     """Canonical string for ``topology`` (inverse of :func:`build_topology`)."""
     if isinstance(topology, ClosTopology):
         return topology.label
-    if isinstance(topology, (Mesh2D, Mesh3D)):
+    if isinstance(topology, Mesh):
         return "x".join(str(n) for n in topology.shape) + (
             "t" if topology.torus else ""
         )

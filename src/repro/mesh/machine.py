@@ -14,7 +14,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 
 __all__ = ["Machine", "AllocationError"]
 
@@ -37,7 +37,7 @@ class Machine:
     over it without being able to corrupt the machine state.
     """
 
-    def __init__(self, mesh: Mesh2D | Mesh3D):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self._free = np.ones(mesh.n_nodes, dtype=bool)
         # job id occupying each node, -1 when free; used for rendering and

@@ -8,16 +8,19 @@ whole allocations vectorise (see the hpc-parallel guide idiom: push loops
 into NumPy).
 
 The paper's machines are 2-D meshes (16x22 matching the SDSC Paragon
-partition, and 16x16).  ``Mesh3D`` and the ``torus`` flag extend the stack to
-the 3-D tori of real machines (Cplant itself was a 3-D mesh family); the
-fig12 experiment drives an 8x8x8 torus through the same pipeline.
+partition, and 16x16).  :class:`Mesh` takes two or three extents, and its
+``torus`` flag extends the stack to the 3-D tori of real machines (Cplant
+itself was a 3-D mesh family); the fig12 experiment drives an 8x8x8 torus
+through the same pipeline.
 
-Both classes share the N-D surface the rest of the stack programs against:
+:class:`Mesh` is the N-D surface the rest of the stack programs against:
 ``shape`` / ``n_dims`` / ``n_nodes``, ``coords`` / ``node_id``,
 ``axis_coords`` (per-axis coordinate arrays), ``manhattan`` /
-``pairwise_manhattan`` (torus-aware), and ``neighbors``.
-:func:`mesh_from_shape` builds the right class from a plain shape tuple,
-which is how :mod:`repro.runner` turns serialized specs back into machines.
+``pairwise_manhattan`` (torus-aware), and ``neighbors``.  ``width`` and
+``height`` name the first two extents for the 2-D-only code (MC, the
+contiguous baseline, the ASCII renderings).  :func:`parse_mesh_string` is
+the one parser of the ``WxH[xD][t]`` mesh grammar shared by topology
+strings and campaign files.
 
 Meshes are one family of :class:`Topology` -- the structural protocol the
 routing, link-accounting, and metrics layers program against.  The Clos
@@ -29,12 +32,14 @@ the two families where a closed form only exists for meshes).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["Topology", "Mesh2D", "Mesh3D", "mesh_from_shape"]
+__all__ = ["Topology", "Mesh", "parse_mesh_string"]
 
 
 @runtime_checkable
@@ -91,101 +96,126 @@ class Topology(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class Mesh2D:
-    """A ``width x height`` 2-D mesh of processors.
+@dataclass(frozen=True, init=False, repr=False)
+class Mesh:
+    """A 2-D or 3-D mesh (or torus) of processors.
+
+    Node ids are dense row-major with x fastest: ``node = y * width + x``
+    on 2-D meshes and ``node = (z * height + y) * width + x`` on 3-D ones.
 
     Parameters
     ----------
-    width, height:
-        Mesh dimensions.  The paper writes meshes as ``16 x 22`` meaning 16
-        columns and 22 rows; construct that as ``Mesh2D(16, 22)``.
+    *extents:
+        Two or three positive extents, x first.  The paper writes meshes
+        as ``16 x 22`` meaning 16 columns and 22 rows; construct that as
+        ``Mesh(16, 22)``.
     torus:
-        If true, opposite edges are connected (k-ary 2-cube).  Extension; the
-        paper's machines are plain meshes.
+        If true, opposite faces are connected (a k-ary n-cube).  Extension;
+        the paper's machines are plain meshes.
+
+    >>> Mesh(16, 22).n_nodes
+    352
+    >>> Mesh(16, 22).coords(17)
+    (1, 1)
+    >>> Mesh(8, 8, 8, torus=True).manhattan(0, 7)  # x wraps: one hop
+    1
+    >>> Mesh(8, 8, 8, torus=True)
+    Mesh(8, 8, 8, torus=True)
     """
 
-    width: int
-    height: int
-    torus: bool = False
-    # Cached coordinate arrays (index -> x / y), built lazily in __post_init__.
-    _xs: np.ndarray = field(init=False, repr=False, compare=False)
-    _ys: np.ndarray = field(init=False, repr=False, compare=False)
+    shape: tuple[int, ...]
+    torus: bool
+    #: Number of processors, cached: the distance helpers check ids against
+    #: it on every call.
+    n_nodes: int = field(compare=False)
+    # Per-axis coordinate arrays (index -> x / y / z), built once.
+    _coords: tuple[np.ndarray, ...] = field(compare=False)
 
     #: Meshes keep the vectorised closed-form fast paths (see Topology).
     is_mesh = True
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
+    def __init__(self, *extents: int, torus: bool = False) -> None:
+        try:
+            shape = tuple(operator.index(n) for n in extents)
+        except TypeError:
+            shape = ()
+        if (
+            len(shape) not in (2, 3)
+            or min(shape) < 1
+            or any(isinstance(n, bool) for n in extents)
+        ):
             raise ValueError(
-                f"mesh dimensions must be positive, got {self.width}x{self.height}"
+                "mesh shape must be 2-D or 3-D with positive integer extents, "
+                f"got {extents!r}"
             )
-        ids = np.arange(self.n_nodes)
-        object.__setattr__(self, "_xs", ids % self.width)
-        object.__setattr__(self, "_ys", ids // self.width)
+        ids = np.arange(math.prod(shape))
+        coords = []
+        stride = 1
+        for extent in shape:
+            coords.append(ids // stride % extent)
+            stride *= extent
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "torus", bool(torus))
+        object.__setattr__(self, "n_nodes", stride)
+        object.__setattr__(self, "_coords", tuple(coords))
+
+    def __repr__(self) -> str:
+        extents = ", ".join(str(n) for n in self.shape)
+        return f"Mesh({extents}{', torus=True' if self.torus else ''})"
 
     # ------------------------------------------------------------------
     # Basic geometry
     # ------------------------------------------------------------------
     @property
-    def n_nodes(self) -> int:
-        """Total number of processors in the mesh."""
-        return self.width * self.height
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """``(width, height)`` tuple."""
-        return (self.width, self.height)
-
-    @property
     def n_dims(self) -> int:
-        """Number of mesh dimensions (2)."""
-        return 2
+        """Number of mesh dimensions (2 or 3)."""
+        return len(self.shape)
+
+    @property
+    def width(self) -> int:
+        """Extent along x (the 2-D-only code reads meshes as width x height)."""
+        return self.shape[0]
+
+    @property
+    def height(self) -> int:
+        """Extent along y."""
+        return self.shape[1]
 
     def axis_coords(self, nodes=None) -> tuple[np.ndarray, ...]:
         """Per-axis coordinate arrays of ``nodes`` (all nodes if None)."""
-        return (self.xs(nodes), self.ys(nodes))
+        if nodes is None:
+            return self._coords
+        nodes = np.asarray(nodes)
+        return tuple(c[nodes] for c in self._coords)
 
-    def node_id(self, x: int, y: int) -> int:
-        """Return the node id at coordinates ``(x, y)``."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"({x}, {y}) outside {self.width}x{self.height} mesh")
-        return y * self.width + x
+    def node_id(self, *coords: int) -> int:
+        """Return the node id at coordinates ``(x, y[, z])``."""
+        if len(coords) != len(self.shape) or not all(
+            0 <= c < n for c, n in zip(coords, self.shape)
+        ):
+            raise ValueError(f"{coords} outside {self._label()} mesh")
+        node = 0
+        for c, n in zip(reversed(coords), reversed(self.shape)):
+            node = node * n + c
+        return node
 
     def coords(self, node):
-        """Return ``(x, y)`` for a node id (scalar or array)."""
+        """Return ``(x, y[, z])`` for a node id (scalar or array)."""
         node = np.asarray(node)
-        if np.any(node < 0) or np.any(node >= self.n_nodes):
-            raise ValueError(f"node id out of range for {self.width}x{self.height}")
-        x = node % self.width
-        y = node // self.width
+        self._check_ids(node)
+        out = tuple(c[node] for c in self._coords)
         if node.ndim == 0:
-            return int(x), int(y)
-        return x, y
+            return tuple(int(c) for c in out)
+        return out
 
-    def xs(self, nodes=None) -> np.ndarray:
-        """X coordinates of ``nodes`` (all nodes if None)."""
-        return self._xs if nodes is None else self._xs[np.asarray(nodes)]
-
-    def ys(self, nodes=None) -> np.ndarray:
-        """Y coordinates of ``nodes`` (all nodes if None)."""
-        return self._ys if nodes is None else self._ys[np.asarray(nodes)]
-
-    def contains(self, x: int, y: int) -> bool:
-        """True if ``(x, y)`` lies inside the mesh."""
-        return 0 <= x < self.width and 0 <= y < self.height
+    def _label(self) -> str:
+        return "x".join(str(n) for n in self.shape)
 
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------
-    def _axis_delta(self, a: np.ndarray, b: np.ndarray, extent: int) -> np.ndarray:
-        d = np.abs(a - b)
-        if self.torus:
-            d = np.minimum(d, extent - d)
-        return d
-
     def _check_ids(self, *arrays) -> None:
-        """Reject out-of-range ids with the same error as :meth:`coords`.
+        """Reject out-of-range ids.
 
         The distance helpers index the cached coordinate arrays directly;
         without this check a negative id would silently wrap to the last
@@ -193,23 +223,31 @@ class Mesh2D:
         """
         for arr in arrays:
             if np.any(arr < 0) or np.any(arr >= self.n_nodes):
-                raise ValueError(
-                    f"node id out of range for {self.width}x{self.height}"
-                )
+                raise ValueError(f"node id out of range for {self._label()} mesh")
+
+    def _axis_deltas(self, a, b) -> list[np.ndarray]:
+        """Per-axis (torus-aware) distances between coordinate tuples."""
+        out = []
+        for ca, cb, extent in zip(a, b, self.shape):
+            d = np.abs(ca - cb)
+            if self.torus:
+                d = np.minimum(d, extent - d)
+            out.append(d)
+        return out
 
     def manhattan(self, a, b):
         """Manhattan (hop) distance between node ids ``a`` and ``b``.
 
-        This is the number of network hops an x-y-routed message travels,
-        the distance used throughout the paper (e.g. "average number of
-        communication hops between the processors of a job").
+        This is the number of network hops a dimension-ordered message
+        travels, the distance used throughout the paper (e.g. "average
+        number of communication hops between the processors of a job").
         """
         a = np.asarray(a)
         b = np.asarray(b)
         self._check_ids(a, b)
-        dx = self._axis_delta(self._xs[a], self._xs[b], self.width)
-        dy = self._axis_delta(self._ys[a], self._ys[b], self.height)
-        out = dx + dy
+        out, *rest = self._axis_deltas(self.axis_coords(a), self.axis_coords(b))
+        for d in rest:
+            out = out + d
         return int(out) if out.ndim == 0 else out
 
     def chebyshev(self, a, b):
@@ -217,27 +255,28 @@ class Mesh2D:
         a = np.asarray(a)
         b = np.asarray(b)
         self._check_ids(a, b)
-        dx = self._axis_delta(self._xs[a], self._xs[b], self.width)
-        dy = self._axis_delta(self._ys[a], self._ys[b], self.height)
-        out = np.maximum(dx, dy)
+        deltas = self._axis_deltas(self.axis_coords(a), self.axis_coords(b))
+        out = np.maximum.reduce(deltas)
         return int(out) if out.ndim == 0 else out
 
     def pairwise_manhattan(self, nodes) -> np.ndarray:
         """Dense ``(k, k)`` matrix of Manhattan distances between ``nodes``."""
         nodes = np.asarray(nodes)
         self._check_ids(nodes)
-        xs = self._xs[nodes]
-        ys = self._ys[nodes]
-        dx = self._axis_delta(xs[:, None], xs[None, :], self.width)
-        dy = self._axis_delta(ys[:, None], ys[None, :], self.height)
-        return dx + dy
+        coords = self.axis_coords(nodes)
+        out, *rest = self._axis_deltas(
+            [c[:, None] for c in coords], [c[None, :] for c in coords]
+        )
+        for d in rest:
+            out = out + d
+        return out
 
     # Protocol names: on meshes the hop distance *is* Manhattan distance.
     distance = manhattan
     pairwise_distance = pairwise_manhattan
 
     def route(self, src: int, dst: int) -> list[int]:
-        """Dimension-ordered (x-y) route; see :func:`repro.mesh.routing`."""
+        """Dimension-ordered (x-y[-z]) route; see :func:`repro.mesh.routing`."""
         from repro.mesh.routing import route_path
 
         return route_path(self, src, dst)
@@ -246,20 +285,25 @@ class Mesh2D:
     # Adjacency
     # ------------------------------------------------------------------
     def neighbors(self, node: int) -> list[int]:
-        """4-neighbourhood of ``node`` (with wraparound when ``torus``)."""
-        x, y = self.coords(node)
+        """4- (2-D) or 6-neighbourhood (3-D) of ``node``, axis by axis.
+
+        With ``torus`` the neighbourhood wraps; a 1-wide axis adds no
+        neighbour and a 2-wide axis adds one (its +1 and -1 coincide).
+        """
+        here = self.coords(node)
         out: list[int] = []
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx, ny = x + dx, y + dy
-            if self.torus:
-                nx %= self.width
-                ny %= self.height
-                if (nx, ny) != (x, y):  # degenerate 1-wide axes
-                    nid = self.node_id(nx, ny)
-                    if nid not in out:  # 2-wide axes: +1 and -1 coincide
-                        out.append(nid)
-            elif self.contains(nx, ny):
-                out.append(self.node_id(nx, ny))
+        for axis, extent in enumerate(self.shape):
+            for step in (1, -1):
+                c = here[axis] + step
+                if self.torus:
+                    c %= extent
+                    if c == here[axis]:
+                        continue
+                elif not 0 <= c < extent:
+                    continue
+                nid = self.node_id(*here[:axis], c, *here[axis + 1 :])
+                if nid not in out:
+                    out.append(nid)
         return out
 
     def are_adjacent(self, a: int, b: int) -> bool:
@@ -270,176 +314,18 @@ class Mesh2D:
         """Array of every node id."""
         return np.arange(self.n_nodes)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "torus" if self.torus else "mesh"
-        return f"Mesh2D({self.width}x{self.height} {kind}, {self.n_nodes} nodes)"
 
+def parse_mesh_string(text: str) -> Mesh:
+    """Build a mesh from ``WxH[xD]`` with an optional trailing ``t`` (torus).
 
-@dataclass(frozen=True)
-class Mesh3D:
-    """A ``width x height x depth`` 3-D mesh or torus (extension).
-
-    Node ids are dense row-major: ``node = (z * height + y) * width + x``.
-    Provides the same N-D surface as :class:`Mesh2D` (coordinates,
-    torus-aware distances, adjacency), so the routing, link-load and
-    scheduling layers run unchanged on 3-D machines.
+    >>> parse_mesh_string("8x8x8t")
+    Mesh(8, 8, 8, torus=True)
     """
-
-    width: int
-    height: int
-    depth: int
-    torus: bool = False
-    # Cached coordinate arrays (index -> x / y / z), built in __post_init__.
-    _xs: np.ndarray = field(init=False, repr=False, compare=False)
-    _ys: np.ndarray = field(init=False, repr=False, compare=False)
-    _zs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    #: Meshes keep the vectorised closed-form fast paths (see Topology).
-    is_mesh = True
-
-    def __post_init__(self) -> None:
-        if min(self.width, self.height, self.depth) < 1:
-            raise ValueError("mesh dimensions must be positive")
-        ids = np.arange(self.n_nodes)
-        object.__setattr__(self, "_xs", ids % self.width)
-        object.__setattr__(self, "_ys", (ids // self.width) % self.height)
-        object.__setattr__(self, "_zs", ids // (self.width * self.height))
-
-    @property
-    def n_nodes(self) -> int:
-        """Total number of processors."""
-        return self.width * self.height * self.depth
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """``(width, height, depth)`` tuple."""
-        return (self.width, self.height, self.depth)
-
-    @property
-    def n_dims(self) -> int:
-        """Number of mesh dimensions (3)."""
-        return 3
-
-    def xs(self, nodes=None) -> np.ndarray:
-        """X coordinates of ``nodes`` (all nodes if None)."""
-        return self._xs if nodes is None else self._xs[np.asarray(nodes)]
-
-    def ys(self, nodes=None) -> np.ndarray:
-        """Y coordinates of ``nodes`` (all nodes if None)."""
-        return self._ys if nodes is None else self._ys[np.asarray(nodes)]
-
-    def zs(self, nodes=None) -> np.ndarray:
-        """Z coordinates of ``nodes`` (all nodes if None)."""
-        return self._zs if nodes is None else self._zs[np.asarray(nodes)]
-
-    def axis_coords(self, nodes=None) -> tuple[np.ndarray, ...]:
-        """Per-axis coordinate arrays of ``nodes`` (all nodes if None)."""
-        return (self.xs(nodes), self.ys(nodes), self.zs(nodes))
-
-    def all_nodes(self) -> np.ndarray:
-        """Array of every node id."""
-        return np.arange(self.n_nodes)
-
-    def node_id(self, x: int, y: int, z: int) -> int:
-        """Node id at coordinates ``(x, y, z)``."""
-        if not (
-            0 <= x < self.width and 0 <= y < self.height and 0 <= z < self.depth
-        ):
-            raise ValueError(f"({x},{y},{z}) outside {self.shape} mesh")
-        return (z * self.height + y) * self.width + x
-
-    def coords(self, node):
-        """Return ``(x, y, z)`` for a node id (scalar or array)."""
-        node = np.asarray(node)
-        if np.any(node < 0) or np.any(node >= self.n_nodes):
-            raise ValueError("node id out of range")
-        x = node % self.width
-        y = (node // self.width) % self.height
-        z = node // (self.width * self.height)
-        if node.ndim == 0:
-            return int(x), int(y), int(z)
-        return x, y, z
-
-    def _axis_delta(self, a, b, extent: int):
-        d = np.abs(np.asarray(a) - np.asarray(b))
-        if self.torus:
-            d = np.minimum(d, extent - d)
-        return d
-
-    def manhattan(self, a, b):
-        """Manhattan distance between node ids (torus-aware per axis)."""
-        ax, ay, az = self.coords(np.asarray(a))
-        bx, by, bz = self.coords(np.asarray(b))
-        out = (
-            self._axis_delta(ax, bx, self.width)
-            + self._axis_delta(ay, by, self.height)
-            + self._axis_delta(az, bz, self.depth)
-        )
-        return int(out) if np.ndim(out) == 0 else out
-
-    def pairwise_manhattan(self, nodes) -> np.ndarray:
-        """Dense ``(k, k)`` matrix of Manhattan distances between ``nodes``."""
-        nodes = np.asarray(nodes)
-        if np.any(nodes < 0) or np.any(nodes >= self.n_nodes):
-            raise ValueError("node id out of range")
-        out = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
-        for coords, extent in zip(
-            self.axis_coords(nodes), (self.width, self.height, self.depth)
-        ):
-            out += self._axis_delta(coords[:, None], coords[None, :], extent)
-        return out
-
-    # Protocol names: on meshes the hop distance *is* Manhattan distance.
-    distance = manhattan
-    pairwise_distance = pairwise_manhattan
-
-    def route(self, src: int, dst: int) -> list[int]:
-        """Dimension-ordered (x-y-z) route; see :func:`repro.mesh.routing`."""
-        from repro.mesh.routing import route_path
-
-        return route_path(self, src, dst)
-
-    def neighbors(self, node: int) -> list[int]:
-        """6-neighbourhood of ``node``."""
-        x, y, z = self.coords(node)
-        out: list[int] = []
-        for dx, dy, dz in (
-            (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
-        ):
-            nx, ny, nz = x + dx, y + dy, z + dz
-            if self.torus:
-                nx %= self.width
-                ny %= self.height
-                nz %= self.depth
-                if (nx, ny, nz) != (x, y, z):
-                    nid = self.node_id(nx, ny, nz)
-                    if nid not in out:  # 2-wide axes: +1 and -1 coincide
-                        out.append(nid)
-            elif (
-                0 <= nx < self.width
-                and 0 <= ny < self.height
-                and 0 <= nz < self.depth
-            ):
-                out.append(self.node_id(nx, ny, nz))
-        return out
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "torus" if self.torus else "mesh"
-        return (
-            f"Mesh3D({self.width}x{self.height}x{self.depth} {kind}, "
-            f"{self.n_nodes} nodes)"
-        )
-
-
-def mesh_from_shape(shape, torus: bool = False) -> Mesh2D | Mesh3D:
-    """Build the matching mesh class from a 2- or 3-tuple of extents.
-
-    This is the single point where serialized ``mesh_shape`` tuples (specs,
-    cache artifacts) are turned back into machine topologies.
-    """
-    shape = tuple(int(v) for v in shape)
-    if len(shape) == 2:
-        return Mesh2D(*shape, torus=torus)
-    if len(shape) == 3:
-        return Mesh3D(*shape, torus=torus)
-    raise ValueError(f"mesh shape must have 2 or 3 dimensions, got {shape!r}")
+    text = str(text).strip().lower()
+    torus = text.endswith("t")
+    body = text[:-1] if torus else text
+    try:
+        shape = tuple(int(part) for part in body.split("x"))
+    except ValueError:
+        raise ValueError(f"cannot parse mesh string {text!r}") from None
+    return Mesh(*shape, torus=torus)

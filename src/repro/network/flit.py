@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.links import LinkSpace
 
 __all__ = ["FlitNetwork", "Message", "FlitParams"]
@@ -88,7 +88,7 @@ _DELIVER = 1
 class FlitNetwork:
     """Wormhole mesh simulator.  See module docstring."""
 
-    def __init__(self, mesh: Mesh2D, params: FlitParams | None = None):
+    def __init__(self, mesh: Mesh, params: FlitParams | None = None):
         self.mesh = mesh
         self.params = params or FlitParams()
         self.space = LinkSpace.for_mesh(mesh)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mesh.topology import Mesh2D, Mesh3D, Topology
+from repro.mesh.topology import Mesh, Topology
 
 __all__ = ["LinkSpace", "GraphLinkSpace", "link_space_for"]
 
@@ -68,7 +68,7 @@ class LinkSpace:
 
     _cache: dict[tuple, "LinkSpace"] = {}
 
-    def __init__(self, mesh: Mesh2D | Mesh3D):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.extents = tuple(mesh.shape)
         self.n_dims = len(self.extents)
@@ -100,7 +100,7 @@ class LinkSpace:
         self._scatter_layout()
 
     @classmethod
-    def for_mesh(cls, mesh: Mesh2D | Mesh3D) -> "LinkSpace":
+    def for_mesh(cls, mesh: Mesh) -> "LinkSpace":
         """Cached LinkSpace for ``mesh`` (keyed on shape and torus flag)."""
         key = (tuple(mesh.shape), mesh.torus)
         space = cls._cache.get(key)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.metrics import total_pairwise_hops
-from repro.mesh.topology import Mesh2D, Mesh3D, Topology
+from repro.mesh.topology import Mesh, Topology
 from repro.network.links import LinkSpace, link_space_for
 
 __all__ = [
@@ -130,7 +130,7 @@ def total_message_hops(mesh: Topology, nodes: np.ndarray, pairs: np.ndarray) -> 
 
 
 def all_pairs_load_vector(
-    mesh: Mesh2D | Mesh3D, nodes: np.ndarray, message_flits: float = 1.0
+    mesh: Mesh, nodes: np.ndarray, message_flits: float = 1.0
 ) -> np.ndarray:
     """Closed-form :func:`build_load_vector` for the all-ordered-pairs cycle.
 
@@ -197,7 +197,7 @@ def all_pairs_load_vector(
     return loads
 
 
-def all_pairs_mean_hops(mesh: Mesh2D | Mesh3D, nodes: np.ndarray) -> float:
+def all_pairs_mean_hops(mesh: Mesh, nodes: np.ndarray) -> float:
     """Mean Manhattan hops over the all-ordered-pairs cycle.
 
     Identical to ``mean_message_hops`` on the materialised cycle: the hop

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.mesh.clos import build_topology as _build_topology
 from repro.mesh.clos import topology_label
-from repro.mesh.topology import Topology, mesh_from_shape
+from repro.mesh.topology import Mesh, Topology
 from repro.network.fluid import NetworkParams
 from repro.sched.job import Job, JobResult
 from repro.sched.registry import apply_priority, validate_priority
@@ -272,8 +272,8 @@ class ExperimentSpec:
 
         >>> spec = ExperimentSpec(mesh_shape=(8, 8), pattern="ring",
         ...                       allocator="mc", load=1.0, seed=1, n_jobs=10)
-        >>> type(spec.build_machine_topology()).__name__
-        'Mesh2D'
+        >>> spec.build_machine_topology()
+        Mesh(8, 8)
         >>> clos = ExperimentSpec(mesh_shape=(), pattern="ring",
         ...                       allocator="random", load=1.0, seed=1,
         ...                       n_jobs=10, topology="fattree:8")
@@ -282,7 +282,7 @@ class ExperimentSpec:
         """
         if self.topology is not None:
             return _build_topology(self.topology)
-        return mesh_from_shape(self.mesh_shape, torus=self.torus)
+        return Mesh(*self.mesh_shape, torus=self.torus)
 
     # -- trace interning -----------------------------------------------
     def intern(self, store: TraceStore) -> "ExperimentSpec":

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.base import Allocator, Request
 from repro.core.metrics import average_pairwise_hops, n_components
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 from repro.network.fluid import FluidNetwork, NetworkParams
 from repro.network.traffic import all_pairs_closed_form, pattern_flow_profile
 from repro.patterns.base import Pattern
@@ -216,7 +216,7 @@ class Simulation:
 
     def __init__(
         self,
-        mesh: Mesh2D | Mesh3D,
+        mesh: Mesh,
         allocator: Allocator,
         pattern,
         jobs: list[Job],

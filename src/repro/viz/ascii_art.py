@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.curves import Curve
 from repro.core.mc import shell_map
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 __all__ = [
     "render_curve_path",
@@ -121,7 +121,7 @@ def render_truncation(curve: Curve, top_rows: int = 6) -> str:
 
 
 def render_shells(
-    mesh: Mesh2D,
+    mesh: Mesh,
     anchor_x: int,
     anchor_y: int,
     shape: tuple[int, int],

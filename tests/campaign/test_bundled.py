@@ -110,10 +110,10 @@ class TestSpecEquality:
         cells key exactly as inline rows on the hand-built grid do."""
         from repro.campaign.model import TraceSource
         from repro.experiments.metric_correlation import _boosted_trace
-        from repro.mesh.topology import Mesh2D
+        from repro.mesh.topology import Mesh
         from repro.trace.archive import trace_rows
 
-        rows = trace_rows(_boosted_trace(SMALL, Mesh2D(16, 16)))
+        rows = trace_rows(_boosted_trace(SMALL, Mesh(16, 16)))
         driver = _grid(
             (16, 16), PAPER_ALLOCATORS, patterns=("n-body",), loads=(1.0,), trace=rows
         )

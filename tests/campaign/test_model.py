@@ -47,6 +47,25 @@ class TestParseMesh:
         with pytest.raises(CampaignError, match="mesh"):
             parse_mesh(bad)
 
+    def test_table_torus_must_be_a_bool(self):
+        """A JSON string "false" is not a bool: it used to read as a torus."""
+        with pytest.raises(CampaignError, match="'torus' must be true or false.*'false'"):
+            parse_mesh({"shape": [4, 4], "torus": "false"})
+
+    def test_table_shape_must_be_integers(self):
+        """4.7 used to be truncated silently to a 4x4 mesh."""
+        with pytest.raises(CampaignError, match=r"4\.7"):
+            parse_mesh({"shape": [4.7, 4]})
+
+    def test_json_campaign_reaches_table_checks(self):
+        text = (
+            '{"campaign": {"name": "j"}, "axes": {"mesh": '
+            '[{"shape": [4, 4], "torus": "false"}], "pattern": ["ring"], '
+            '"load": [1.0], "allocator": ["hilbert"]}}'
+        )
+        with pytest.raises(CampaignError, match="'torus' must be true or false"):
+            loads_campaign(text, fmt="json")
+
 
 class TestLoad:
     def test_minimal_toml(self):

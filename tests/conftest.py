@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 # Test modules import the shared oracles (tests/oracles) as ``oracles``.
 _TESTS_DIR = str(Path(__file__).resolve().parent)
@@ -18,21 +18,21 @@ if _TESTS_DIR not in sys.path:
 
 
 @pytest.fixture
-def mesh8() -> Mesh2D:
+def mesh8() -> Mesh:
     """Small square power-of-two mesh."""
-    return Mesh2D(8, 8)
+    return Mesh(8, 8)
 
 
 @pytest.fixture
-def mesh16() -> Mesh2D:
+def mesh16() -> Mesh:
     """The paper's 16x16 mesh."""
-    return Mesh2D(16, 16)
+    return Mesh(16, 16)
 
 
 @pytest.fixture
-def mesh16x22() -> Mesh2D:
+def mesh16x22() -> Mesh:
     """The paper's 16x22 mesh (truncated-curve territory)."""
-    return Mesh2D(16, 22)
+    return Mesh(16, 22)
 
 
 @pytest.fixture

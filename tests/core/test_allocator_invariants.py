@@ -26,12 +26,12 @@ from repro.core.registry import (
     make_allocator,
 )
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 
-MESH = Mesh2D(8, 8)
+MESH = Mesh(8, 8)
 
 #: The fig12 tori the 3-D invariants sweep (small and full size).
-MESHES_3D = (Mesh3D(4, 4, 4, torus=True), Mesh3D(8, 8, 8, torus=True))
+MESHES_3D = (Mesh(4, 4, 4, torus=True), Mesh(8, 8, 8, torus=True))
 
 
 def _random_machine_on(
@@ -130,7 +130,7 @@ def test_allocation_invariants_3d(
 )
 def test_2d_only_allocators_raise_on_3d_mesh(name):
     """2-D-only strategies must refuse a 3-D machine, not emit garbage."""
-    machine = Machine(Mesh3D(4, 4, 4, torus=True))
+    machine = Machine(Mesh(4, 4, 4, torus=True))
     with pytest.raises(ValueError):
         make_allocator(name).allocate(Request(size=4, job_id=1), machine)
 

@@ -9,14 +9,14 @@ from repro.core.base import Request
 from repro.core.contiguous import FirstFitSubmesh
 from repro.core.metrics import is_contiguous
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 
 class TestFirstFitSubmesh:
     def test_empty_machine_allocates_rectangle(self, machine16, mesh16):
         a = FirstFitSubmesh().allocate(Request(size=12, job_id=1), machine16)
         assert a is not None
-        xs, ys = mesh16.xs(a.held), mesh16.ys(a.held)
+        xs, ys = mesh16.axis_coords(a.held)
         assert (xs.max() - xs.min() + 1) * (ys.max() - ys.min() + 1) == len(a.held)
         assert is_contiguous(mesh16, a.nodes)
 
@@ -28,7 +28,7 @@ class TestFirstFitSubmesh:
         a = FirstFitSubmesh().allocate(
             Request(size=8, job_id=1, shape=(8, 1)), machine16
         )
-        ys = mesh16.ys(a.held)
+        ys = mesh16.axis_coords(a.held)[1]
         assert ys.max() == ys.min()
 
     def test_holds_whole_rectangle(self, machine16):
@@ -75,7 +75,7 @@ class TestFirstFitSubmesh:
     )
     @settings(max_examples=50, deadline=None)
     def test_property_allocations_are_free_rectangles(self, k, n_busy, seed):
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         machine = Machine(mesh)
         rng = np.random.default_rng(seed)
         machine.allocate(rng.choice(64, size=n_busy, replace=False), job_id=9)
@@ -84,7 +84,7 @@ class TestFirstFitSubmesh:
             return  # blocking is legitimate for the contiguous baseline
         assert len(a.nodes) == k
         assert all(machine.is_free(int(n)) for n in a.held)
-        xs, ys = mesh.xs(a.held), mesh.ys(a.held)
+        xs, ys = mesh.axis_coords(a.held)
         area = (xs.max() - xs.min() + 1) * (ys.max() - ys.min() + 1)
         assert area == len(a.held) >= k
 
@@ -103,7 +103,7 @@ class TestSimulationWithContiguous:
             for i in range(30)
         ]
         sim = Simulation(
-            Mesh2D(8, 8),
+            Mesh(8, 8),
             make_allocator("contiguous"),
             get_pattern("all-to-all"),
             jobs,

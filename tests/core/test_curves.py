@@ -16,7 +16,7 @@ from repro.core.curves import (
     row_major,
     s_curve,
 )
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 
 class TestHilbertPoints:
@@ -123,23 +123,23 @@ class TestSquareCurves:
         assert not get_curve("hilbert", mesh16).is_cycle()
 
     def test_s_curve_snake_shape(self):
-        mesh = Mesh2D(4, 3)
+        mesh = Mesh(4, 3)
         c = s_curve(mesh, runs="x")
-        xs = mesh.xs(c.order).tolist()
+        xs = mesh.axis_coords(c.order)[0].tolist()
         assert xs[:4] == [0, 1, 2, 3]
         assert xs[4:8] == [3, 2, 1, 0]
 
     def test_s_curve_runs_y(self):
-        mesh = Mesh2D(3, 4)
+        mesh = Mesh(3, 4)
         c = s_curve(mesh, runs="y")
-        ys = mesh.ys(c.order).tolist()
+        ys = mesh.axis_coords(c.order)[1].tolist()
         assert ys[:4] == [0, 1, 2, 3]
         assert ys[4:8] == [3, 2, 1, 0]
 
     def test_s_curve_short_on_16x22(self, mesh16x22):
         """Paper: runs go along the short (16-wide) direction."""
         c = s_curve(mesh16x22, runs="short")
-        xs = mesh16x22.xs(c.order).tolist()
+        xs = mesh16x22.axis_coords(c.order)[0].tolist()
         assert xs[:16] == list(range(16))
 
     def test_s_curve_invalid_runs(self, mesh8):
@@ -171,8 +171,8 @@ class TestTruncation:
         mesh = mesh16x22
         c = get_curve(name, mesh)
         for r in c.gap_ranks():
-            y_before = mesh.ys(int(c.order[r]))
-            y_after = mesh.ys(int(c.order[r + 1]))
+            y_before = mesh.coords(int(c.order[r]))[1]
+            y_after = mesh.coords(int(c.order[r + 1]))[1]
             assert max(int(y_before), int(y_after)) >= 16
 
     def test_16x16_truncation_is_contiguous_subcurve(self, mesh16):
@@ -197,7 +197,7 @@ class TestLocalityProperty:
         d(c_i, c_j) <= |i - j| + total gap excess, and the exact Lipschitz
         bound for gap-free curves.
         """
-        mesh = Mesh2D(w, h)
+        mesh = Mesh(w, h)
         c = get_curve(name, mesh)
         rng = np.random.default_rng(seed)
         i, j = (int(v) for v in rng.integers(0, mesh.n_nodes, 2))

@@ -11,7 +11,7 @@ from repro.core.base import Request
 from repro.core.genalg import GenAlgAllocator, _axis_pairwise_sums
 from repro.core.metrics import average_pairwise_hops, total_pairwise_hops
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 
 class TestAxisPairwiseSums:
@@ -71,7 +71,7 @@ class TestGenAlg:
 
         Brute-force the optimum on small instances and check the ratio.
         """
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         rng = np.random.default_rng(7)
         for trial in range(10):
             machine = Machine(mesh)
@@ -94,7 +94,7 @@ class TestGenAlg:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_valid_allocation(self, k, n_busy, seed):
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         machine = Machine(mesh)
         rng = np.random.default_rng(seed)
         busy = rng.choice(64, size=n_busy, replace=False)

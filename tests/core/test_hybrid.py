@@ -60,7 +60,7 @@ class TestDispatch:
 class TestMixedWorkloadSimulation:
     def test_per_job_patterns(self):
         """The simulator dispatches patterns per job and labels the run."""
-        from repro.mesh.topology import Mesh2D
+        from repro.mesh.topology import Mesh
         from repro.patterns.base import get_pattern
         from repro.sched.job import Job
         from repro.sched.simulator import Simulation
@@ -73,7 +73,7 @@ class TestMixedWorkloadSimulation:
 
         jobs = [Job(i, 10.0 * i, 6, 20.0) for i in range(8)]
         sim = Simulation(
-            Mesh2D(8, 8),
+            Mesh(8, 8),
             make_allocator("hybrid"),
             selector,
             jobs,

@@ -10,46 +10,46 @@ from repro.core.base import Request
 from repro.core.mc import MCAllocator, infer_shape, shell_costs, shell_map
 from repro.core.metrics import average_pairwise_hops, is_contiguous
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 
 class TestInferShape:
     def test_perfect_squares(self):
-        mesh = Mesh2D(16, 16)
+        mesh = Mesh(16, 16)
         assert infer_shape(16, mesh) == (4, 4)
         assert infer_shape(9, mesh) == (3, 3)
 
     def test_rectangles(self):
-        mesh = Mesh2D(16, 16)
+        mesh = Mesh(16, 16)
         assert infer_shape(12, mesh) == (3, 4)  # 3x4 beats 2x6 and 1x12
 
     def test_primes_get_covering_rectangle(self):
-        mesh = Mesh2D(16, 16)
+        mesh = Mesh(16, 16)
         a, b = infer_shape(7, mesh)
         assert a * b >= 7
         # 2x4 = 8 slots: same perimeter as 3x3 but less waste; far from 1x7.
         assert (a, b) == (2, 4)
 
     def test_one(self):
-        assert infer_shape(1, Mesh2D(4, 4)) == (1, 1)
+        assert infer_shape(1, Mesh(4, 4)) == (1, 1)
 
     def test_respects_mesh_bounds(self):
-        mesh = Mesh2D(4, 22)
+        mesh = Mesh(4, 22)
         a, b = infer_shape(20, mesh)
         assert a <= 4 and b <= 22 and a * b >= 20
 
     def test_too_large(self):
         with pytest.raises(ValueError):
-            infer_shape(17, Mesh2D(4, 4))
+            infer_shape(17, Mesh(4, 4))
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            infer_shape(0, Mesh2D(4, 4))
+            infer_shape(0, Mesh(4, 4))
 
     @given(k=st.integers(1, 256))
     @settings(max_examples=100, deadline=None)
     def test_property_covers_and_fits(self, k):
-        mesh = Mesh2D(16, 16)
+        mesh = Mesh(16, 16)
         a, b = infer_shape(k, mesh)
         assert a * b >= k
         assert a <= 16 and b <= 16
@@ -58,7 +58,7 @@ class TestInferShape:
 class TestShellMap:
     def test_fig4_shape(self):
         """Fig 4: shells around a 3x1 request."""
-        mesh = Mesh2D(9, 7)
+        mesh = Mesh(9, 7)
         shells = shell_map(mesh, 3, 3, (3, 1)).reshape(7, 9)
         # shell 0: the 3x1 submesh itself
         assert shells[3, 3] == 0 and shells[3, 4] == 0 and shells[3, 5] == 0
@@ -69,14 +69,14 @@ class TestShellMap:
         assert shells[1, 3] == 2 and shells[3, 1] == 2 and shells[1, 1] == 2
 
     def test_1x1_shells_are_chebyshev(self):
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         shells = shell_map(mesh, 4, 4, (1, 1))
         centre = mesh.node_id(4, 4)
         cheb = np.array([mesh.chebyshev(centre, v) for v in range(64)])
         assert np.array_equal(shells, cheb)
 
     def test_clipped_at_boundary(self):
-        mesh = Mesh2D(5, 5)
+        mesh = Mesh(5, 5)
         shells = shell_map(mesh, 0, 0, (2, 2)).reshape(5, 5)
         assert shells[0, 0] == 0
         assert shells[4, 4] == 3
@@ -88,7 +88,7 @@ class TestMC1x1:
         assert len(a.nodes) == 9
         assert is_contiguous(mesh16, a.nodes)
         # 9 nearest by Chebyshev from a centre = a 3x3 block.
-        xs, ys = mesh16.xs(a.nodes), mesh16.ys(a.nodes)
+        xs, ys = mesh16.axis_coords(a.nodes)
         assert xs.max() - xs.min() == 2 and ys.max() - ys.min() == 2
 
     def test_single_node(self, machine16):
@@ -132,12 +132,12 @@ class TestMCShaped:
         a = MCAllocator(shaped=True).allocate(
             Request(size=8, job_id=1, shape=(8, 1)), machine16
         )
-        ys = mesh16.ys(a.nodes)
+        ys = mesh16.axis_coords(a.nodes)[1]
         assert ys.max() == ys.min()  # a 8x1 row
 
     def test_infers_shape(self, machine16, mesh16):
         a = MCAllocator(shaped=True).allocate(Request(size=16, job_id=1), machine16)
-        xs, ys = mesh16.xs(a.nodes), mesh16.ys(a.nodes)
+        xs, ys = mesh16.axis_coords(a.nodes)
         assert xs.max() - xs.min() == 3 and ys.max() - ys.min() == 3
 
     def test_free_submesh_costs_zero(self, mesh8):
@@ -165,7 +165,7 @@ class TestMCShaped:
 
     def test_mc_beats_mc1x1_on_elongated_holes(self):
         """Shaped search fits the requested rectangle when one exists."""
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         machine = Machine(mesh)
         # Free: a 4x2 rectangle at top and scattered singles elsewhere.
         free = {mesh.node_id(x, y) for x in range(2, 6) for y in (6, 7)}
@@ -176,7 +176,7 @@ class TestMCShaped:
             Request(size=8, job_id=1, shape=(4, 2)), machine
         )
         assert is_contiguous(mesh, a.nodes)
-        ys = mesh.ys(a.nodes)
+        ys = mesh.axis_coords(a.nodes)[1]
         assert ys.min() == 6
 
     def test_does_not_mutate_machine(self, machine8):
@@ -192,7 +192,7 @@ class TestMCShaped:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_valid_allocation(self, shaped, k, n_busy, seed):
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         machine = Machine(mesh)
         rng = np.random.default_rng(seed)
         busy = rng.choice(64, size=n_busy, replace=False)
@@ -213,7 +213,7 @@ def _fills(draw, max_side=12):
     exactly 1 or every free node."""
     w = draw(st.integers(1, max_side))
     h = draw(st.integers(1, max_side))
-    mesh = Mesh2D(w, h, torus=draw(st.booleans()))
+    mesh = Mesh(w, h, torus=draw(st.booleans()))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n_busy = draw(st.integers(0, mesh.n_nodes - 1))
@@ -266,7 +266,7 @@ class TestSummedAreaTableMatchesShellMatrix:
     )
     @pytest.mark.parametrize("shaped", [True, False])
     def test_seeded_fills(self, width, height, torus, shaped):
-        mesh = Mesh2D(width, height, torus=torus)
+        mesh = Mesh(width, height, torus=torus)
         rng = np.random.default_rng(width * 100 + height)
         for _ in range(40):
             machine = Machine(mesh)

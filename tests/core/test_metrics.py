@@ -17,7 +17,7 @@ from repro.core.metrics import (
     rank_span,
     total_pairwise_hops,
 )
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 
 class TestPairwiseHops:
@@ -56,7 +56,7 @@ class TestPairwiseHops:
     def test_property_scale(self, seed, k):
         """Average pairwise distance is positive and bounded by the mesh
         diameter for any multi-node allocation."""
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         rng = np.random.default_rng(seed)
         nodes = rng.choice(64, size=k, replace=False)
         avg = average_pairwise_hops(mesh, nodes)
@@ -99,7 +99,7 @@ class TestComponents:
     @settings(max_examples=50, deadline=None)
     def test_property_component_partition(self, seed, k):
         """Components partition the node set."""
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         rng = np.random.default_rng(seed)
         nodes = rng.choice(64, size=k, replace=False)
         comps = components(mesh, nodes)
@@ -110,7 +110,7 @@ class TestComponents:
     @settings(max_examples=30, deadline=None)
     def test_property_curve_prefixes_gapfree_contiguous(self, seed):
         """Any prefix interval of a gap-free curve is one component."""
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         curve = get_curve("hilbert", mesh)
         rng = np.random.default_rng(seed)
         lo = int(rng.integers(0, 60))

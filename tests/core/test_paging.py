@@ -17,7 +17,7 @@ from repro.core.paging import (
     select_sum_of_squares,
 )
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 
 class TestFreeRuns:
@@ -190,7 +190,7 @@ class TestPagingAllocator:
     @settings(max_examples=60, deadline=None)
     def test_property_valid_allocations_under_churn(self, name, policy, sizes):
         """Allocate a stream of jobs, freeing every other one."""
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         machine = Machine(mesh)
         alloc = PagingAllocator(name, policy)
         live = []
@@ -212,7 +212,7 @@ class TestPagingPages:
     """Page size s > 0 (extension; the paper's fragmentation discussion)."""
 
     def test_page_allocation_holds_whole_pages(self):
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         machine = Machine(mesh)
         alloc = PagingAllocator("hilbert", "freelist", page_size=1)
         a = alloc.allocate(Request(size=5, job_id=1), machine)
@@ -223,7 +223,7 @@ class TestPagingPages:
 
     def test_page_fragmentation_can_block(self):
         """Enough free processors but no fully-free page -> None."""
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         machine = Machine(mesh)
         # Occupy one node in each 2x2 page.
         for px in range(2):
@@ -234,7 +234,7 @@ class TestPagingPages:
         assert alloc.allocate(Request(size=4, job_id=1), machine) is None
 
     def test_indivisible_mesh_rejected(self):
-        mesh = Mesh2D(6, 6)
+        mesh = Mesh(6, 6)
         machine = Machine(mesh)
         alloc = PagingAllocator("s-curve", "freelist", page_size=2)
         with pytest.raises(ValueError):

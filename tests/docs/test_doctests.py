@@ -1,7 +1,8 @@
 """The public-API docstring contract (docs satellite).
 
 Two executable guarantees over the documented subsystems
-(:mod:`repro.runner`, :mod:`repro.campaign`, :mod:`repro.trace`):
+(:mod:`repro.runner`, :mod:`repro.campaign`, :mod:`repro.trace`,
+:mod:`repro.mesh`):
 
 * every name exported through ``__all__`` carries a docstring (module
   constants are exempt -- Python attaches no ``__doc__`` to them; their
@@ -19,10 +20,11 @@ import pkgutil
 import pytest
 
 import repro.campaign
+import repro.mesh
 import repro.runner
 import repro.trace
 
-PUBLIC_PACKAGES = (repro.runner, repro.campaign, repro.trace)
+PUBLIC_PACKAGES = (repro.runner, repro.campaign, repro.trace, repro.mesh)
 
 
 def _modules():

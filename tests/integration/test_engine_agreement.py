@@ -11,7 +11,7 @@ import pytest
 from repro.core.base import Request
 from repro.core.registry import make_allocator
 from repro.mesh.machine import Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.flit import FlitNetwork, FlitParams
 from repro.network.fluid import FluidNetwork, NetworkParams
 from repro.network.traffic import build_load_vector, mean_message_hops
@@ -39,7 +39,7 @@ def fluid_time_per_message(mesh, nodes, pattern, p):
 
 @pytest.fixture
 def mesh():
-    return Mesh2D(16, 16)
+    return Mesh(16, 16)
 
 
 def allocations_of_increasing_dispersal(mesh, k, seed=0):

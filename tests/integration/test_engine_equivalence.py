@@ -15,7 +15,7 @@ from oracles.loop_engine import run_engine
 
 from repro.core.registry import make_allocator
 from repro.mesh.clos import Dragonfly, FatTree, LeafSpine
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 from repro.patterns.base import get_pattern
 from repro.sched.job import Job
 from repro.sched.registry import apply_priority
@@ -48,28 +48,28 @@ def _run(mesh, allocator, pattern, scheduler, engine, jobs, seed=7):
 
 
 COMBOS = [
-    pytest.param(Mesh2D(8, 8), "hilbert+bf", "all-to-all", "fcfs", id="2d-a2a-fcfs"),
-    pytest.param(Mesh2D(8, 8), "hilbert+bf", "all-to-all", "easy", id="2d-a2a-easy"),
+    pytest.param(Mesh(8, 8), "hilbert+bf", "all-to-all", "fcfs", id="2d-a2a-fcfs"),
+    pytest.param(Mesh(8, 8), "hilbert+bf", "all-to-all", "easy", id="2d-a2a-easy"),
     pytest.param(
-        Mesh2D(8, 8, torus=True), "s-curve+ff", "ring", "fcfs", id="2d-torus-ring"
+        Mesh(8, 8, torus=True), "s-curve+ff", "ring", "fcfs", id="2d-torus-ring"
     ),
-    pytest.param(Mesh3D(4, 4, 4), "hilbert+bf", "n-body", "easy", id="3d-nbody-easy"),
+    pytest.param(Mesh(4, 4, 4), "hilbert+bf", "n-body", "easy", id="3d-nbody-easy"),
     pytest.param(
-        Mesh3D(2, 4, 8, torus=True),
+        Mesh(2, 4, 8, torus=True),
         "row-major+ff",
         "all-to-all-broadcast",
         "fcfs",
         id="3d-torus-bcast",
     ),
-    pytest.param(Mesh2D(16, 16), "contiguous", "random", "fcfs", id="2d-contig-random"),
-    pytest.param(Mesh2D(8, 8), "gen-alg", "cplant-test-suite", "fcfs", id="2d-cplant"),
-    pytest.param(Mesh2D(8, 8), "mc", "all-to-all", "easy", id="2d-mc-easy"),
+    pytest.param(Mesh(16, 16), "contiguous", "random", "fcfs", id="2d-contig-random"),
+    pytest.param(Mesh(8, 8), "gen-alg", "cplant-test-suite", "fcfs", id="2d-cplant"),
+    pytest.param(Mesh(8, 8), "mc", "all-to-all", "easy", id="2d-mc-easy"),
     # The fair queueing disciplines share the same policy object between
     # engines, so structural bit-identity must hold for them too.
-    pytest.param(Mesh2D(8, 8), "hilbert+bf", "all-to-all", "wfq", id="2d-a2a-wfq"),
-    pytest.param(Mesh2D(8, 8), "mc", "all-to-all", "drr", id="2d-mc-drr"),
+    pytest.param(Mesh(8, 8), "hilbert+bf", "all-to-all", "wfq", id="2d-a2a-wfq"),
+    pytest.param(Mesh(8, 8), "mc", "all-to-all", "drr", id="2d-mc-drr"),
     pytest.param(
-        Mesh3D(4, 4, 4), "hilbert+bf", "n-body", "drr", id="3d-nbody-drr"
+        Mesh(4, 4, 4), "hilbert+bf", "n-body", "drr", id="3d-nbody-drr"
     ),
     # Switched fabrics route through GraphLinkSpace in both engines.
     pytest.param(FatTree(4), "rack-aware", "all-to-all", "fcfs", id="fattree-rack"),
@@ -98,7 +98,7 @@ class TestEngineEquivalence:
     def test_stochastic_pattern_same_per_job_seeds(self):
         """The random pattern draws per-job cycles from the same seeds in
         both engines (seed spawning is keyed by job id, not start order)."""
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         jobs = [Job(i, float(5 * i), 4 + i, 20.0) for i in range(8)]
         vector = _run(mesh, "hilbert+bf", "random", "fcfs", "vector", jobs, seed=11)
         loop = _run(mesh, "hilbert+bf", "random", "fcfs", "loop", jobs, seed=11)

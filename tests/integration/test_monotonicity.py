@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.fluid import FluidNetwork, NetworkParams
 from repro.network.traffic import build_load_vector, mean_message_hops
 from repro.patterns import AllToAll
@@ -23,7 +23,7 @@ class TestFluidMonotonicity:
     @settings(max_examples=30, deadline=None)
     def test_adding_a_flow_never_raises_existing_rates(self, seed, n_flows):
         """More competition can only slow everyone down (or leave them)."""
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         params = NetworkParams()
         rng = np.random.default_rng(seed)
         net = FluidNetwork(mesh, params)
@@ -40,7 +40,7 @@ class TestFluidMonotonicity:
     @given(seed=st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
     def test_rates_deterministic(self, seed):
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         params = NetworkParams()
         rng1 = np.random.default_rng(seed)
         rng2 = np.random.default_rng(seed)
@@ -56,7 +56,7 @@ class TestFluidMonotonicity:
     @given(seed=st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
     def test_rates_positive_and_capped(self, seed):
-        mesh = Mesh2D(8, 8)
+        mesh = Mesh(8, 8)
         params = NetworkParams()
         rng = np.random.default_rng(seed)
         net = FluidNetwork(mesh, params)
@@ -114,7 +114,7 @@ class TestUtilization:
         from repro.sched.simulator import Simulation
         from repro.trace.synthetic import drop_oversized, sdsc_paragon_trace
 
-        mesh = Mesh2D(16, 16)
+        mesh = Mesh(16, 16)
         jobs = drop_oversized(
             sdsc_paragon_trace(seed=5, n_jobs=120, runtime_scale=0.01), 256
         )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.patterns.base import get_pattern
 from repro.sched.simulator import Simulation
 from repro.sched.stats import summarize
@@ -23,7 +23,7 @@ def jobs16():
 
 
 def run_cell(jobs, allocator, pattern, load=1.0, mesh=None):
-    mesh = mesh or Mesh2D(16, 16)
+    mesh = mesh or Mesh(16, 16)
     sim = Simulation(
         mesh,
         make_allocator(allocator),
@@ -88,7 +88,7 @@ class TestHeadlineClaims:
             drop_oversized(trace, 352),
             "hilbert",
             "n-body",
-            mesh=Mesh2D(16, 22),
+            mesh=Mesh(16, 22),
         )
         assert square.mean_stretch != pytest.approx(rect.mean_stretch, rel=1e-3)
 
@@ -104,7 +104,7 @@ class TestSchedulerInvariantsAtScale:
         every strategy starts jobs in the same order."""
         orders = {}
         for name in ("hilbert+bf", "mc1x1"):
-            mesh = Mesh2D(16, 16)
+            mesh = Mesh(16, 16)
             sim = Simulation(
                 mesh,
                 make_allocator(name),

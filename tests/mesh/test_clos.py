@@ -18,7 +18,7 @@ from repro.mesh.clos import (
     build_topology,
     topology_label,
 )
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 
 
 class TestFatTree:
@@ -128,8 +128,8 @@ class TestBuildTopology:
         assert build_topology(text) == expected
 
     def test_mesh_strings(self):
-        assert build_topology("16x22") == Mesh2D(16, 22)
-        assert build_topology("8x8x8t") == Mesh3D(8, 8, 8, torus=True)
+        assert build_topology("16x22") == Mesh(16, 22)
+        assert build_topology("8x8x8t") == Mesh(8, 8, 8, torus=True)
 
     @pytest.mark.parametrize(
         "bad", ["fattree:", "fattree:k=7", "leafspine:40", "dragonfly:9x4",
@@ -142,7 +142,7 @@ class TestBuildTopology:
     @pytest.mark.parametrize(
         "topo",
         [FatTree(8), LeafSpine(40, 16), LeafSpine(4, 2, 2.0),
-         Dragonfly(9, 4, 2), Mesh2D(16, 22), Mesh3D(4, 4, 4, torus=True)],
+         Dragonfly(9, 4, 2), Mesh(16, 22), Mesh(4, 4, 4, torus=True)],
     )
     def test_label_round_trips(self, topo):
         assert build_topology(topology_label(topo)) == topo

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.machine import AllocationError, Machine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 
 
 class TestMachineBasics:
@@ -97,7 +97,7 @@ class TestMachineLifecycle:
         assert machine8.n_busy == 4
 
     def test_fill_and_drain(self):
-        machine = Machine(Mesh2D(4, 4))
+        machine = Machine(Mesh(4, 4))
         machine.allocate(range(16), job_id=1)
         assert machine.n_free == 0
         machine.release(range(16))

@@ -6,39 +6,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.routing import route_hop_count, route_links, route_path
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 from repro.network.links import LinkSpace
 
 
 class TestRoutePath:
     def test_self_message(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         assert route_path(mesh, 5, 5) == [5]
 
     def test_horizontal(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         path = route_path(mesh, mesh.node_id(0, 1), mesh.node_id(3, 1))
         assert path == [mesh.node_id(x, 1) for x in range(4)]
 
     def test_vertical(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         path = route_path(mesh, mesh.node_id(2, 0), mesh.node_id(2, 3))
         assert path == [mesh.node_id(2, y) for y in range(4)]
 
     def test_x_before_y(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         path = route_path(mesh, mesh.node_id(0, 0), mesh.node_id(2, 2))
         coords = [mesh.coords(n) for n in path]
         assert coords == [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]
 
     def test_negative_directions(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         path = route_path(mesh, mesh.node_id(3, 3), mesh.node_id(1, 1))
         coords = [mesh.coords(n) for n in path]
         assert coords == [(3, 3), (2, 3), (1, 3), (1, 2), (1, 1)]
 
     def test_length_is_hops_plus_one(self):
-        mesh = Mesh2D(6, 7)
+        mesh = Mesh(6, 7)
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b = rng.integers(0, mesh.n_nodes, 2)
@@ -46,7 +46,7 @@ class TestRoutePath:
             assert len(path) == mesh.manhattan(int(a), int(b)) + 1
 
     def test_consecutive_steps_adjacent(self):
-        mesh = Mesh2D(5, 9)
+        mesh = Mesh(5, 9)
         rng = np.random.default_rng(4)
         for _ in range(50):
             a, b = rng.integers(0, mesh.n_nodes, 2)
@@ -55,18 +55,18 @@ class TestRoutePath:
                 assert mesh.are_adjacent(u, v)
 
     def test_torus_takes_short_way(self):
-        mesh = Mesh2D(8, 8, torus=True)
+        mesh = Mesh(8, 8, torus=True)
         path = route_path(mesh, mesh.node_id(0, 0), mesh.node_id(7, 0))
         assert len(path) == 2  # wraps instead of walking across
 
     def test_hop_count_matches_manhattan(self):
-        mesh = Mesh2D(5, 5)
+        mesh = Mesh(5, 5)
         assert route_hop_count(mesh, 0, 24) == mesh.manhattan(0, 24)
 
 
 class TestRouteLinks:
     def test_link_count_equals_hops(self):
-        mesh = Mesh2D(6, 6)
+        mesh = Mesh(6, 6)
         rng = np.random.default_rng(5)
         for _ in range(50):
             a, b = rng.integers(0, mesh.n_nodes, 2)
@@ -74,7 +74,7 @@ class TestRouteLinks:
             assert len(links) == mesh.manhattan(int(a), int(b))
 
     def test_links_connect_path(self):
-        mesh = Mesh2D(6, 6)
+        mesh = Mesh(6, 6)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(6)
         for _ in range(30):
@@ -85,7 +85,7 @@ class TestRouteLinks:
                 assert space.endpoints(link) == (u, v)
 
     def test_self_message_no_links(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         assert route_links(mesh, 7, 7) == []
 
     @given(
@@ -96,7 +96,7 @@ class TestRouteLinks:
     @settings(max_examples=40, deadline=None)
     def test_property_valid_route(self, w, h, seed):
         """Every route is a valid x-y walk: x moves first, then y."""
-        mesh = Mesh2D(w, h)
+        mesh = Mesh(w, h)
         rng = np.random.default_rng(seed)
         a, b = (int(v) for v in rng.integers(0, mesh.n_nodes, 2))
         path = route_path(mesh, a, b)
@@ -110,11 +110,11 @@ class TestRouteLinks:
 
 class TestRoutePath3D:
     def test_self_message(self):
-        mesh = Mesh3D(4, 4, 4)
+        mesh = Mesh(4, 4, 4)
         assert route_path(mesh, 21, 21) == [21]
 
     def test_x_then_y_then_z(self):
-        mesh = Mesh3D(4, 4, 4)
+        mesh = Mesh(4, 4, 4)
         path = route_path(mesh, mesh.node_id(0, 0, 0), mesh.node_id(2, 1, 1))
         coords = [mesh.coords(n) for n in path]
         assert coords == [
@@ -125,7 +125,7 @@ class TestRoutePath3D:
 
     def test_length_is_hops_plus_one_mesh_and_torus(self):
         for torus in (False, True):
-            mesh = Mesh3D(4, 5, 3, torus=torus)
+            mesh = Mesh(4, 5, 3, torus=torus)
             rng = np.random.default_rng(7)
             for _ in range(50):
                 a, b = (int(v) for v in rng.integers(0, mesh.n_nodes, 2))
@@ -135,7 +135,7 @@ class TestRoutePath3D:
                     assert mesh.manhattan(u, v) == 1
 
     def test_torus_wrap_shorter_than_direct(self):
-        mesh = Mesh3D(8, 8, 8, torus=True)
+        mesh = Mesh(8, 8, 8, torus=True)
         src = mesh.node_id(0, 0, 1)
         dst = mesh.node_id(7, 0, 1)
         path = route_path(mesh, src, dst)
@@ -146,7 +146,7 @@ class TestRoutePath3D:
         assert zs == [1, 0, 7, 6]
 
     def test_no_wrap_on_plain_3d_mesh(self):
-        mesh = Mesh3D(8, 8, 8)
+        mesh = Mesh(8, 8, 8)
         path = route_path(mesh, mesh.node_id(0, 0, 0), mesh.node_id(7, 0, 0))
         assert len(path) == 8  # walks straight across, no wraparound
 
@@ -154,7 +154,7 @@ class TestRoutePath3D:
 class TestRouteLinks3D:
     @pytest.mark.parametrize("torus", [False, True])
     def test_link_count_equals_hops(self, torus):
-        mesh = Mesh3D(4, 4, 4, torus=torus)
+        mesh = Mesh(4, 4, 4, torus=torus)
         rng = np.random.default_rng(8)
         for _ in range(50):
             a, b = (int(v) for v in rng.integers(0, mesh.n_nodes, 2))
@@ -163,7 +163,7 @@ class TestRouteLinks3D:
 
     @pytest.mark.parametrize("torus", [False, True])
     def test_links_connect_path(self, torus):
-        mesh = Mesh3D(4, 3, 5, torus=torus)
+        mesh = Mesh(4, 3, 5, torus=torus)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(9)
         for _ in range(30):
@@ -175,7 +175,7 @@ class TestRouteLinks3D:
                 assert space.endpoints(link) == (u, v)
 
     def test_wrap_leg_uses_wraparound_link(self):
-        mesh = Mesh3D(4, 4, 4, torus=True)
+        mesh = Mesh(4, 4, 4, torus=True)
         space = LinkSpace.for_mesh(mesh)
         links = route_links(mesh, mesh.node_id(0, 2, 2), mesh.node_id(3, 2, 2))
         assert len(links) == 1

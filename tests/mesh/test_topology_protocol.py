@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 
 from repro.mesh.clos import Dragonfly, FatTree, LeafSpine
-from repro.mesh.topology import Mesh2D, Mesh3D, Topology
+from repro.mesh.topology import Mesh, Topology
 
 TOPOLOGIES = {
-    "mesh-4x5": lambda: Mesh2D(4, 5),
-    "torus-4x5": lambda: Mesh2D(4, 5, torus=True),
-    "torus-2x5": lambda: Mesh2D(2, 5, torus=True),  # 2-wide axis
-    "torus-1x7": lambda: Mesh2D(1, 7, torus=True),  # 1-wide axis
-    "mesh3d-3x2x2": lambda: Mesh3D(3, 2, 2),
-    "torus3d-3x2x4": lambda: Mesh3D(3, 2, 4, torus=True),
+    "mesh-4x5": lambda: Mesh(4, 5),
+    "torus-4x5": lambda: Mesh(4, 5, torus=True),
+    "torus-2x5": lambda: Mesh(2, 5, torus=True),  # 2-wide axis
+    "torus-1x7": lambda: Mesh(1, 7, torus=True),  # 1-wide axis
+    "mesh3d-3x2x2": lambda: Mesh(3, 2, 2),
+    "torus3d-3x2x4": lambda: Mesh(3, 2, 4, torus=True),
     "fattree-4": lambda: FatTree(4),
     "leafspine-6x3": lambda: LeafSpine(6, 3),
     "leafspine-4x2-oversub": lambda: LeafSpine(4, 2, oversubscription=2.0),
@@ -113,21 +113,21 @@ class TestMeshRegressions:
     def test_two_wide_torus_axis_deduped(self):
         # On a 2-wide torus axis, +1 and -1 reach the same node; the
         # neighbor must appear once, preserving scan order.
-        assert Mesh2D(2, 5, torus=True).neighbors(0) == [1, 2, 8]
-        mesh3 = Mesh3D(2, 2, 3, torus=True)
+        assert Mesh(2, 5, torus=True).neighbors(0) == [1, 2, 8]
+        mesh3 = Mesh(2, 2, 3, torus=True)
         for node in range(mesh3.n_nodes):
             out = mesh3.neighbors(node)
             assert len(out) == len(set(out))
 
     def test_one_wide_torus_axis_has_no_self_loop(self):
-        mesh = Mesh2D(1, 7, torus=True)
+        mesh = Mesh(1, 7, torus=True)
         for node in range(mesh.n_nodes):
             assert node not in mesh.neighbors(node)
             assert len(mesh.neighbors(node)) == 2
 
     @pytest.mark.parametrize("bad", [-1, -5])
     def test_negative_ids_raise_not_wrap(self, bad):
-        mesh = Mesh2D(4, 5)
+        mesh = Mesh(4, 5)
         with pytest.raises(ValueError, match="out of range"):
             mesh.manhattan(bad, 0)
         with pytest.raises(ValueError, match="out of range"):
@@ -135,10 +135,10 @@ class TestMeshRegressions:
         with pytest.raises(ValueError, match="out of range"):
             mesh.pairwise_manhattan([0, bad, 3])
         with pytest.raises(ValueError, match="out of range"):
-            Mesh3D(3, 2, 2).pairwise_manhattan([bad])
+            Mesh(3, 2, 2).pairwise_manhattan([bad])
 
     def test_oversized_ids_raise(self):
-        mesh = Mesh2D(4, 5)
+        mesh = Mesh(4, 5)
         with pytest.raises(ValueError, match="out of range"):
             mesh.manhattan(0, mesh.n_nodes)
         with pytest.raises(ValueError, match="out of range"):

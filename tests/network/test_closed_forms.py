@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import components, n_components, total_pairwise_hops
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 from repro.network.traffic import (
     all_pairs_load_vector,
     all_pairs_mean_hops,
@@ -26,11 +26,11 @@ from repro.patterns.pingpong import AllPairsPingPong
 from repro.patterns.ring import Ring
 
 MESHES = [
-    Mesh2D(4, 4),
-    Mesh2D(1, 7),
-    Mesh2D(8, 3),
-    Mesh3D(2, 2, 2),
-    Mesh3D(3, 4, 2),
+    Mesh(4, 4),
+    Mesh(1, 7),
+    Mesh(8, 3),
+    Mesh(2, 2, 2),
+    Mesh(3, 4, 2),
 ]
 
 
@@ -64,12 +64,12 @@ class TestAllPairsClosedForms:
             )
 
     def test_torus_rejected(self):
-        mesh = Mesh2D(4, 4, torus=True)
+        mesh = Mesh(4, 4, torus=True)
         with pytest.raises(ValueError):
             all_pairs_load_vector(mesh, np.arange(6))
 
     def test_single_processor_is_zero(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         assert not all_pairs_load_vector(mesh, np.array([5])).any()
         assert all_pairs_mean_hops(mesh, np.array([5])) == 0.0
 
@@ -82,7 +82,7 @@ class TestPatternFlowProfile:
     )
     @pytest.mark.parametrize("torus", [False, True])
     def test_profile_matches_generic_route(self, pattern, torus):
-        mesh = Mesh2D(6, 6, torus=torus)
+        mesh = Mesh(6, 6, torus=torus)
         rng = np.random.default_rng(5)
         for k in (2, 4, 9):
             nodes = rng.choice(mesh.n_nodes, size=k, replace=False)
@@ -119,15 +119,15 @@ class TestComponentCount:
     @pytest.mark.parametrize(
         "mesh",
         [
-            Mesh2D(5, 5),
-            Mesh2D(5, 5, torus=True),
-            Mesh2D(2, 6, torus=True),  # extent-2 axis: wrap == forward edge
-            Mesh3D(3, 3, 3),
-            Mesh3D(2, 3, 4, torus=True),
+            Mesh(5, 5),
+            Mesh(5, 5, torus=True),
+            Mesh(2, 6, torus=True),  # extent-2 axis: wrap == forward edge
+            Mesh(3, 3, 3),
+            Mesh(2, 3, 4, torus=True),
             # Large enough for both the scalar (k < 64) and vectorised paths.
-            Mesh2D(16, 22),
-            Mesh2D(9, 10, torus=True),
-            Mesh3D(4, 5, 6, torus=True),
+            Mesh(16, 22),
+            Mesh(9, 10, torus=True),
+            Mesh(4, 5, 6, torus=True),
         ],
         ids=lambda m: f"{m.shape}{'t' if m.torus else ''}",
     )
@@ -140,15 +140,15 @@ class TestComponentCount:
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            n_components(Mesh2D(4, 4), np.array([1, 1, 2]))
+            n_components(Mesh(4, 4), np.array([1, 1, 2]))
 
     def test_empty_is_zero(self):
-        assert n_components(Mesh2D(4, 4), np.array([], dtype=np.int64)) == 0
+        assert n_components(Mesh(4, 4), np.array([], dtype=np.int64)) == 0
 
 
 class TestCircularPairwiseSum:
     @pytest.mark.parametrize(
-        "mesh", [Mesh2D(5, 7, torus=True), Mesh3D(3, 4, 5, torus=True)]
+        "mesh", [Mesh(5, 7, torus=True), Mesh(3, 4, 5, torus=True)]
     )
     def test_matches_brute_force(self, mesh):
         rng = np.random.default_rng(2)

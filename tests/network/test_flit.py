@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.flit import FlitNetwork, FlitParams
 from repro.patterns import AllToAll, NBody, Ring
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from oracles.loop_engine import ENGINES, run_engine
 
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 from repro.network.fluid import NetworkParams
 from repro.network.links import LinkSpace
 from repro.network.traffic import build_load_vector, pattern_flow_profile
@@ -57,10 +57,10 @@ def _oracle(mesh, nodes, pairs, flits):
 
 meshes = st.one_of(
     st.builds(
-        Mesh2D, st.integers(1, 6), st.integers(2, 6), torus=st.booleans()
+        Mesh, st.integers(1, 6), st.integers(2, 6), torus=st.booleans()
     ),
     st.builds(
-        Mesh3D,
+        Mesh,
         st.integers(2, 4),
         st.integers(1, 3),
         st.integers(2, 3),
@@ -126,7 +126,7 @@ class TestFractionalFlits:
     @pytest.mark.parametrize("name", pattern_names())
     @pytest.mark.parametrize(
         "mesh",
-        [Mesh2D(16, 16), Mesh2D(6, 6, torus=True), Mesh3D(4, 4, 4)],
+        [Mesh(16, 16), Mesh(6, 6, torus=True), Mesh(4, 4, 4)],
         ids=lambda m: f"{m.shape}{'t' if m.torus else ''}",
     )
     def test_load_nonnegative_and_zero_off_route(self, name, mesh):
@@ -148,7 +148,7 @@ class TestFractionalFlits:
 
     @pytest.mark.parametrize("name", ["n-body", "random", "all-to-all"])
     def test_engines_agree_at_low_capacity(self, name):
-        mesh = Mesh2D(16, 16)
+        mesh = Mesh(16, 16)
         jobs = sdsc_paragon_trace(seed=1, n_jobs=40, runtime_scale=0.02)
         jobs = [j for j in jobs if j.size <= mesh.n_nodes]
         params = NetworkParams(message_flits=0.3, link_capacity=0.05)

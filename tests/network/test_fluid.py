@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles.maxmin import assert_max_min_certificate
 
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network import fluid
 from repro.network.fluid import FluidNetwork, NetworkParams, max_min_rates
 from repro.network.traffic import build_load_vector
@@ -100,7 +100,7 @@ class TestCertificateOnEverySolve:
             return rates
 
         monkeypatch.setattr(fluid, "max_min_rates", certified)
-        mesh = Mesh2D(16, 22)
+        mesh = Mesh(16, 22)
         jobs = [
             j
             for j in sdsc_paragon_trace(seed=1, n_jobs=40, runtime_scale=0.01)

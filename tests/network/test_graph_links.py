@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.clos import Dragonfly, FatTree, LeafSpine
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 from repro.network.links import GraphLinkSpace, LinkSpace, link_space_for
 
 FABRICS = {
@@ -89,7 +89,7 @@ class TestGraphLinkSpace:
 
 class TestMeshFastPath:
     @pytest.mark.parametrize(
-        "mesh", [Mesh2D(8, 8), Mesh2D(4, 5, torus=True), Mesh3D(3, 3, 3)]
+        "mesh", [Mesh(8, 8), Mesh(4, 5, torus=True), Mesh(3, 3, 3)]
     )
     def test_meshes_keep_the_cached_vectorised_space(self, mesh):
         space = link_space_for(mesh)

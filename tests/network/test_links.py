@@ -5,30 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh
 from repro.network.links import LinkSpace
 
 
 class TestLinkIds:
     def test_count(self):
-        mesh = Mesh2D(16, 22)
+        mesh = Mesh(16, 22)
         space = LinkSpace(mesh)
         # mesh edges: 15*22 horizontal + 16*21 vertical, two directions each
         assert space.n_links == 2 * (15 * 22 + 16 * 21)
 
     def test_torus_count(self):
-        mesh = Mesh2D(4, 4, torus=True)
+        mesh = Mesh(4, 4, torus=True)
         assert LinkSpace(mesh).n_links == 2 * (16 + 16)
 
     def test_endpoints_roundtrip(self):
-        mesh = Mesh2D(5, 4)
+        mesh = Mesh(5, 4)
         space = LinkSpace(mesh)
         for link in range(space.n_links):
             u, v = space.endpoints(link)
             assert mesh.are_adjacent(u, v)
 
     def test_all_directed_edges_covered(self):
-        mesh = Mesh2D(4, 5)
+        mesh = Mesh(4, 5)
         space = LinkSpace(mesh)
         seen = {space.endpoints(link) for link in range(space.n_links)}
         assert len(seen) == space.n_links
@@ -37,7 +37,7 @@ class TestLinkIds:
                 assert (node, nbr) in seen
 
     def test_directional_helpers(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         space = LinkSpace(mesh)
         assert space.endpoints(space.east(1, 2)) == (
             mesh.node_id(1, 2),
@@ -57,18 +57,18 @@ class TestLinkIds:
         )
 
     def test_out_of_range(self):
-        space = LinkSpace(Mesh2D(3, 3))
+        space = LinkSpace(Mesh(3, 3))
         with pytest.raises(ValueError):
             space.endpoints(space.n_links)
 
     def test_cache(self):
-        mesh = Mesh2D(6, 6)
-        assert LinkSpace.for_mesh(mesh) is LinkSpace.for_mesh(Mesh2D(6, 6))
+        mesh = Mesh(6, 6)
+        assert LinkSpace.for_mesh(mesh) is LinkSpace.for_mesh(Mesh(6, 6))
 
 
 class TestLinksOnRoute:
     def test_matches_hop_count(self):
-        mesh = Mesh2D(7, 6)
+        mesh = Mesh(7, 6)
         space = LinkSpace(mesh)
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -76,7 +76,7 @@ class TestLinksOnRoute:
             assert len(space.links_on_route(a, b)) == mesh.manhattan(a, b)
 
     def test_x_first(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         space = LinkSpace(mesh)
         links = space.links_on_route(mesh.node_id(0, 0), mesh.node_id(2, 2))
         assert links[0] == space.east(0, 0)
@@ -103,7 +103,7 @@ class TestAccumulateLoads:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_matches_walking_oracle(self, w, h, n, seed):
-        mesh = Mesh2D(w, h)
+        mesh = Mesh(w, h)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(seed)
         src = rng.integers(0, mesh.n_nodes, n)
@@ -114,7 +114,7 @@ class TestAccumulateLoads:
         assert np.allclose(got, expected)
 
     def test_scalar_weight(self):
-        mesh = Mesh2D(5, 5)
+        mesh = Mesh(5, 5)
         space = LinkSpace.for_mesh(mesh)
         src = np.array([0, 0])
         dst = np.array([4, 24])
@@ -124,7 +124,7 @@ class TestAccumulateLoads:
 
     @pytest.mark.parametrize("torus", [False, True])
     def test_2d_batch_with_row_weight(self, torus):
-        mesh = Mesh2D(5, 4, torus=torus)
+        mesh = Mesh(5, 4, torus=torus)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(3)
         src = rng.integers(0, mesh.n_nodes, (3, 4))
@@ -141,7 +141,7 @@ class TestAccumulateLoads:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.bool_])
     def test_integer_and_bool_weights(self, dtype):
-        mesh = Mesh2D(6, 5, torus=True)
+        mesh = Mesh(6, 5, torus=True)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(8)
         src = rng.integers(0, mesh.n_nodes, 40)
@@ -153,13 +153,13 @@ class TestAccumulateLoads:
         assert type(hops) is int and hops == expected.sum()
 
     def test_self_messages_contribute_nothing(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         space = LinkSpace.for_mesh(mesh)
         got = space.accumulate_route_loads(np.array([3]), np.array([3]))
         assert np.all(got == 0)
 
     def test_total_equals_total_hops(self):
-        mesh = Mesh2D(6, 7)
+        mesh = Mesh(6, 7)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(5)
         src = rng.integers(0, mesh.n_nodes, 100)
@@ -168,12 +168,12 @@ class TestAccumulateLoads:
         assert loads.sum() == pytest.approx(mesh.manhattan(src, dst).sum())
 
     def test_shape_mismatch(self):
-        space = LinkSpace.for_mesh(Mesh2D(4, 4))
+        space = LinkSpace.for_mesh(Mesh(4, 4))
         with pytest.raises(ValueError):
             space.accumulate_route_loads(np.array([1, 2]), np.array([3]))
 
     def test_torus_wraparound_single_link(self):
-        mesh = Mesh2D(4, 4, torus=True)
+        mesh = Mesh(4, 4, torus=True)
         space = LinkSpace.for_mesh(mesh)
         src = np.array([mesh.node_id(0, 0)])
         dst = np.array([mesh.node_id(3, 0)])
@@ -189,7 +189,7 @@ class TestAccumulateLoads:
     @settings(max_examples=40, deadline=None)
     def test_property_2d_torus_matches_walking_oracle(self, w, h, n, seed):
         """The vectorised torus path must agree with explicit route walks."""
-        mesh = Mesh2D(w, h, torus=True)
+        mesh = Mesh(w, h, torus=True)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(seed)
         src = rng.integers(0, mesh.n_nodes, n)
@@ -211,16 +211,16 @@ class TestLinkSpace3D:
 
     def test_counts(self):
         # Plain mesh: (w-1)hd + w(h-1)d + wh(d-1) channels, two directions.
-        assert LinkSpace(Mesh3D(4, 3, 2)).n_links == 2 * (3*3*2 + 4*2*2 + 4*3*1)
+        assert LinkSpace(Mesh(4, 3, 2)).n_links == 2 * (3*3*2 + 4*2*2 + 4*3*1)
         # Torus: every axis has as many channels as nodes.
-        assert LinkSpace(Mesh3D(4, 4, 4, torus=True)).n_links == 6 * 64
+        assert LinkSpace(Mesh(4, 4, 4, torus=True)).n_links == 6 * 64
 
     @pytest.mark.parametrize("torus", [False, True])
     def test_endpoints_roundtrip_and_cover(self, torus):
         # Extents >= 3: on an extent-2 torus axis the forward and wraparound
         # channels coincide physically, so distinct link ids share endpoints
         # (routing still uses one of them consistently -- ties go positive).
-        mesh = Mesh3D(3, 4, 5, torus=torus)
+        mesh = Mesh(3, 4, 5, torus=torus)
         space = LinkSpace(mesh)
         seen = {space.endpoints(link) for link in range(space.n_links)}
         assert len(seen) == space.n_links
@@ -236,7 +236,7 @@ class TestLinkSpace3D:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_matches_walking_oracle(self, dims, torus, n, seed):
-        mesh = Mesh3D(*dims, torus=torus)
+        mesh = Mesh(*dims, torus=torus)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(seed)
         src = rng.integers(0, mesh.n_nodes, n)
@@ -247,7 +247,7 @@ class TestLinkSpace3D:
         assert np.allclose(got, expected)
 
     def test_total_equals_total_hops(self):
-        mesh = Mesh3D(5, 4, 6, torus=True)
+        mesh = Mesh(5, 4, 6, torus=True)
         space = LinkSpace.for_mesh(mesh)
         rng = np.random.default_rng(11)
         src = rng.integers(0, mesh.n_nodes, 200)

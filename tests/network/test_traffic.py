@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.links import LinkSpace
 from repro.network.traffic import (
     build_load_vector,

@@ -47,7 +47,7 @@ def mc_nodes(
     free = machine.free_nodes()
     if len(free) < k:
         return None
-    fx, fy = mesh.xs(free), mesh.ys(free)
+    fx, fy = mesh.axis_coords(free)
     a, b = (shape or infer_shape(k, mesh)) if shaped else (1, 1)
     anchor_x = np.clip(fx - (a - 1) // 2, 0, mesh.width - a)
     anchor_y = np.clip(fy - (b - 1) // 2, 0, mesh.height - b)
@@ -66,7 +66,7 @@ def mc_anchor_costs(
     mesh = machine.mesh
     a, b = shape
     free = machine.free_nodes()
-    fx, fy = mesh.xs(free), mesh.ys(free)
+    fx, fy = mesh.axis_coords(free)
     out: dict[tuple[int, int], int] = {}
     for x in range(mesh.width - a + 1):
         for y in range(mesh.height - b + 1):

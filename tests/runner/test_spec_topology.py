@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.mesh.clos import FatTree, LeafSpine
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.runner.engine import run_cell
 from repro.runner.spec import ExperimentSpec
 
@@ -98,7 +98,7 @@ class TestClosSpecs:
             mesh_shape=(8, 8), pattern="ring", allocator="mc",
             load=1.0, seed=1, n_jobs=10,
         )
-        assert mesh_spec.build_machine_topology() == Mesh2D(8, 8)
+        assert mesh_spec.build_machine_topology() == Mesh(8, 8)
         ls = ExperimentSpec(
             mesh_shape=(1,), pattern="ring", allocator="random",
             load=1.0, seed=1, n_jobs=5,

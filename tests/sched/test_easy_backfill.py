@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles.loop_engine import ENGINES, run_engine
 
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.fluid import NetworkParams
 from repro.patterns.base import get_pattern
 from repro.sched.job import Job
@@ -15,7 +15,7 @@ from repro.sched.simulator import Simulation
 
 
 def run(jobs, scheduler, mesh=None, allocator="hilbert+bf", pattern="ring"):
-    mesh = mesh or Mesh2D(8, 8)
+    mesh = mesh or Mesh(8, 8)
     return Simulation(
         mesh,
         make_allocator(allocator),
@@ -129,7 +129,7 @@ class TestHeadReservationFreshRates:
         fcfs = {j.job_id: j for j in run(jobs, "fcfs").jobs}
         for engine in ENGINES:
             sim = Simulation(
-                Mesh2D(8, 8),
+                Mesh(8, 8),
                 make_allocator("hilbert+bf"),
                 get_pattern("ring"),
                 jobs,
@@ -172,7 +172,7 @@ class TestHeadReservationFreshRates:
 
         def simulate(scheduler):
             return Simulation(
-                Mesh2D(8, 8),
+                Mesh(8, 8),
                 make_allocator("hilbert+bf"),
                 get_pattern("ring"),
                 jobs,

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.paging import PagingAllocator
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.patterns.base import get_pattern
 from repro.runner.cache import pack_job_results, unpack_job_results
 from repro.sched.job import Job, JobResult
@@ -22,7 +22,7 @@ from repro.sched.simulator import Simulation, SimulationResult
 
 
 def run(jobs, allocator, mesh=None, **kwargs):
-    mesh = mesh or Mesh2D(8, 8)
+    mesh = mesh or Mesh(8, 8)
     return Simulation(
         mesh, allocator, get_pattern("ring"), jobs, **kwargs
     ).run()

@@ -4,7 +4,7 @@ import pytest
 from oracles.loop_engine import ENGINES, run_engine
 
 from repro.core.registry import make_allocator
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.patterns.base import get_pattern
 from repro.sched.job import Job
 from repro.sched.registry import (
@@ -22,7 +22,7 @@ from repro.sched.simulator import Simulation
 
 def run_sim(jobs, scheduler, engine="vector"):
     sim = Simulation(
-        Mesh2D(8, 8),
+        Mesh(8, 8),
         make_allocator("hilbert+bf"),
         get_pattern("all-to-all"),
         jobs,

@@ -10,7 +10,7 @@ from repro.core.base import Allocator
 from repro.core.metrics import average_pairwise_hops
 from repro.core.registry import make_allocator
 from repro.mesh.clos import FatTree
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh
 from repro.network.fluid import NetworkParams
 from repro.patterns.base import get_pattern
 from repro.sched.job import Job
@@ -19,7 +19,7 @@ from repro.sched.stats import summarize
 
 
 def make_sim(jobs, mesh=None, allocator="hilbert+bf", pattern="all-to-all", **kw):
-    mesh = mesh or Mesh2D(8, 8)
+    mesh = mesh or Mesh(8, 8)
     return Simulation(
         mesh,
         make_allocator(allocator),
@@ -242,8 +242,8 @@ class TestPairwiseHopsRecord:
     @pytest.mark.parametrize(
         "mesh, allocator",
         [
-            pytest.param(Mesh2D(8, 8), "mc1x1", id="mesh"),
-            pytest.param(Mesh2D(8, 8, torus=True), "hilbert+bf", id="torus"),
+            pytest.param(Mesh(8, 8), "mc1x1", id="mesh"),
+            pytest.param(Mesh(8, 8, torus=True), "hilbert+bf", id="torus"),
             pytest.param(FatTree(4), "rack-aware", id="fattree"),
         ],
     )

@@ -17,10 +17,10 @@ class TestTopLevelExports:
 
     def test_quickstart_snippet(self):
         """The README quickstart must run verbatim."""
-        from repro import Machine, Mesh2D, Request, make_allocator
+        from repro import Machine, Mesh, Request, make_allocator
         from repro.core.metrics import average_pairwise_hops, is_contiguous
 
-        mesh = Mesh2D(16, 16)
+        mesh = Mesh(16, 16)
         machine = Machine(mesh)
         allocator = make_allocator("hilbert+bf")
         alloc = allocator.allocate(Request(size=30, job_id=0), machine)
@@ -88,7 +88,7 @@ class TestSimulationWithPagedAllocator:
         """A paging allocator with s=1 exercises the allocation-refused
         branch of the FCFS loop (free processors but no free page)."""
         from repro.core.registry import make_allocator
-        from repro.mesh.topology import Mesh2D
+        from repro.mesh.topology import Mesh
         from repro.patterns.base import get_pattern
         from repro.sched.job import Job
         from repro.sched.simulator import Simulation
@@ -98,7 +98,7 @@ class TestSimulationWithPagedAllocator:
             Job(1, 1.0, 4, 10.0),  # must wait: zero free pages remain
         ]
         sim = Simulation(
-            Mesh2D(8, 8),
+            Mesh(8, 8),
             make_allocator("hilbert+bf", page_size=1),
             get_pattern("ring"),
             jobs,
