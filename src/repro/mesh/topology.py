@@ -152,7 +152,11 @@ class Mesh:
         coords = []
         stride = 1
         for extent in shape:
-            coords.append(ids // stride % extent)
+            axis = ids // stride % extent
+            # Shared by every caller of axis_coords(): an in-place write
+            # would corrupt the mesh's geometry for all later users.
+            axis.flags.writeable = False
+            coords.append(axis)
             stride *= extent
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "torus", bool(torus))
@@ -182,7 +186,8 @@ class Mesh:
         return self.shape[1]
 
     def axis_coords(self, nodes=None) -> tuple[np.ndarray, ...]:
-        """Per-axis coordinate arrays of ``nodes`` (all nodes if None)."""
+        """Per-axis coordinate arrays of ``nodes`` (all nodes if None; those
+        are the mesh's own read-only arrays)."""
         if nodes is None:
             return self._coords
         nodes = np.asarray(nodes)

@@ -54,6 +54,7 @@ drains each job's remaining quota at its current rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,7 @@ def max_min_rates(
     weights: np.ndarray,
     capacities: np.ndarray,
     caps: np.ndarray,
+    incidence: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Max-min fair rates for flows with per-link weights and rate caps.
 
@@ -149,6 +151,12 @@ def max_min_rates(
         ``(L,)`` link capacities.
     caps:
         ``(J,)`` per-flow maximum rates (demand caps).
+    incidence:
+        ``(rows, links, values)``: the positive entries of ``weights`` in
+        row-major order, as ``np.nonzero(weights > 0)`` and the weights
+        there.  ``None`` (default) derives it from ``weights``; a caller
+        that keeps it (:class:`FluidNetwork`) has already rejected
+        negative weights, and ``weights`` is then not read.
 
     Returns
     -------
@@ -158,61 +166,100 @@ def max_min_rates(
     -----
     Progressive filling: raise all unfrozen rates together until either a
     link saturates (freeze its flows) or a flow hits its cap (freeze it).
-    Terminates in at most ``J`` iterations; each iteration is dense NumPy.
+    Terminates in at most ``J`` rounds.  Each round works on the incidence
+    restricted to the loaded links, not on the dense matrix, yet performs
+    the dense sweep's float operations in the same order:
+
+    * a link's demand is a ``np.bincount`` over the row-major entries,
+      which adds the active flows' weights in row order -- the order of
+      an axis-0 sum of the dense rows (skipped zeros change nothing,
+      since ``x + 0.0 == x``);
+    * a frozen flow's entries weigh ``+0.0`` from then on;
+    * every active flow has the same rate, ``level``, since all start at
+      0.0 and take the same ``+= dt`` steps, so the smallest cap
+      headroom is ``min(caps[active]) - level`` (rounding is monotone).
+
+    The dense sweep is kept as a test oracle and matched bit for bit on
+    every matrix of two or more links (NumPy sums a one-column matrix's
+    axis 0 pairwise instead, and no mesh has exactly one link).
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    capacities = np.asarray(capacities, dtype=np.float64)
     caps = np.asarray(caps, dtype=np.float64)
-    n_flows = weights.shape[0]
+    capacities = np.asarray(capacities, dtype=np.float64)
+    n_flows = caps.shape[0]
     if n_flows == 0:
         return np.zeros(0, dtype=np.float64)
-    if np.any(weights < 0):
-        raise ValueError("negative link weights")
+    if incidence is None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if np.any(weights < 0):
+            raise ValueError("negative link weights")
+        rows, links = np.nonzero(weights > 0)
+        values = weights[rows, links]
+    else:
+        rows, links, values = incidence
     if np.any(capacities <= 0):
         raise ValueError("link capacities must be positive")
 
-    rates = np.zeros(n_flows, dtype=np.float64)
-    active = np.ones(n_flows, dtype=bool)
-    residual = capacities.copy()
+    # Compact the loaded links into columns 0 .. n_loaded - 1.
+    n_links = capacities.shape[0]
+    loaded = np.zeros(n_links, dtype=bool)
+    loaded[links] = True
+    loaded_links = np.flatnonzero(loaded)
+    n_loaded = loaded_links.shape[0]
+    column = np.empty(n_links, dtype=np.intp)
+    column[loaded_links] = np.arange(n_loaded)
+    cols = column[links]
+    residual = capacities[loaded_links]
+    saturation = _EPS * np.maximum(residual, 1.0)
+    ratio = np.empty(n_loaded, dtype=np.float64)
 
     # Flows that use no links are limited only by their caps.
-    unloaded = ~np.any(weights > 0, axis=1)
-    rates[unloaded] = caps[unloaded]
-    active[unloaded] = False
-
-    while np.any(active):
-        w_active = weights[active]
-        demand = w_active.sum(axis=0)
-        used = demand > _EPS
-        # Common rate increment until the tightest link saturates.
-        if np.any(used):
-            dt_link = np.min(residual[used] / demand[used])
-        else:
-            dt_link = np.inf
+    counts = np.bincount(rows, minlength=n_flows)
+    offsets = [0, *np.cumsum(counts).tolist()]
+    active = counts > 0
+    rates = np.where(active, 0.0, caps)
+    n_active = int(np.count_nonzero(active))
+    live = values.copy()
+    level = 0.0
+    cap_min = caps[active].min() if n_active else 0.0
+    while n_active:
+        demand = np.bincount(cols, weights=live, minlength=n_loaded)
+        # Common rate increment until the tightest link saturates
+        # (inf when no link carries demand) ...
+        ratio.fill(np.inf)
+        np.divide(residual, demand, out=ratio, where=demand > _EPS)
+        dt_link = ratio.min()
         # ... or until the flow closest to its cap reaches it.
-        headroom = caps[active] - rates[active]
-        dt_cap = np.min(headroom)
+        dt_cap = cap_min - level
         dt = min(dt_link, dt_cap)
-        if not np.isfinite(dt) or dt < 0:
+        if not math.isfinite(dt) or dt < 0:
             raise RuntimeError("water-filling failed to converge")
 
-        idx = np.flatnonzero(active)
-        rates[idx] += dt
+        level += dt
         residual -= dt * demand
-        residual = np.maximum(residual, 0.0)
+        np.maximum(residual, 0.0, out=residual)
 
         if dt_cap <= dt_link:
             # Freeze flows that reached their caps.
-            capped = idx[caps[idx] - rates[idx] <= _EPS]
-            active[capped] = False
+            frozen = caps - level <= _EPS
+            frozen &= active
+        else:
+            frozen = np.zeros(n_flows, dtype=bool)
         if dt_link <= dt_cap:
             # Freeze flows crossing any saturated link.
-            saturated = residual <= _EPS * np.maximum(capacities, 1.0)
-            if np.any(saturated):
-                crossing = np.any(
-                    weights[np.ix_(idx, np.flatnonzero(saturated))] > 0, axis=1
-                )
-                active[idx[crossing]] = False
+            saturated = residual <= saturation
+            if saturated.any():
+                frozen[rows[saturated[cols]]] = True
+                frozen &= active
+        done = np.flatnonzero(frozen).tolist()
+        if not done:
+            continue
+        for row in done:
+            live[offsets[row] : offsets[row + 1]] = 0.0
+        rates[frozen] = level
+        active[frozen] = False
+        n_active -= len(done)
+        if n_active:
+            cap_min = caps[active].min()
     return rates
 
 
@@ -228,14 +275,18 @@ class FluidNetwork:
     geometrically grown ``(J_max, L)`` matrix hold the active flows' load
     vectors, with per-row caches of the derived quantities the rates need
     (hop shares, idle per-message time, the path-holding coefficient).
+    Each row also keeps its positive loads as ``(links, values)``, built
+    the first time a waterfill needs them; concatenated in row order they
+    are the row-major flow-link incidence ``max_min_rates`` runs on.
     This class is the one owner of the flow-to-row map: flows are appended
     in start order, and ``remove_flow`` compacts by shifting the rows above
     the hole down one slot (returning the removed row, so callers keeping
     row-parallel arrays shift theirs the same way) rather than swapping
-    the last row in.  A swap would permute rows, and row order is what
-    fixes the floating point reduction order of ``max_min_rates``'s column
-    sums -- order-preserving compaction keeps every array op bit-identical
-    to restacking an insertion-ordered flow dict from scratch.  A per-link
+    the last row in.  A swap would permute rows, and the incidence's row
+    order is what fixes the order in which ``max_min_rates`` adds each
+    link's demand -- order-preserving compaction keeps every array op
+    bit-identical to restacking an insertion-ordered flow dict from
+    scratch and solving it densely.  A per-link
     running column sum, updated by difference on add/remove, powers an
     uncongested fast path: when every flow could issue at its cap without
     filling any link (with a wide conservative margin, so drift in the
@@ -266,6 +317,9 @@ class FluidNetwork:
         self._idle_t = np.empty(0, dtype=np.float64)
         self._hold = np.empty(0, dtype=np.float64)
         self._colsum = np.zeros(n_links, dtype=np.float64)
+        # Per-row (links, values) of the positive loads, or None until a
+        # waterfill first needs them (see _incidence).
+        self._entries: list[tuple[np.ndarray, np.ndarray] | None] = []
         self._gate_cap = self._GATE_MARGIN * self.capacities / self.params.issue_rate
 
     @property
@@ -317,6 +371,7 @@ class FluidNetwork:
         self._idle_t[row] = 1.0 / p.issue_rate + p.hop_latency * hop_shares.sum()
         self._hold[row] = p.contention_factor * p.hop_latency * float(mean_hops)
         self._colsum += load_vector
+        self._entries.append(None)
         self._ids.append(flow_id)
         self._row_of[flow_id] = row
         self._n = row + 1
@@ -338,6 +393,7 @@ class FluidNetwork:
             self._idle_t[row : n - 1] = self._idle_t[row + 1 : n]
             self._hold[row : n - 1] = self._hold[row + 1 : n]
         del self._ids[row]
+        del self._entries[row]
         for i in range(row, n - 1):
             self._row_of[self._ids[i]] = i
         self._n = n - 1
@@ -346,6 +402,31 @@ class FluidNetwork:
             # +=/-= updates can never accumulate across the whole trace.
             self._colsum[:] = 0.0
         return row
+
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, links, values)`` of the active flows' positive loads,
+        row-major: ``np.nonzero(weights > 0)`` of the ``(n_flows, L)``
+        weights and the loads there, as ``max_min_rates`` takes it
+        (``n_flows >= 1``).
+
+        A row's ``(links, values)`` are built from its dense load the
+        first time a waterfill needs them (rejecting negative loads
+        there) and kept until the flow is removed, so a run whose
+        uncongested gate skips every waterfill never builds any.
+        """
+        entries = self._entries
+        for row, entry in enumerate(entries):
+            if entry is None:
+                load = self._weights[row]
+                if np.any(load < 0):
+                    raise ValueError("negative link weights")
+                links = np.flatnonzero(load > 0)
+                entries[row] = (links, load[links])
+        row_links = [links for links, _ in entries]
+        rows = np.repeat(np.arange(self._n), [len(links) for links in row_links])
+        links = np.concatenate(row_links)
+        values = np.concatenate([values for _, values in entries])
+        return rows, links, values
 
     def rates_vector(self) -> np.ndarray:
         """Message rate (messages/sec) of each active flow, in the row
@@ -370,7 +451,9 @@ class FluidNetwork:
             # caps every flow immediately, so its output is exactly `caps`.
             feasible = caps
         else:
-            feasible = max_min_rates(weights, self.capacities, caps)
+            feasible = max_min_rates(
+                weights, self.capacities, caps, incidence=self._incidence()
+            )
         r = np.minimum(feasible, 1.0 / self._idle_t[:n])
         if p.contention_factor == 0 or p.hop_latency == 0:
             return r

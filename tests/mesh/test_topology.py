@@ -61,6 +61,14 @@ class TestBasics2D:
         assert xs.tolist() == [0, 1, 2, 0, 1, 2]
         assert ys.tolist() == [0, 0, 0, 1, 1, 1]
 
+    def test_axis_coords_full_is_read_only(self):
+        mesh = Mesh(4, 4)
+        xs, _ = mesh.axis_coords()
+        with pytest.raises(ValueError, match="read-only"):
+            xs += 1
+        assert mesh.coords(3) == (3, 0)
+        assert mesh.axis_coords()[0].tolist() == [0, 1, 2, 3] * 4
+
     def test_axis_coords_subset(self):
         xs, ys = Mesh(3, 2).axis_coords([5, 1])
         assert xs.tolist() == [2, 1]

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.maxmin import assert_max_min_certificate
+from oracles.maxmin import assert_max_min_certificate, dense_max_min_rates
 
+from repro.campaign import expand, loads_campaign
 from repro.core.registry import make_allocator
 from repro.mesh.topology import Mesh
 from repro.network import fluid
 from repro.network.fluid import FluidNetwork, NetworkParams, max_min_rates
 from repro.network.traffic import build_load_vector
 from repro.patterns import AllToAll
+from repro.runner import run_cell
 from repro.sched.simulator import Simulation
 from repro.trace.synthetic import sdsc_paragon_trace
 
@@ -79,27 +81,112 @@ class TestMaxMinRates:
         rates = max_min_rates(w, capacities, caps)
         assert_max_min_certificate(w, capacities, caps, rates)
 
+    @given(
+        n_flows=st.integers(1, 64),
+        n_links=st.integers(2, 12),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        zero_rows=st.booleans(),
+        tiny_links=st.booleans(),
+        tight_caps=st.booleans(),
+        duplicate_rows=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle_bit_for_bit(
+        self, n_flows, n_links, density, seed, zero_rows, tiny_links, tight_caps, duplicate_rows
+    ):
+        """The incidence waterfill returns exactly the dense sweep's floats.
+
+        Two or more links: NumPy reduces a one-column matrix's axis 0
+        pairwise, so the dense reference's column sum is then not the
+        row-order sum (no mesh has exactly one directed link; the one-link
+        case is ``test_single_link_agrees_with_dense``).
+        """
+        rng = np.random.default_rng(seed)
+        w = rng.random((n_flows, n_links)) * (rng.random((n_flows, n_links)) < density)
+        if zero_rows:
+            w[rng.random(n_flows) < 0.3] = 0.0
+        if tiny_links:
+            # Links whose total demand can stay at or below _EPS.
+            w[:, rng.random(n_links) < 0.4] *= 1e-14
+        if duplicate_rows and n_flows > 1:
+            src = rng.integers(0, n_flows, size=n_flows // 2)
+            dst = rng.integers(0, n_flows, size=n_flows // 2)
+            w[dst] = w[src]
+        capacities = rng.choice([0.5, 1.0, 2.0], size=n_links) * rng.integers(1, 3)
+        if tight_caps:
+            caps = np.full(n_flows, 0.01) * rng.integers(1, 4, size=n_flows)
+        else:
+            caps = np.full(n_flows, rng.choice([0.5, 1.0, 10.0]))
+        rates = max_min_rates(w, capacities, caps)
+        assert np.array_equal(rates, dense_max_min_rates(w, capacities, caps))
+        rows, links = np.nonzero(w > 0)
+        incidence = (rows, links, w[rows, links])
+        assert np.array_equal(max_min_rates(w, capacities, caps, incidence=incidence), rates)
+
+    def test_single_link_agrees_with_dense(self):
+        """On one link the dense reference sums pairwise; the results agree
+        to rounding and both are max-min fair."""
+        rng = np.random.default_rng(7)
+        w = rng.random((40, 1)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+        capacities = np.array([1.0])
+        caps = np.full(40, 10.0)
+        rates = max_min_rates(w, capacities, caps)
+        assert_max_min_certificate(w, capacities, caps, rates)
+        np.testing.assert_allclose(rates, dense_max_min_rates(w, capacities, caps), rtol=1e-12)
+
+
+#: fig07's 16x22 machine, patterns, allocators, loads and trace length on
+#: links of 2 flits/s, where the waterfill runs on almost every rate
+#: refresh: ~2,800 solves, about 8 s with both checks on a 2-CPU VM.
+CONGESTED_GRID_TOML = """
+[campaign]
+name = "congested-grid"
+
+[defaults]
+seed = 1
+n_jobs = 150
+runtime_scale = 0.01
+network = { link_capacity = 2.0 }
+
+[axes]
+mesh = ["16x22"]
+pattern = ["all-to-all", "n-body", "random"]
+load = [1.0, 0.2]
+allocator = ["mc", "hilbert+bf", "random"]
+"""
+
+
+def _certify_every_solve(monkeypatch) -> list[int]:
+    """Wrap the ``max_min_rates`` that ``FluidNetwork.rates_vector`` calls:
+    each solve must pass the max-min certificate and equal the dense
+    reference bit for bit.  Returns, per solve, how many flows were held
+    below their cap (the saturated-link branch)."""
+    solves = []
+
+    def certified(weights, capacities, caps, incidence=None):
+        rates = max_min_rates(weights, capacities, caps, incidence=incidence)
+        assert_max_min_certificate(weights, capacities, caps, rates)
+        assert np.array_equal(rates, dense_max_min_rates(weights, capacities, caps))
+        solves.append(int(np.count_nonzero(rates < caps)))
+        return rates
+
+    monkeypatch.setattr(fluid, "max_min_rates", certified)
+    return solves
+
 
 class TestCertificateOnEverySolve:
     """The certificate holds on every waterfill a congested run performs.
 
     A test-side wrapper replaces the ``max_min_rates`` that
     ``FluidNetwork.rates_vector`` calls, checks each solve's output
-    against its inputs and hands the output on unchanged, so the run
-    itself is the product code path.
+    against its inputs and against the dense reference solver, and
+    hands the output on unchanged, so the run itself is the product
+    code path.
     """
 
     def test_congested_all_to_all_cell(self, monkeypatch):
-        solves = []
-
-        def certified(weights, capacities, caps):
-            rates = max_min_rates(weights, capacities, caps)
-            assert_max_min_certificate(weights, capacities, caps, rates)
-            # Flows held below their cap: the saturated-link branch.
-            solves.append(int(np.count_nonzero(rates < caps)))
-            return rates
-
-        monkeypatch.setattr(fluid, "max_min_rates", certified)
+        solves = _certify_every_solve(monkeypatch)
         mesh = Mesh(16, 22)
         jobs = [
             j
@@ -116,6 +203,19 @@ class TestCertificateOnEverySolve:
         ).run()
         assert len(result.jobs) == len(jobs)
         assert solves, "the congested run never reached the waterfill"
+        assert any(solves), "no solve had a link-limited flow"
+
+    def test_congested_grid(self, monkeypatch):
+        """Every cell of the congested grid: three patterns, three
+        allocators, two loads."""
+        solves = _certify_every_solve(monkeypatch)
+        cells = expand(loads_campaign(CONGESTED_GRID_TOML)).cells
+        assert len(cells) == 18
+        for cell in cells:
+            before = len(solves)
+            result = run_cell(cell.spec)
+            assert result.jobs, cell.spec
+            assert len(solves) > before, f"no waterfill in {cell.spec}"
         assert any(solves), "no solve had a link-limited flow"
 
 
@@ -145,6 +245,74 @@ class TestFluidNetwork:
         assert net.n_flows == 0
         with pytest.raises(ValueError):
             net.remove_flow(1)
+
+    @staticmethod
+    def _assert_incidence(net):
+        n = net.n_flows
+        weights = net._weights[:n]
+        rows, links, values = net._incidence()
+        expected_rows, expected_links = np.nonzero(weights > 0)
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(links, expected_links)
+        assert np.array_equal(values, weights[expected_rows, expected_links])
+
+    def test_incidence_follows_add_and_remove(self, mesh8):
+        """The kept incidence is the dense rows' nonzero pattern after
+        every step, whether a row's entries were built before its
+        neighbours moved or after."""
+        net = FluidNetwork(mesh8, NetworkParams(link_capacity=0.05))
+        n_links = net.space.n_links
+        rng = np.random.default_rng(11)
+
+        def load():
+            return rng.random(n_links) * (rng.random(n_links) < 0.2)
+
+        steps = [
+            ("add", 0, load()),
+            ("add", 1, np.zeros(n_links)),
+            ("add", 2, load()),
+            ("solve",),
+            ("add", 3, load()),
+            ("remove", 1),
+            ("add", 4, load()),
+            ("remove", 0),
+            ("solve",),
+            ("remove", 4),
+            ("add", 5, load()),
+            ("remove", 2),
+            ("remove", 3),
+            ("remove", 5),
+        ]
+        for step in steps:
+            if step[0] == "add":
+                net.add_flow(step[1], step[2], mean_hops=2.0)
+            elif step[0] == "remove":
+                net.remove_flow(step[1])
+            else:
+                assert np.all(net.rates_vector() > 0)
+            if net.n_flows:
+                self._assert_incidence(net)
+        assert net.n_flows == 0
+        assert net._entries == []
+
+    def test_uncongested_gate_builds_no_incidence(self, mesh8):
+        net = FluidNetwork(mesh8)
+        rng = np.random.default_rng(3)
+        for flow_id in range(4):
+            net.add_flow(flow_id, rng.random(net.space.n_links), mean_hops=2.0)
+        net.rates_vector()
+        assert net._entries == [None] * 4
+
+    def test_negative_load_raises_at_the_waterfill(self, mesh8):
+        net = FluidNetwork(mesh8, NetworkParams(link_capacity=0.05))
+        good = np.ones(net.space.n_links)
+        bad = good.copy()
+        bad[5] = -0.5
+        net.add_flow(0, good, mean_hops=2.0)
+        net.rates_vector()
+        net.add_flow(1, bad, mean_hops=2.0)
+        with pytest.raises(ValueError, match="negative link weights"):
+            net.rates_vector()
 
     def test_wrong_vector_length(self, mesh8):
         net = FluidNetwork(mesh8)

@@ -21,18 +21,21 @@ here (they are fixes to the model, not to the vectorisation):
 * arrival batching uses a relative time tolerance, so late arrivals in
   long traces are not glued to the wrong event by an absolute epsilon.
 
-Do not "optimise" this module -- its slowness is the point.  It imports
-nothing beyond numpy and ``repro`` so the benchmarks job can load it.
+Its waterfill is the dense progressive filling of :mod:`oracles.maxmin`,
+so the equivalence suites pin the simulator's sparse waterfill to a
+solver that shares no code with it.  Do not "optimise" this module --
+its slowness is the point.  It imports nothing beyond numpy, ``repro``
+and :mod:`oracles.maxmin` so the benchmarks job can load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from oracles.maxmin import dense_max_min_rates
 
 from repro.core.base import Request
 from repro.core.metrics import average_pairwise_hops, components
 from repro.mesh.machine import Machine
-from repro.network.fluid import max_min_rates
 from repro.network.links import link_space_for
 from repro.network.traffic import build_load_vector, mean_message_hops
 from repro.sched.fcfs import FCFSQueue
@@ -89,7 +92,7 @@ class _LoopFluidNetwork:
         issue = 1.0 / p.issue_rate
         caps = np.full(len(ids), p.issue_rate)
 
-        feasible = max_min_rates(weights, self.capacities, caps)
+        feasible = dense_max_min_rates(weights, self.capacities, caps)
         hop_shares = weights / p.message_flits
         idle_t = issue + p.hop_latency * hop_shares.sum(axis=1)
         r = np.minimum(feasible, 1.0 / idle_t)
