@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices docs/substitutions.md
+section 4 lists.
 
 * S-curve run direction on the 16x22 mesh -- the paper: "such a mesh
   presents the choice of whether the long part of each curve will move in

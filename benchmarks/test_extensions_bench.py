@@ -1,4 +1,4 @@
-"""Benches for the extension experiments (DESIGN.md section 4).
+"""Benches for the extension experiments (docs/substitutions.md section 4).
 
 * the contiguous-allocation baseline (the paper's Section 2 motivation),
 * the pattern-dispatching hybrid (the paper's Section 5 proposal).

@@ -21,7 +21,7 @@ Quickstart::
     alloc = make_allocator("hilbert+bf").allocate(Request(size=30), machine)
     machine.allocate(alloc.nodes, job_id=0)
 
-See ``examples/`` for runnable scenarios and DESIGN.md for the system map.
+See ``examples/`` for runnable scenarios and docs/architecture.md for the system map.
 """
 
 from repro.core import (

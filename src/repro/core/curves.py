@@ -19,7 +19,7 @@ Implemented orderings:
   original paper's exact reflection conventions are not recoverable from
   the figure, and every structural property the experiments rely on
   (Hamiltonian cycle, unit steps, Hilbert-class locality, truncation gaps)
-  is preserved and property-tested.  See DESIGN.md substitution #4.
+  is preserved and property-tested.  See docs/substitutions.md substitution #4.
 
 Non-power-of-two meshes follow the paper exactly: "To get a curve for the
 16 x 22 machine, we truncated a 32 x 32 curve to the appropriate size.  The

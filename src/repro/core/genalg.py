@@ -77,7 +77,7 @@ class GenAlgAllocator(Allocator):
         The medoid (member minimising total distance to the others) anchors
         the order so the job's virtual ring stays geographically coherent;
         the paper does not specify a rank order for MC/Gen-Alg allocations,
-        see DESIGN.md substitution #5.  Equal-distance members are ranked
+        see docs/substitutions.md substitution #5.  Equal-distance members are ranked
         by node id, but a tie between equal-sum medoids goes to the one
         that comes first in ``members`` -- not to the lower node id.  For
         a candidate set that order is ``np.argpartition``'s output order,

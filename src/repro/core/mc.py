@@ -20,12 +20,13 @@ area), the natural reading of "users request an allocation with dimensions
 that can fit the job".  An explicitly provided :attr:`Request.shape`
 overrides the inference.
 
-Conventions the paper leaves open (DESIGN.md substitution #5): candidate
-placements are all anchor positions where the submesh lies inside the mesh
-(every free processor for MC1x1); shells are clipped at mesh boundaries,
-and do not wrap on a torus; within a tied shell processors are taken in
-row-major order; tied anchors resolve to the lowest row-major anchor.
-Returned rank order is (shell, row-major) -- innermost first.
+Conventions the paper leaves open (docs/substitutions.md substitution
+#5): candidate placements are all anchor positions where the submesh lies
+inside the mesh (every free processor for MC1x1); shells are clipped at
+mesh boundaries, and do not wrap on a torus; within a tied shell
+processors are taken in row-major order; tied anchors resolve to the
+lowest row-major anchor.  Returned rank order is (shell, row-major) --
+innermost first.
 
 Scoring costs O(F * S) for F free processors and S = max(W, H) shells,
 not O(F^2): :func:`shell_costs` reads how many free processors lie in

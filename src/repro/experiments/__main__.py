@@ -147,7 +147,7 @@ EXPERIMENTS = {
         fig11_contiguity.report,
         "percent contiguous & average components table",
     ),
-    # Extensions beyond the paper's evaluation (DESIGN.md section 4).
+    # Extensions beyond the paper's evaluation (docs/substitutions.md section 4).
     "fig12": (
         lambda s, seed, tr, j, c, t: fig12_torus8.run(s, seed, jobs=j, cache=c, tier=t),
         fig12_torus8.report,

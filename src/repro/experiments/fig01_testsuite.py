@@ -5,7 +5,7 @@ jobs running "all-to-all broadcast, all-pairs ping-pong ..., and ring
 communication", each repeated 100 times, against the average number of hops
 between the job's processors.  Running time grows with dispersal.
 
-We reproduce the relationship on the flit-level microsimulator (DESIGN.md
+We reproduce the relationship on the flit-level microsimulator (docs/substitutions.md
 substitution #3): allocations of controlled dispersal are generated by
 starting from a compact (Hilbert + Best Fit) 30-processor placement on the
 16x22 mesh and relocating a growing fraction of its processors uniformly at

@@ -10,8 +10,9 @@ job communicates with either the all-to-all or the n-body pattern (seeded
 50/50 split) -- comparing the pattern-dispatching
 :class:`~repro.core.hybrid.HybridAllocator` against the fixed strategies.
 This goes beyond the paper (its experiments give every job the same
-pattern), so it is labelled an extension in DESIGN.md.  The grid is
-declared once, in ``repro/campaign/data/hybrid.toml``.
+pattern), so it is labelled an extension in docs/substitutions.md
+section 4.  The grid is declared once, in
+``repro/campaign/data/hybrid.toml``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ machine throughput", Section 3).  It simulates:
 * per-link FIFO arbitration of blocked headers,
 * per-hop router latency and per-flit link transfer time.
 
-Simplification (documented in DESIGN.md): a message releases all of its
+Simplification (docs/substitutions.md substitution #6): a message releases all of its
 links when its tail reaches the destination, rather than releasing each link
 as the tail passes.  This slightly lengthens hold times on early links but
 keeps the event count at O(hops + 1) per message.  Deadlock freedom is

@@ -3,13 +3,19 @@
 The paper schedules FCFS only ("our focus is on allocation rather than
 scheduling"); the fairness subsystem widens the question to *who* waits
 under contention.  This module is the single source of truth for which
-disciplines exist:
+disciplines exist.  Each is an object with one interface, ``submit``,
+``head``, ``len`` and ``start_jobs(try_start, now, reserve)``, which the
+simulator calls at its two start sites.  ``try_start(job)`` places and
+starts a job (False, with no side effect, when it cannot);
+``reserve(head)`` gives the blocked head's ``(shadow time, spare
+processors)``, and only EASY asks for it.
 
-``fcfs`` / ``easy``
-    The original strict-FIFO queue and its EASY-backfill variant.  Both
-    are implemented inside the engines (they need reservation state the
-    queue does not own), so :func:`make_discipline` returns ``None`` and
-    the engine falls back to its built-in path.
+``fcfs``
+    Strict FIFO, the paper's policy: the head blocks every later job.
+``easy``
+    FCFS plus EASY backfill behind the blocked head.  The window test
+    uses the optimistic quota-seconds runtime, so a backfilled job can
+    overrun the head's shadow time.
 ``wfq``
     Weighted fair queueing over priority classes (self-clocked fair
     queueing): each class keeps a FIFO of its jobs; a job arriving in
@@ -27,10 +33,8 @@ disciplines exist:
     can place them.  A tenant that cannot start its head forfeits the
     visit; the pass ends after a full silent lap.
 
-Both new disciplines are plain-Python policy objects shared verbatim by
-the vector and loop engines, which is what keeps the two engines
-bit-identical: the decision sequence is computed by the *same* object at
-the *same* call sites.
+The loop-engine test oracle keeps its own copies of all four, so the
+equivalence suites check these objects against code they do not share.
 
 Priority policies (:func:`apply_priority`) assign ``priority_class`` to
 jobs at spec-build time:
@@ -57,9 +61,14 @@ __all__ = [
     "class_weight",
     "validate_priority",
     "apply_priority",
+    "FCFSQueue",
+    "EasyQueue",
     "WFQQueue",
     "DRRQueue",
 ]
+
+#: Rounding slack on EASY's window test.
+_WINDOW_SLACK = 1e-9
 
 
 def class_weight(priority_class: int) -> float:
@@ -70,6 +79,63 @@ def class_weight(priority_class: int) -> float:
     of quota ``q / 2``.
     """
     return 1.0 + priority_class
+
+
+class FCFSQueue:
+    """Strict first-come-first-serve: the head blocks all later jobs."""
+
+    name = "fcfs"
+
+    def __init__(self, jobs: Sequence[Job] = ()) -> None:
+        self._queue: deque[Job] = deque()
+
+    def submit(self, job: Job) -> None:
+        """Append an arriving job."""
+        self._queue.append(job)
+
+    def head(self) -> Job | None:
+        """The blocking job at the front (None when empty)."""
+        return self._queue[0] if self._queue else None
+
+    def start_jobs(self, try_start, now: float, reserve) -> bool:
+        """Start jobs in arrival order until the head fails to place."""
+        started = False
+        while self._queue and try_start(self._queue[0]):
+            self._queue.popleft()
+            started = True
+        return started
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    def __bool__(self) -> bool:
+        return bool(self._queue)
+
+
+class EasyQueue(FCFSQueue):
+    """FCFS plus EASY backfill behind the blocked head (an extension)."""
+
+    name = "easy"
+
+    def start_jobs(self, try_start, now: float, reserve) -> bool:
+        """The FCFS pass, then backfill behind the head it left blocked.
+
+        A later job starts if it ends by the shadow time at the 1 msg/s
+        issue floor (``quota`` seconds), or fits in the spare processors.
+        Each backfilled start moves the reservation, so it is re-asked.
+        """
+        started = super().start_jobs(try_start, now, reserve)
+        if not self._queue:
+            return started
+        head = self._queue[0]
+        shadow, spare = reserve(head)
+        for job in list(self._queue)[1:]:
+            fits_window = now + job.quota <= shadow + _WINDOW_SLACK
+            if (fits_window or job.size <= spare) and try_start(job):
+                self._queue.remove(job)
+                started = True
+                shadow, spare = reserve(head)
+        return started
 
 
 class WFQQueue:
@@ -111,7 +177,7 @@ class WFQQueue:
         selected = self._select()
         return None if selected is None else selected[1][0][1]
 
-    def start_jobs(self, try_start) -> bool:
+    def start_jobs(self, try_start, now: float, reserve) -> bool:
         """Start minimum-tag heads until one fails to place (strict)."""
         started = False
         while self._n:
@@ -167,7 +233,7 @@ class DRRQueue:
                 return queue[0]
         return None
 
-    def start_jobs(self, try_start) -> bool:
+    def start_jobs(self, try_start, now: float, reserve) -> bool:
         """One DRR pass: visit tenants until a full lap starts nothing."""
         started = False
         idle_visits = 0
@@ -200,10 +266,10 @@ class DRRQueue:
         return self._n > 0
 
 
-#: name -> discipline factory (None: built into the engines).
-SCHEDULERS: dict[str, type | None] = {
-    "fcfs": None,
-    "easy": None,
+#: name -> discipline class.
+SCHEDULERS: dict[str, type] = {
+    "fcfs": FCFSQueue,
+    "easy": EasyQueue,
     "wfq": WFQQueue,
     "drr": DRRQueue,
 }
@@ -223,15 +289,17 @@ def validate_scheduler(scheduler: str) -> str:
 
 
 def make_discipline(scheduler: str, jobs: Sequence[Job]):
-    """A fresh policy object for ``scheduler`` (None for engine-native).
+    """A fresh, empty discipline object for ``scheduler``.
 
     ``jobs`` is the full sorted trace -- disciplines may precompute
     trace-wide constants from it (DRR sizes its quantum to the largest
     quota) but must not assume arrival order beyond what ``submit``
     delivers.
+
+    >>> [type(make_discipline(name, [])).__name__ for name in scheduler_names()]
+    ['FCFSQueue', 'EasyQueue', 'WFQQueue', 'DRRQueue']
     """
-    factory = SCHEDULERS[validate_scheduler(scheduler)]
-    return None if factory is None else factory(jobs)
+    return SCHEDULERS[validate_scheduler(scheduler)](jobs)
 
 
 def _parse_priority(policy: str) -> tuple[str, int]:

@@ -1,9 +1,10 @@
 """Trace-driven FCFS simulator over the fluid network engine.
 
 This is the reproduction's counterpart of the paper's ProcSimity runs
-(Section 3): jobs arrive per the trace, wait in a strict FCFS queue, are
-placed by the allocator under test, and then drain their message quota at
-the max-min fair rate the contended network gives them.  A job's completion
+(Section 3): jobs arrive per the trace, wait in a queue (strict FCFS in
+the paper; any discipline of :mod:`repro.sched.registry`), are placed by
+the allocator under test, and then drain their message quota at the
+max-min fair rate the contended network gives them.  A job's completion
 releases its processors, which may unblock the queue head.
 
 Event structure: the only times rates change are job starts and job
@@ -23,7 +24,7 @@ results to it, byte for byte, across mesh/pattern/scheduler combinations.
 With ``A`` concurrently active jobs and ``N`` trace jobs the run costs
 ``O(N * (A * links))`` NumPy work -- minutes for the full 6087-job trace
 across a parameter sweep, versus ~10^8 flit events for the microsimulator
-(see DESIGN.md substitution #2).
+(see docs/substitutions.md, substitution #2).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.mesh.topology import Mesh
 from repro.network.fluid import FluidNetwork, NetworkParams
 from repro.network.traffic import all_pairs_closed_form, pattern_flow_profile
 from repro.patterns.base import Pattern
-from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
 from repro.sched.registry import make_discipline, validate_scheduler
 
@@ -237,28 +237,26 @@ class Simulation:
         self.params = params or NetworkParams()
         self.seed = seed
         self.load_factor = load_factor
-        # "easy" enables EASY backfilling (extension; the paper is strictly
-        # FCFS): queued jobs behind a blocked head may start if, under the
-        # optimistic quota-seconds runtime estimate, they cannot delay the
-        # head's capacity reservation.  "wfq"/"drr" swap the FIFO for a
-        # fairness discipline from repro.sched.registry.
+        # The queueing discipline (repro.sched.registry); the paper's is
+        # "fcfs", the others are extensions.
         self.scheduler = validate_scheduler(scheduler)
         self.jobs = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
+        seen: set[int] = set()
         for job in self.jobs:
             if job.size > mesh.n_nodes:
                 raise ValueError(
                     f"job {job.job_id} needs {job.size} > {mesh.n_nodes} nodes"
                 )
+            if job.job_id in seen:  # ids key pattern seeds and flows
+                raise ValueError(f"job id {job.job_id} appears more than once")
+            seen.add(job.job_id)
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Execute the trace to completion and return per-job results."""
         machine = Machine(self.mesh)
         network = FluidNetwork(self.mesh, self.params)
-        # Registry disciplines (wfq/drr) replace the FIFO wholesale; they
-        # duck-type submit/head/__len__/__bool__ and own job selection.
-        policy = make_discipline(self.scheduler, self.jobs)
-        queue = FCFSQueue() if policy is None else policy
+        queue = make_discipline(self.scheduler, self.jobs)
         table = _ActiveTable()
         records: dict[int, _ActiveJob] = {}
         results: list[JobResult] = []
@@ -346,35 +344,6 @@ class Simulation:
                     return t, free - head.size
             return float("inf"), 0
 
-        def backfill() -> bool:
-            """EASY: start jobs behind the head that cannot delay it."""
-            head = queue.head()
-            shadow, spare = head_reservation(head)
-            started = False
-            for job in [j for j in queue][1:]:
-                if job.size > machine.n_free:
-                    continue
-                # Optimistic estimate: quota seconds (1 msg/s issue floor).
-                fits_window = now + job.quota <= shadow + _EPS
-                fits_spare = job.size <= spare
-                if (fits_window or fits_spare) and try_start(job):
-                    queue.remove(job)
-                    started = True
-                    shadow, spare = head_reservation(head)
-            return started
-
-        def start_eligible() -> bool:
-            """Start queued jobs per the scheduling policy."""
-            if policy is not None:
-                return policy.start_jobs(try_start)
-            started = False
-            while queue and try_start(queue.head()):
-                queue.pop_head()
-                started = True
-            if queue and self.scheduler == "easy":
-                started |= backfill()
-            return started
-
         def refresh_rates() -> None:
             n = table.n
             if n:
@@ -386,20 +355,17 @@ class Simulation:
             n = table.n
             table.remaining[:n] -= table.rate[:n] * dt
 
-        def next_completion() -> float:
-            n = table.n
-            if n == 0:
-                return float("inf")
-            rate = table.rate[:n]
-            running = rate > 0
-            if not running.any():
-                return float("inf")
-            remaining = np.maximum(table.remaining[:n][running], 0.0)
-            return float(now + np.min(remaining / rate[running]))
-
         while arr_idx < n_jobs or queue or table.n:
             t_arrival = float(arrivals[arr_idx]) if arr_idx < n_jobs else float("inf")
-            t_completion = next_completion()
+            # Each running job's predicted completion at current rates.
+            n = table.n
+            rate = table.rate[:n]
+            running = rate > 0
+            pred = np.full(n, np.inf)
+            pred[running] = (
+                now + np.maximum(table.remaining[:n][running], 0.0) / rate[running]
+            )
+            t_completion = float(pred.min(initial=np.inf))
             if t_arrival == float("inf") and t_completion == float("inf"):
                 raise RuntimeError(
                     "simulation stalled: queued jobs cannot start "
@@ -407,22 +373,13 @@ class Simulation:
                     f"{machine.n_free} free)"
                 )
             t_next = min(t_arrival, t_completion)
-            # Jobs whose predicted completion IS this event (same floats
-            # next_completion minimised over).  Late in a trace the final
-            # ``remaining -= rate * dt`` cancellation can leave the
-            # completing job a few ulps above the absolute epsilon below,
-            # which would re-select the same event time forever (dt = 0);
-            # the due set forces every job this event was scheduled for.
-            due_rows: np.ndarray | None = None
-            if t_completion == t_next and table.n:
-                n = table.n
-                rate = table.rate[:n]
-                running = rate > 0
-                pred = np.full(n, np.inf)
-                pred[running] = (
-                    now + np.maximum(table.remaining[:n][running], 0.0) / rate[running]
-                )
-                due_rows = np.nonzero(pred == t_completion)[0]
+            # Jobs whose predicted completion IS this event.  Late in a
+            # trace the final ``remaining -= rate * dt`` cancellation can
+            # leave the completing job a few ulps above the absolute
+            # epsilon below, which would re-select the same event time
+            # forever (dt = 0); the due set forces every job this event
+            # was scheduled for.  (Empty when an arrival comes first.)
+            due_rows = np.flatnonzero(pred == t_next)
             advance(t_next - now)
             now = t_next
 
@@ -436,14 +393,13 @@ class Simulation:
                 for idx in range(arr_idx, batch_end):
                     queue.submit(self.jobs[idx])
                 arr_idx = batch_end
-                changed |= start_eligible()
+                changed |= queue.start_jobs(try_start, now, head_reservation)
 
             done = table.remaining[: table.n] <= _EPS
-            if due_rows is not None:
-                # Rows are append-only between the due snapshot and here
-                # (starts happen above, removals only below), so the
-                # snapshot's row indices are still valid.
-                done[due_rows] = True
+            # Rows are append-only between the due snapshot and here
+            # (starts happen above, removals only below), so the
+            # snapshot's row indices are still valid.
+            done[due_rows] = True
             ids = network.flow_ids()
             finished = [ids[r] for r in np.nonzero(done)[0]]
             for jid in finished:
@@ -469,7 +425,7 @@ class Simulation:
                 )
                 changed = True
             if finished:
-                changed |= start_eligible()
+                changed |= queue.start_jobs(try_start, now, head_reservation)
             if changed:
                 refresh_rates()
 

@@ -4,7 +4,7 @@ The paper drives its simulations with "all jobs submitted to the 352-node
 NQS partition of the Intel Paragon at the San Diego Supercomputer Center
 during the last three months of 1996" -- 6087 jobs whose published moment
 statistics this package matches synthetically (the original trace file is
-not available offline; see DESIGN.md substitution #1):
+not available offline; see docs/substitutions.md substitution #1):
 
 * mean interarrival 1301 s, coefficient of variation 3.7,
 * mean size 14.5 nodes, CV 1.5, "heavily favoring sizes that are powers of

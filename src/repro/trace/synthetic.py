@@ -1,4 +1,5 @@
-"""Synthetic SDSC-Paragon-like trace generation (DESIGN.md substitution #1).
+"""Synthetic SDSC-Paragon-like trace generation (docs/substitutions.md
+substitution #1).
 
 :func:`sdsc_paragon_trace` reproduces the published statistics of the trace
 behind the paper's simulations; :func:`synthetic_trace` is the general

@@ -2,7 +2,7 @@
 
 Two executable guarantees over the documented subsystems
 (:mod:`repro.runner`, :mod:`repro.campaign`, :mod:`repro.trace`,
-:mod:`repro.mesh`):
+:mod:`repro.mesh`, :mod:`repro.sched`):
 
 * every name exported through ``__all__`` carries a docstring (module
   constants are exempt -- Python attaches no ``__doc__`` to them; their
@@ -22,9 +22,10 @@ import pytest
 import repro.campaign
 import repro.mesh
 import repro.runner
+import repro.sched
 import repro.trace
 
-PUBLIC_PACKAGES = (repro.runner, repro.campaign, repro.trace, repro.mesh)
+PUBLIC_PACKAGES = (repro.runner, repro.campaign, repro.trace, repro.mesh, repro.sched)
 
 
 def _modules():

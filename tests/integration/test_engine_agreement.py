@@ -1,4 +1,5 @@
-"""Cross-validation of the flit and fluid engines (DESIGN.md substitution #2).
+"""Cross-validation of the flit and fluid engines (docs/substitutions.md
+substitution #2).
 
 The fluid engine replaces the flit microsimulator for full-trace sweeps;
 these tests check the two engines order scenarios the same way -- the

@@ -23,14 +23,20 @@ here (they are fixes to the model, not to the vectorisation):
 
 Its waterfill is the dense progressive filling of :mod:`oracles.maxmin`,
 so the equivalence suites pin the simulator's sparse waterfill to a
-solver that shares no code with it.  Do not "optimise" this module --
-its slowness is the point.  It imports nothing beyond numpy, ``repro``
-and :mod:`oracles.maxmin` so the benchmarks job can load it.
+solver that shares no code with it.  Its scheduling shares none either:
+FCFS and EASY run inline on a private deque, and ``wfq``/``drr`` use the
+frozen copies in :mod:`oracles.disciplines`, so the suites check all
+four :mod:`repro.sched.registry` disciplines.  Do not "optimise" this
+module -- its slowness is the point.  It imports nothing beyond numpy,
+``repro`` and its sibling oracles so the benchmarks job can load it.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
+from oracles.disciplines import DISCIPLINES
 from oracles.maxmin import dense_max_min_rates
 
 from repro.core.base import Request
@@ -38,9 +44,7 @@ from repro.core.metrics import average_pairwise_hops, components
 from repro.mesh.machine import Machine
 from repro.network.links import link_space_for
 from repro.network.traffic import build_load_vector, mean_message_hops
-from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
-from repro.sched.registry import make_discipline
 from repro.sched.simulator import SimulationResult
 
 __all__ = ["ENGINES", "run_engine", "run_loop"]
@@ -136,11 +140,13 @@ def run_loop(sim) -> SimulationResult:
     """
     machine = Machine(sim.mesh)
     network = _LoopFluidNetwork(sim.mesh, sim.params)
-    # Registry disciplines are shared, pure-Python policy objects; calling
-    # the same code at the same event points is what keeps this engine
-    # bit-identical to the vectorised one under wfq/drr.
-    policy = make_discipline(sim.scheduler, sim.jobs)
-    queue = FCFSQueue() if policy is None else policy
+    # fcfs/easy wait in ``fifo``; wfq/drr in the oracle's own copy of
+    # the discipline, called at the same event points as the simulator.
+    discipline = DISCIPLINES.get(sim.scheduler)
+    policy = None if discipline is None else discipline(sim.jobs)
+    fifo: deque[Job] = deque()
+    queue = fifo if policy is None else policy
+    submit = fifo.append if policy is None else policy.submit
     active: dict[int, _ActiveJob] = {}
     results: list[JobResult] = []
     spawned = np.random.SeedSequence(sim.seed).spawn(len(sim.jobs))
@@ -206,16 +212,16 @@ def run_loop(sim) -> SimulationResult:
         return float("inf"), 0
 
     def backfill() -> bool:
-        head = queue.head()
+        head = fifo[0]
         shadow, spare = head_reservation(head)
         started = False
-        for job in [j for j in queue][1:]:
+        for job in list(fifo)[1:]:
             if job.size > machine.n_free:
                 continue
             fits_window = now + job.quota <= shadow + _EPS
             fits_spare = job.size <= spare
             if (fits_window or fits_spare) and try_start(job):
-                queue.remove(job)
+                fifo.remove(job)
                 started = True
                 shadow, spare = head_reservation(head)
         return started
@@ -224,10 +230,10 @@ def run_loop(sim) -> SimulationResult:
         if policy is not None:
             return policy.start_jobs(try_start)
         started = False
-        while queue and try_start(queue.head()):
-            queue.pop_head()
+        while fifo and try_start(fifo[0]):
+            fifo.popleft()
             started = True
-        if queue and sim.scheduler == "easy":
+        if fifo and sim.scheduler == "easy":
             started |= backfill()
         return started
 
@@ -249,9 +255,8 @@ def run_loop(sim) -> SimulationResult:
         t_completion = next_completion()
         if t_arrival == float("inf") and t_completion == float("inf"):
             raise RuntimeError(
-                "simulation stalled: queued jobs cannot start "
-                f"(queue head size {queue.head().size if queue else '?'}, "
-                f"{machine.n_free} free)"
+                f"simulation stalled: {len(queue)} queued jobs cannot start "
+                f"({machine.n_free} free)"
             )
         t_next = min(t_arrival, t_completion)
         # Mirror of the vector engine's due set: jobs this completion
@@ -275,7 +280,7 @@ def run_loop(sim) -> SimulationResult:
                 arr_idx < n_jobs
                 and sim.jobs[arr_idx].arrival <= now + _arrival_tol(now)
             ):
-                queue.submit(sim.jobs[arr_idx])
+                submit(sim.jobs[arr_idx])
                 arr_idx += 1
             changed |= start_eligible()
 

@@ -1,9 +1,9 @@
-"""Tests for repro.sched.job and repro.sched.fcfs."""
+"""Tests for repro.sched.job and the registry's FCFSQueue."""
 
 import pytest
 
-from repro.sched.fcfs import FCFSQueue
 from repro.sched.job import Job, JobResult
+from repro.sched.registry import FCFSQueue
 
 
 class TestJob:
@@ -51,6 +51,10 @@ class TestJobResult:
         assert r.contiguous
 
 
+def no_reserve(head):
+    raise AssertionError("FCFS never asks for a reservation")
+
+
 class TestFCFSQueue:
     def test_fifo_order(self):
         q = FCFSQueue()
@@ -58,17 +62,31 @@ class TestFCFSQueue:
         for j in jobs:
             q.submit(j)
         assert q.head() is jobs[0]
-        assert q.pop_head() is jobs[0]
-        assert q.head() is jobs[1]
+        order = []
+        assert q.start_jobs(lambda j: order.append(j) or True, 0.0, no_reserve)
+        assert order == jobs
+        assert not q
 
     def test_empty(self):
         q = FCFSQueue()
         assert q.head() is None
         assert not q
         assert len(q) == 0
+        assert q.start_jobs(lambda j: True, 0.0, no_reserve) is False
 
-    def test_iteration(self):
+    def test_head_blocks_every_later_job(self):
+        """A head that cannot place blocks the small jobs behind it."""
         q = FCFSQueue()
-        for i in range(4):
-            q.submit(Job(i, 0.0, 1, 1.0))
-        assert [j.job_id for j in q] == [0, 1, 2, 3]
+        jobs = [Job(0, 0.0, 1, 1.0), Job(1, 0.0, 64, 1.0), Job(2, 0.0, 1, 1.0)]
+        for j in jobs:
+            q.submit(j)
+        offered = []
+
+        def try_start(job):
+            offered.append(job.job_id)
+            return job.size <= 1
+
+        assert q.start_jobs(try_start, 0.0, no_reserve) is True
+        assert offered == [0, 1]  # job 2 is never offered
+        assert q.head() is jobs[1]
+        assert len(q) == 2

@@ -9,6 +9,8 @@ from repro.patterns.base import get_pattern
 from repro.sched.job import Job
 from repro.sched.registry import (
     DRRQueue,
+    EasyQueue,
+    FCFSQueue,
     WFQQueue,
     apply_priority,
     class_weight,
@@ -18,6 +20,10 @@ from repro.sched.registry import (
     validate_scheduler,
 )
 from repro.sched.simulator import Simulation
+
+
+def no_reserve(head):
+    raise AssertionError("only EASY asks for a reservation")
 
 
 def run_sim(jobs, scheduler, engine="vector"):
@@ -48,10 +54,17 @@ class TestRegistry:
         assert "'sjf'" in str(err.value)
 
     def test_make_discipline(self):
-        assert make_discipline("fcfs", []) is None
-        assert make_discipline("easy", []) is None
-        assert isinstance(make_discipline("wfq", []), WFQQueue)
-        assert isinstance(make_discipline("drr", []), DRRQueue)
+        assert type(make_discipline("fcfs", [])) is FCFSQueue
+        assert type(make_discipline("easy", [])) is EasyQueue
+        assert type(make_discipline("wfq", [])) is WFQQueue
+        assert type(make_discipline("drr", [])) is DRRQueue
+
+    @pytest.mark.parametrize("name", scheduler_names())
+    def test_every_discipline_starts_through_one_signature(self, name):
+        queue = make_discipline(name, [Job(0, 0.0, 1, 1.0)])
+        queue.submit(Job(0, 0.0, 1, 1.0))
+        assert queue.start_jobs(lambda j: True, 0.0, no_reserve) is True
+        assert not queue
 
     def test_simulation_error_derived_from_registry(self):
         """Satellite: the Simulation validation message names wfq/drr."""
@@ -109,7 +122,7 @@ class TestWFQQueue:
         for job in jobs:
             queue.submit(job)
         order = []
-        queue.start_jobs(lambda j: order.append(j) or True)
+        queue.start_jobs(lambda j: order.append(j) or True, 0.0, no_reserve)
         assert order == jobs
 
     def test_strict_head_blocking(self):
@@ -119,7 +132,7 @@ class TestWFQQueue:
         small = Job(1, 0.0, 1, 10.0)
         queue.submit(blocked)
         queue.submit(small)
-        started = queue.start_jobs(lambda j: j.size <= 1)
+        started = queue.start_jobs(lambda j: j.size <= 1, 0.0, no_reserve)
         assert started is False
         assert len(queue) == 2
 
@@ -138,7 +151,7 @@ class TestDRRQueue:
         for job in jobs:
             queue.submit(job)
         order = []
-        queue.start_jobs(lambda j: order.append(j.job_id) or True)
+        queue.start_jobs(lambda j: order.append(j.job_id) or True, 0.0, no_reserve)
         assert order == [0, 1, 2, 3, 4, 5]
 
     def test_quantum_covers_largest_quota(self):
@@ -146,7 +159,7 @@ class TestDRRQueue:
         big = Job(0, 0.0, 60, 10.0, user_id=0)
         queue = DRRQueue([big])
         queue.submit(big)
-        started = queue.start_jobs(lambda j: True)
+        started = queue.start_jobs(lambda j: True, 0.0, no_reserve)
         assert started is True
         assert len(queue) == 0
 
@@ -159,7 +172,9 @@ class TestDRRQueue:
         for job in jobs:
             queue.submit(job)
         order = []
-        queue.start_jobs(lambda j: j.size <= 1 and (order.append(j.job_id) or True))
+        queue.start_jobs(
+            lambda j: j.size <= 1 and (order.append(j.job_id) or True), 0.0, no_reserve
+        )
         # Tenant 0's head cannot place; tenant 1 still gets its visit.
         assert order == [1]
         assert len(queue) == 1
@@ -170,6 +185,115 @@ class TestDRRQueue:
         for job in jobs:
             queue.submit(job)
         assert queue.head() is jobs[0]
+
+
+class FakeMachine:
+    """``try_start`` over a free-processor count, recording every start."""
+
+    def __init__(self, free):
+        self.free = free
+        self.started = []
+
+    def try_start(self, job):
+        if job.size > self.free:
+            return False
+        self.free -= job.size
+        self.started.append(job.job_id)
+        return True
+
+
+class TestEasyQueue:
+    """EASY's backfill walk against a fake machine and reservation."""
+
+    def _queue(self, jobs):
+        queue = EasyQueue()
+        for job in jobs:
+            queue.submit(job)
+        return queue
+
+    def test_job_inside_the_window_is_backfilled(self):
+        # Head needs 10 of 4 free processors; the reservation says it
+        # starts at t = 50 with no spare.  A 20 s job at t = 10 ends by 30.
+        head, short = Job(0, 0.0, 10, 1.0), Job(1, 0.0, 2, 20.0)
+        machine = FakeMachine(4)
+        queue = self._queue([head, short])
+        assert queue.start_jobs(machine.try_start, 10.0, lambda h: (50.0, 0))
+        assert machine.started == [1]
+        assert queue.head() is head and len(queue) == 1
+
+    def test_job_ending_at_the_shadow_time_is_backfilled(self):
+        head, edge = Job(0, 0.0, 10, 1.0), Job(1, 0.0, 2, 40.0)
+        machine = FakeMachine(4)
+        queue = self._queue([head, edge])
+        assert queue.start_jobs(machine.try_start, 10.0, lambda h: (50.0, 0))
+        assert machine.started == [1]
+
+    def test_long_job_within_spare_is_backfilled(self):
+        head, long = Job(0, 0.0, 10, 1.0), Job(1, 0.0, 2, 500.0)
+        machine = FakeMachine(4)
+        queue = self._queue([head, long])
+        assert queue.start_jobs(machine.try_start, 10.0, lambda h: (50.0, 2))
+        assert machine.started == [1]
+
+    def test_long_job_past_the_shadow_time_waits(self):
+        head, long = Job(0, 0.0, 10, 1.0), Job(1, 0.0, 3, 500.0)
+        machine = FakeMachine(4)
+        queue = self._queue([head, long])
+        assert not queue.start_jobs(machine.try_start, 10.0, lambda h: (50.0, 2))
+        assert machine.started == []
+        assert len(queue) == 2
+
+    def test_reservation_is_asked_again_after_each_backfill(self):
+        """The second candidate sees the reservation the first one left:
+        after job 1 starts the shadow moves to t = 15, so job 2 (which
+        fitted the first window) no longer does."""
+        head = Job(0, 0.0, 10, 1.0)
+        first, second = Job(1, 0.0, 1, 20.0), Job(2, 0.0, 1, 20.0)
+        machine = FakeMachine(4)
+        asked = []
+        windows = iter([(50.0, 0), (15.0, 0)])
+
+        def reserve(job):
+            asked.append(job.job_id)
+            return next(windows)
+
+        queue = self._queue([head, first, second])
+        assert queue.start_jobs(machine.try_start, 10.0, reserve)
+        assert machine.started == [1]
+        assert asked == [0, 0]  # always for the blocked head
+
+    def test_backfill_keeps_queue_order(self):
+        head = Job(0, 0.0, 10, 1.0)
+        rest = [Job(i, 0.0, 1, 5.0) for i in (3, 1, 2)]
+        machine = FakeMachine(4)
+        queue = self._queue([head, *rest])
+        queue.start_jobs(machine.try_start, 0.0, lambda h: (50.0, 0))
+        assert machine.started == [3, 1, 2]
+
+    def test_no_backfill_once_the_head_has_started(self):
+        """When the FCFS pass empties the queue, no reservation is asked."""
+        jobs = [Job(i, 0.0, 1, 5.0) for i in range(3)]
+        machine = FakeMachine(4)
+        queue = self._queue(jobs)
+        assert queue.start_jobs(machine.try_start, 0.0, no_reserve)
+        assert machine.started == [0, 1, 2]
+        assert not queue
+
+    def test_reservation_is_for_the_new_blocked_head(self):
+        """The FCFS pass starts the old head first; backfill then reserves
+        for the job that blocks now."""
+        jobs = [Job(0, 0.0, 2, 1.0), Job(1, 0.0, 10, 1.0), Job(2, 0.0, 1, 5.0)]
+        machine = FakeMachine(4)
+        asked = []
+
+        def reserve(job):
+            asked.append(job.job_id)
+            return 50.0, 0
+
+        queue = self._queue(jobs)
+        assert queue.start_jobs(machine.try_start, 0.0, reserve)
+        assert machine.started == [0, 2]
+        assert asked == [1, 1]
 
 
 class TestDegenerateEquivalence:

@@ -99,6 +99,18 @@ class TestBasicRuns:
         with pytest.raises(ValueError):
             make_sim([Job(0, 0.0, 65, 10.0)])
 
+    @pytest.mark.parametrize(
+        "second_arrival",
+        [100.0, 1.0],
+        ids=["apart-in-time", "overlapping"],
+    )
+    def test_duplicate_job_id_rejected(self, second_arrival):
+        """Ids key the pattern seeds and the network flows, so a repeat is
+        refused up front -- whether or not the two jobs would overlap."""
+        jobs = [Job(7, 0.0, 4, 10.0), Job(7, second_arrival, 4, 10.0)]
+        with pytest.raises(ValueError, match="job id 7"):
+            make_sim(jobs, mesh=Mesh(4, 4), pattern="random")
+
     def test_makespan_is_last_completion(self):
         jobs = [Job(i, float(i), 4, 20.0) for i in range(5)]
         result = make_sim(jobs).run()
