@@ -23,6 +23,7 @@ from repro.experiments.config import Scale
 from repro.experiments.metric_correlation import _boosted_trace
 from repro.mesh.topology import Mesh
 from repro.runner import ExperimentSpec, ResultCache, run_cell, run_many, sweep_specs
+from repro.runner.spec import _job_to_list, summary_to_dict
 from repro.trace.archive import trace_rows
 
 #: Big enough that per-job payloads dominate fixed overheads, scaled so
@@ -39,6 +40,20 @@ BENCH_SCALE = Scale(
 )
 
 MESH = Mesh(16, 16)
+
+
+def format1_bytes(cell) -> int:
+    """Size of ``cell`` in the pre-refactor format-1 artifact encoding
+    (plain JSON: inline spec, full job rows), frozen here as the
+    reference the format-2 artifact is measured against."""
+    payload = {
+        "format": 1,
+        "spec": cell.spec.to_dict(),
+        "summary": summary_to_dict(cell.summary),
+        "jobs": [_job_to_list(j) for j in cell.jobs],
+        "elapsed": cell.elapsed,
+    }
+    return len(json.dumps(payload).encode())
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +104,7 @@ class TestArtifactSize:
         columns, gzip -- >10x smaller than the format-1 encoding of the
         *same* computed cell, decoding back bit-identically."""
         cell = run_cell(fig9_spec)
-        pre = len(json.dumps({"format": 1, **cell.to_dict()}).encode())
+        pre = format1_bytes(cell)
         cache = ResultCache(tmp_path / "c")
         path = cache.put(cell)
         post = path.stat().st_size

@@ -311,7 +311,6 @@ class FluidNetwork:
         n_links = self.space.n_links
         self._n = 0
         self._ids: list[int] = []
-        self._row_of: dict[int, int] = {}
         self._weights = np.empty((0, n_links), dtype=np.float64)
         self._hop_shares = np.empty((0, n_links), dtype=np.float64)
         self._idle_t = np.empty(0, dtype=np.float64)
@@ -353,7 +352,7 @@ class FluidNetwork:
 
     def add_flow(self, flow_id: int, load_vector: np.ndarray, mean_hops: float) -> None:
         """Register an active job's per-link flit load (per message sent)."""
-        if flow_id in self._row_of:
+        if flow_id in self._ids:
             raise ValueError(f"flow {flow_id} already active")
         load_vector = np.asarray(load_vector, dtype=np.float64)
         if load_vector.shape != (self.space.n_links,):
@@ -373,7 +372,6 @@ class FluidNetwork:
         self._colsum += load_vector
         self._entries.append(None)
         self._ids.append(flow_id)
-        self._row_of[flow_id] = row
         self._n = row + 1
 
     def remove_flow(self, flow_id: int) -> int:
@@ -382,9 +380,10 @@ class FluidNetwork:
         The rows above it shift down one slot (order-preserving
         compaction).
         """
-        row = self._row_of.pop(flow_id, None)
-        if row is None:
-            raise ValueError(f"flow {flow_id} not active")
+        try:
+            row = self._ids.index(flow_id)
+        except ValueError:
+            raise ValueError(f"flow {flow_id} not active") from None
         n = self._n
         self._colsum -= self._weights[row]
         if row != n - 1:
@@ -394,8 +393,6 @@ class FluidNetwork:
             self._hold[row : n - 1] = self._hold[row + 1 : n]
         del self._ids[row]
         del self._entries[row]
-        for i in range(row, n - 1):
-            self._row_of[self._ids[i]] = i
         self._n = n - 1
         if self._n == 0:
             # Idle network: reset the running sum so float drift from the

@@ -12,7 +12,6 @@ content-addressed workload store underneath them::
     python -m repro.runner prune --spec-substr n-body     # spec-filtered
     python -m repro.runner vacuum                  # corrupt artifacts, temp
                                                    # leftovers, orphan traces
-    python -m repro.runner vacuum --repack         # + rewrite legacy artifacts
     python -m repro.runner export fig07            # campaign -> one bundle
     python -m repro.runner export n-body -o nb.tgz # spec-substr selection
     python -m repro.runner import nb.tgz           # digest-verified unpack
@@ -135,25 +134,13 @@ def _prune(cache: ResultCache, args) -> int:
 
 
 def _vacuum(cache: ResultCache, args) -> int:
-    report = cache.vacuum(
-        dry_run=args.dry_run,
-        orphan_grace_days=args.orphan_grace,
-        repack=args.repack,
-    )
+    report = cache.vacuum(dry_run=args.dry_run, orphan_grace_days=args.orphan_grace)
     verb = "would remove" if args.dry_run else "removed"
     print(
         f"{verb} {report.corrupt_artifacts} corrupt artifacts, "
         f"{report.tmp_files} temp leftovers, "
         f"{report.orphan_traces} orphan traces from {cache.root}"
     )
-    if args.repack:
-        if args.dry_run:
-            print(f"would repack {report.repacked_artifacts} legacy artifacts")
-        else:
-            print(
-                f"repacked {report.repacked_artifacts} legacy artifacts, "
-                f"reclaimed {report.repack_bytes_saved / 1024.0:.1f} kB"
-            )
     return 0
 
 
@@ -179,7 +166,8 @@ def _resolve_export(cache: ResultCache, target: str, export_all: bool):
         return paths, [], "repro-bundle.tgz"
     expansion = expand(campaign, store=cache.traces)
     keys = (cache.key_or_none(cell.spec) for cell in expansion.cells)
-    paths = [p for k in keys if k for p in cache._candidate_paths(k) if p.is_file()]
+    paths = [cache._key_path(k) for k in keys if k]
+    paths = [p for p in paths if p.is_file()]
     mpath = manifest_path(cache.root, campaign.name, expansion.digest)
     manifests = [mpath] if mpath.is_file() else []
     return paths, manifests, f"{campaign.name}-{expansion.digest[:12]}.bundle.tgz"
@@ -267,12 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DAYS",
         help="keep unreferenced traces newer than this (protects staged "
         "ingests and in-flight sweeps; default: 1 day)",
-    )
-    p_vac.add_argument(
-        "--repack",
-        action="store_true",
-        help="rewrite legacy artifacts (format-1 JSON, timestamped gzip) "
-        "as the current byte-deterministic format, reclaiming space",
     )
 
     p_exp = sub.add_parser(

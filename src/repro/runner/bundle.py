@@ -121,8 +121,8 @@ def export_bundle(
 ) -> ExportReport:
     """Pack artifacts (+ referenced traces + campaign manifests) into ``out``.
 
-    ``artifact_paths`` are files inside ``cache`` (either format --
-    ``<key>.json.gz`` or legacy ``<key>.json``); unreadable ones are
+    ``artifact_paths`` are ``<key>.json.gz`` files inside ``cache``;
+    unreadable ones (a pre-format-2 ``<key>.json`` among them) are
     skipped, matching ``vacuum`` semantics.  Every trace any packed
     artifact references is bundled from the cache's workload store.
     ``campaign_manifests`` are manifest file paths to include verbatim
@@ -264,14 +264,16 @@ def import_bundle(cache: ResultCache, path: str | Path) -> ImportReport:
     """Unpack a bundle into ``cache`` with per-member digest verification.
 
     Every member's bytes are checked against the sha256 recorded in the
-    bundle manifest *before* anything is written; any mismatch raises
-    :class:`BundleError` and the cache is left untouched.  Traces are
-    additionally verified against their content address (the store
-    re-derives the digest from the canonical rows).  Artifacts and
-    traces already present are skipped -- content addressing makes the
-    existing copy equivalent by construction -- and campaign manifests
-    are *merged* through :meth:`CampaignManifest.merge`, so importing
-    never erases local completions.
+    bundle manifest *before* anything is written; any mismatch, or an
+    artifact that is not a ``<key>.json.gz`` file (an older bundle can
+    carry ``<key>.json``), raises :class:`BundleError` and the cache is
+    left untouched.  Traces are additionally verified against their
+    content address (the store re-derives the digest from the canonical
+    rows).  Artifacts and traces already present are skipped -- content
+    addressing makes the existing copy equivalent by construction -- and
+    campaign manifests are *merged* through
+    :meth:`CampaignManifest.merge`, so importing never erases local
+    completions.
     """
     path = Path(path)
     members = _read_members(path)
@@ -279,13 +281,16 @@ def import_bundle(cache: ResultCache, path: str | Path) -> ImportReport:
     report = ImportReport(path=path)
 
     # Verify-everything-first: no partial import on a bad bundle.
-    artifacts: list[tuple[str, str, bytes]] = []
+    artifacts: list[tuple[str, bytes]] = []
     for key, entry in sorted(index["artifacts"].items()):
         if not _HEX64.fullmatch(str(key)):
             raise BundleError(f"malformed artifact key {key!r} in bundle manifest")
-        raw = _verified(members, entry, "artifact", key, "artifacts")
-        suffix = ".json.gz" if str(entry.get("file", "")).endswith(".gz") else ".json"
-        artifacts.append((key, suffix, raw))
+        if entry.get("file") != f"{key}.json.gz":
+            raise BundleError(
+                f"artifact {key[:12]} in bundle is {entry.get('file')!r}, not "
+                "<key>.json.gz: only cache-format-2 artifacts can be imported"
+            )
+        artifacts.append((key, _verified(members, entry, "artifact", key, "artifacts")))
         report.verified += 1
     traces: list[tuple[str, bytes]] = []
     for digest, entry in sorted(index["traces"].items()):
@@ -335,11 +340,11 @@ def import_bundle(cache: ResultCache, path: str | Path) -> ImportReport:
     for digest, rows in staged:
         cache.traces.put(rows)
         report.traces_added += 1
-    for key, suffix, raw in artifacts:
-        if any(p.is_file() for p in cache._candidate_paths(key)):
+    for key, raw in artifacts:
+        target = cache._key_path(key)
+        if target.is_file():
             report.artifacts_skipped += 1
             continue
-        target = cache.root / f"{key}{suffix}"
         tmp = target.parent / f"{target.name}.tmp-import"
         tmp.write_bytes(raw)
         tmp.replace(target)

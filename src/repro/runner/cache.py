@@ -16,9 +16,10 @@ two hop metrics are stored as their exact integer numerators, and the
 JSON is gzip-compressed on disk (``<key>.json.gz``).  Every encode is
 verified by an immediate decode round-trip, so a cache hit is
 bit-identical to the computed cell; cells that cannot be packed
-losslessly fall back to full rows.  Format-1 artifacts (plain
-``<key>.json`` with inline traces) remain readable, and the cache key
-itself is unchanged, so pre-refactor caches stay warm.
+losslessly fall back to full rows.  Format 2 under ``<key>.json.gz`` is
+the only form read: a cache written before it (plain ``<key>.json``
+with inline traces) is cold, and :meth:`ResultCache.vacuum` removes its
+files as unreadable.
 
 Artifacts are **byte-deterministic** in the cell's content: the gzip
 header carries no timestamp or filename and volatile fields (compute
@@ -68,11 +69,8 @@ __all__ = [
     "unpack_job_results",
 ]
 
-#: Artifact schema version written by this code.
+#: Artifact schema version written and read by this code.
 CACHE_FORMAT = 2
-
-#: Schema versions :class:`ResultCache` can still read.
-READABLE_FORMATS = (1, CACHE_FORMAT)
 
 #: Decoded results one :class:`ResultCache` keeps for repeat ``get`` calls
 #: (a warm campaign run and its reports read every cell more than once).
@@ -82,9 +80,9 @@ DECODED_MEMO_CAP = 256
 def _file_signature(path: Path) -> tuple[int, int, int] | None:
     """``(st_mtime_ns, st_size, st_ino)`` of a regular file, else ``None``.
 
-    Any rewrite of an artifact -- :meth:`ResultCache.put` and ``vacuum
-    --repack`` both land through :func:`os.replace` -- changes the
-    inode, so a decode memoised under an older signature is never served.
+    A rewrite by :meth:`ResultCache.put` lands through :func:`os.replace`
+    and so changes the inode: a decode memoised under an older signature
+    is never served.
     """
     try:
         st = os.stat(path)
@@ -196,19 +194,15 @@ def unpack_job_results(cols: dict, base_jobs: list[Job]) -> list[JobResult]:
 
 @dataclass
 class VacuumReport:
-    """What :meth:`ResultCache.vacuum` removed (and, with ``repack``, rewrote)."""
+    """What :meth:`ResultCache.vacuum` removed."""
 
     corrupt_artifacts: int = 0
     tmp_files: int = 0
     orphan_traces: int = 0
-    #: Artifacts rewritten to the current format (``repack=True`` only).
-    repacked_artifacts: int = 0
-    #: Net artifact bytes reclaimed by repacking (old size - new size).
-    repack_bytes_saved: int = 0
 
     @property
     def total(self) -> int:
-        """Files *removed* (repacks rewrite in place and are not counted)."""
+        """Files removed."""
         return self.corrupt_artifacts + self.tmp_files + self.orphan_traces
 
 
@@ -250,17 +244,14 @@ class ResultCache:
 
     def path_for(self, spec: ExperimentSpec) -> Path:
         """Artifact path ``put`` would write for ``spec``."""
-        return self.root / f"{self.key_for(spec)}.json.gz"
+        return self._key_path(self.key_for(spec))
 
-    def _candidate_paths(self, key: str) -> tuple[Path, Path]:
-        # Current format first, then the pre-refactor plain-JSON name.
-        return (self.root / f"{key}.json.gz", self.root / f"{key}.json")
+    def _key_path(self, key: str) -> Path:
+        return self.root / f"{key}.json.gz"
 
     def artifact_exists(self, key: str) -> bool:
         """Whether an artifact file for cache key ``key`` exists (no decode)."""
-        return any(
-            _file_signature(path) is not None for path in self._candidate_paths(key)
-        )
+        return _file_signature(self._key_path(key)) is not None
 
     # -- read ----------------------------------------------------------
     def get(self, spec: ExperimentSpec) -> CellResult | None:
@@ -270,11 +261,7 @@ class ResultCache:
         as its ``(mtime_ns, size, inode)`` signature is unchanged; every
         call returns its own :class:`CellResult` and ``jobs`` list.
         """
-        result = None
-        for path in self._candidate_paths(self.key_for(spec)):
-            result = self._get_path(path, spec)
-            if result is not None:
-                break
+        result = self._get_path(self.path_for(spec), spec)
         if result is None:
             self.misses += 1
         else:
@@ -308,35 +295,22 @@ class ResultCache:
         Cheap summary-level read for listings and campaign reports: no
         hit/miss counters are touched and ``jobs`` comes back empty.
         """
-        for path in self._candidate_paths(self.key_for(spec)):
-            result = self._load(path, expect=spec, load_jobs=False)
-            if result is not None:
-                return result
-        return None
+        return self._load(self.path_for(spec), expect=spec, load_jobs=False)
 
     def _read_payload(self, path: Path) -> dict | None:
         """Raw artifact dict, or ``None`` for missing/corrupt files."""
         try:
-            if path.suffix == ".gz":
-                with gzip.open(path, "rt", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            else:
-                with open(path) as fh:
-                    data = json.load(fh)
+            with gzip.open(path, "rt", encoding="utf-8") as fh:
+                data = json.load(fh)
         except (OSError, EOFError, json.JSONDecodeError, UnicodeDecodeError):
             return None
-        if not isinstance(data, dict) or data.get("format") not in READABLE_FORMATS:
+        if not isinstance(data, dict) or data.get("format") != CACHE_FORMAT:
             return None
         return data
 
     def _decode(self, data: dict, load_jobs: bool = True) -> CellResult | None:
         """Artifact dict -> CellResult (``None`` when undecodable)."""
         try:
-            if data["format"] == 1:
-                result = CellResult.from_dict(data, cached=True)
-                if not load_jobs:
-                    result.jobs = []
-                return result
             spec = ExperimentSpec.from_dict(data["spec"])
             summary = summary_from_dict(data["summary"])
             if not load_jobs:
@@ -353,7 +327,6 @@ class ResultCache:
             summary=summary,
             jobs=jobs,
             cached=True,
-            elapsed=data.get("elapsed", 0.0),
         )
 
     def _load(
@@ -412,7 +385,7 @@ class ResultCache:
             payload["jobs_packed"] = packed
         else:
             payload["jobs"] = [_job_to_list(j) for j in result.jobs]
-        path = self.root / f"{spec.cache_key(self.traces)}.json.gz"
+        path = self._key_path(spec.cache_key(self.traces))
         self._decoded.pop(path, None)
         tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
         with open(tmp, "wb") as raw:
@@ -432,6 +405,7 @@ class ResultCache:
     def _artifact_paths(self) -> Iterator[Path]:
         if not self.root.is_dir():
             return
+        # *.json too: vacuum deletes pre-format-2 leftovers as unreadable.
         yield from sorted(
             list(self.root.glob("*.json")) + list(self.root.glob("*.json.gz"))
         )
@@ -545,28 +519,10 @@ class ResultCache:
                 path.unlink(missing_ok=True)
         return evicted, total
 
-    def _needs_repack(self, path: Path, data: dict) -> bool:
-        """Whether an artifact is in a legacy on-disk form.
-
-        True for format-1 plain-JSON files, for artifacts written under
-        an older schema, and for gzip files whose header carries a
-        timestamp (pre-determinism writes): all of them decode fine but
-        are not the bytes :meth:`put` would produce today.
-        """
-        if data.get("format") != CACHE_FORMAT or path.suffix != ".gz":
-            return True
-        try:
-            with open(path, "rb") as fh:
-                header = fh.read(8)
-            return int.from_bytes(header[4:8], "little") != 0
-        except OSError:
-            return False
-
     def vacuum(
         self,
         dry_run: bool = False,
         orphan_grace_days: float = 1.0,
-        repack: bool = False,
     ) -> VacuumReport:
         """Remove dead weight: corrupt artifacts, temp leftovers, orphan traces.
 
@@ -577,14 +533,6 @@ class ResultCache:
         ``orphan_grace_days``.  The grace window protects traces interned
         ahead of their artifacts -- a staged ingest, or a sweep still in
         flight whose cells haven't landed yet.
-
-        ``repack=True`` additionally rewrites every *legacy* artifact
-        (format-1 plain JSON, or gzip with a timestamped header) as the
-        current byte-deterministic format via :meth:`put` -- same cache
-        key, same decoded cell, current bytes -- deleting the old file
-        when the name changed and reporting the net bytes reclaimed.
-        Inline traces of format-1 artifacts are interned into the
-        workload store along the way.
         """
         report = VacuumReport()
         referenced: set[str] = set()
@@ -599,29 +547,6 @@ class ResultCache:
                 if not dry_run:
                     path.unlink(missing_ok=True)
                 continue
-            if repack and self._needs_repack(path, data):
-                # Full decode (with jobs) -- an artifact that passes the
-                # summary check but cannot rebuild its rows is left
-                # alone rather than destroyed.
-                result = self._decode(data)
-                if result is not None:
-                    report.repacked_artifacts += 1
-                    if not dry_run:
-                        old_size = path.stat().st_size
-                        new_path = self.put(result)
-                        report.repack_bytes_saved += (
-                            old_size - new_path.stat().st_size
-                        )
-                        if new_path != path:
-                            path.unlink(missing_ok=True)
-                        # The rewrite may have just interned an inline
-                        # trace; protect it from the orphan sweep below.
-                        new_data = self._read_payload(new_path)
-                        digest = (
-                            (new_data.get("spec") or {}).get("trace_ref")
-                            if new_data is not None
-                            else digest
-                        )
             if digest is not None:
                 referenced.add(digest)
         if self.root.is_dir():

@@ -339,8 +339,7 @@ class ExperimentSpec:
 
         ``torus`` and ``trace_ref`` are serialized only when set: the
         defaults are omitted so 2-D inline specs -- and therefore their
-        cache keys and every pre-refactor ``.repro-cache/`` artifact --
-        are unchanged by the N-D and trace-store refactors.
+        cache keys -- are unchanged by the N-D and trace-store refactors.
         """
         out = {
             "mesh_shape": list(self.mesh_shape),
@@ -494,24 +493,4 @@ class CellResult:
             jobs=list(self.jobs),
             makespan=self.summary.makespan,
             scheduler=self.spec.scheduler,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready artifact (what the cache stores)."""
-        return {
-            "spec": self.spec.to_dict(),
-            "summary": summary_to_dict(self.summary),
-            "jobs": [_job_to_list(j) for j in self.jobs],
-            "elapsed": self.elapsed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, cached: bool = False) -> "CellResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            spec=ExperimentSpec.from_dict(data["spec"]),
-            summary=summary_from_dict(data["summary"]),
-            jobs=[_job_from_list(v) for v in data["jobs"]],
-            cached=cached,
-            elapsed=data.get("elapsed", 0.0),
         )

@@ -122,10 +122,11 @@ class EasyQueue(FCFSQueue):
 
         A later job starts if it ends by the shadow time at the 1 msg/s
         issue floor (``quota`` seconds), or fits in the spare processors.
-        Each backfilled start moves the reservation, so it is re-asked.
+        Each backfilled start moves the reservation, so it is re-asked;
+        with no job behind the head nothing could backfill, and none is.
         """
         started = super().start_jobs(try_start, now, reserve)
-        if not self._queue:
+        if len(self._queue) < 2:
             return started
         head = self._queue[0]
         shadow, spare = reserve(head)

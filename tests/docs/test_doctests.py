@@ -1,8 +1,10 @@
 """The public-API docstring contract (docs satellite).
 
-Two executable guarantees over the documented subsystems
-(:mod:`repro.runner`, :mod:`repro.campaign`, :mod:`repro.trace`,
-:mod:`repro.mesh`, :mod:`repro.sched`):
+Two executable guarantees over every subpackage but the experiment
+drivers (:mod:`repro.runner`, :mod:`repro.campaign`, :mod:`repro.trace`,
+:mod:`repro.mesh`, :mod:`repro.sched`, :mod:`repro.core`,
+:mod:`repro.analysis`, :mod:`repro.network`, :mod:`repro.patterns`,
+:mod:`repro.viz`):
 
 * every name exported through ``__all__`` carries a docstring (module
   constants are exempt -- Python attaches no ``__doc__`` to them; their
@@ -19,13 +21,29 @@ import pkgutil
 
 import pytest
 
+import repro.analysis
 import repro.campaign
+import repro.core
 import repro.mesh
+import repro.network
+import repro.patterns
 import repro.runner
 import repro.sched
 import repro.trace
+import repro.viz
 
-PUBLIC_PACKAGES = (repro.runner, repro.campaign, repro.trace, repro.mesh, repro.sched)
+PUBLIC_PACKAGES = (
+    repro.runner,
+    repro.campaign,
+    repro.trace,
+    repro.mesh,
+    repro.sched,
+    repro.core,
+    repro.analysis,
+    repro.network,
+    repro.patterns,
+    repro.viz,
+)
 
 
 def _modules():

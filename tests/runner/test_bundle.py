@@ -7,6 +7,7 @@ written; importing twice is a no-op.
 """
 
 import gzip
+import hashlib
 import io
 import json
 import tarfile
@@ -171,8 +172,6 @@ class TestVerification:
     def test_trace_failing_content_address_is_rejected(self, tmp_path):
         """A trace whose sha256 entry was tampered *consistently* with
         its bytes still fails the content-address re-derivation."""
-        import hashlib
-
         cache = _populated(tmp_path)
         report = _export(cache, tmp_path)
         members = _members(report.path)
@@ -214,3 +213,23 @@ class TestVerification:
         index = read_bundle_manifest(report.path)
         assert len(index["artifacts"]) == N_CELLS
         assert all(len(k) == 64 for k in index["artifacts"])
+
+    def test_pre_format2_artifact_is_rejected_before_write(self, tmp_path):
+        """An older bundle can carry a plain ``<key>.json`` artifact; the
+        cache would never read it, so the import refuses the bundle."""
+        cache = _populated(tmp_path)
+        report = _export(cache, tmp_path)
+        members = _members(report.path)
+        index = json.loads(members[BUNDLE_MANIFEST])
+        key = sorted(index["artifacts"])[0]
+        raw = gzip.decompress(members.pop(f"artifacts/{key}.json.gz"))
+        members[f"artifacts/{key}.json"] = raw
+        index["artifacts"][key]["file"] = f"{key}.json"
+        index["artifacts"][key]["sha256"] = hashlib.sha256(raw).hexdigest()
+        members[BUNDLE_MANIFEST] = json.dumps(index).encode()
+        _repack(report.path, members)
+
+        fresh = ResultCache(tmp_path / "fresh")
+        with pytest.raises(BundleError, match="json.gz"):
+            import_bundle(fresh, report.path)
+        assert not fresh.root.exists()  # nothing written, traces included

@@ -9,19 +9,14 @@ from repro.runner.spec import summary_to_dict
 
 
 def read_artifact(path) -> dict:
-    """Decode one artifact file (gzip for the current format)."""
-    if path.suffix == ".gz":
-        with gzip.open(path, "rt") as fh:
-            return json.load(fh)
-    return json.loads(path.read_text())
+    """Decode one ``<key>.json.gz`` artifact file."""
+    with gzip.open(path, "rt") as fh:
+        return json.load(fh)
 
 
 def write_artifact(path, data: dict) -> None:
-    if path.suffix == ".gz":
-        with gzip.open(path, "wt") as fh:
-            json.dump(data, fh)
-    else:
-        path.write_text(json.dumps(data))
+    with gzip.open(path, "wt") as fh:
+        json.dump(data, fh)
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -160,34 +155,6 @@ class TestCompactArtifacts:
         assert hit.jobs == cell.jobs
         assert all(isinstance(j, JobResult) for j in hit.jobs)
 
-    def test_legacy_format1_artifact_still_readable(self, tmp_path):
-        """A pre-refactor artifact (inline spec, full job rows, plain JSON
-        under <key>.json) must keep serving hits."""
-        from repro.runner.spec import _job_to_list
-
-        cache = ResultCache(tmp_path / "c")
-        spec = self._trace_spec()
-        cell = run_cell(spec)
-        legacy = {
-            "format": 1,
-            "spec": spec.to_dict(),
-            "summary": summary_to_dict(cell.summary),
-            # pre-refactor JobResult had 9 fields (no message_pairs)
-            "jobs": [_job_to_list(j)[:9] for j in cell.jobs],
-            "elapsed": 0.5,
-        }
-        legacy_path = cache.root / f"{spec.cache_key()}.json"
-        cache.root.mkdir(parents=True)
-        legacy_path.write_text(json.dumps(legacy))
-        hit = cache.get(spec)
-        assert hit is not None and hit.cached
-        assert hit.summary == cell.summary
-        # short rows pad the new field with its default
-        assert all(j.message_pairs == 0 for j in hit.jobs)
-        assert [_job_to_list(j)[:9] for j in hit.jobs] == [
-            _job_to_list(j)[:9] for j in cell.jobs
-        ]
-
     def test_interned_and_inline_requests_share_artifacts(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         inline = self._trace_spec()
@@ -196,6 +163,70 @@ class TestCompactArtifacts:
         assert cache.get(ref) is not None
         assert cache.get(inline) is not None
         assert len(cache) == 1
+
+
+class TestArtifactFormat:
+    """Format 2 under ``<key>.json.gz`` is the one form the cache reads."""
+
+    def test_cache_format_is_current(self):
+        assert CACHE_FORMAT == 2
+
+    def test_vacuum_leaves_current_artifact_untouched(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        path = cache.put(run_cell(_spec()))
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        report = ResultCache(cache.root).vacuum()
+        assert report.total == 0
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+    def test_timestamped_gzip_header_still_hits(self, tmp_path):
+        """Only the payload is read: a format-2 artifact whose gzip header
+        carries a timestamp and a filename serves a hit, and vacuum keeps
+        it as it is."""
+        cache = ResultCache(tmp_path / "c")
+        cell = run_cell(_spec())
+        path = cache.put(cell)
+        payload = gzip.decompress(path.read_bytes())
+        with open(path, "wb") as raw:
+            with gzip.GzipFile(
+                filename="stamped.json", fileobj=raw, mode="wb", mtime=123456789
+            ) as fh:
+                fh.write(payload)
+        stamped = path.read_bytes()
+        hit = ResultCache(cache.root).get(_spec())
+        assert hit is not None and hit.summary == cell.summary
+        assert hit.jobs == cell.jobs
+        assert ResultCache(cache.root).vacuum().corrupt_artifacts == 0
+        assert path.read_bytes() == stamped
+
+    def test_pre_format2_json_is_a_miss_and_vacuumed(self, tmp_path):
+        """A pre-refactor ``<key>.json`` (plain JSON, inline spec, full
+        job rows) is cold; vacuum counts it corrupt and deletes it."""
+        from repro.runner.spec import _job_to_list
+
+        cache = ResultCache(tmp_path / "c")
+        spec = _spec()
+        cell = run_cell(spec)
+        old = cache.root / f"{spec.cache_key()}.json"
+        cache.root.mkdir(parents=True)
+        old.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "spec": spec.to_dict(),
+                    "summary": summary_to_dict(cell.summary),
+                    "jobs": [_job_to_list(j) for j in cell.jobs],
+                    "elapsed": 0.5,
+                }
+            )
+        )
+        assert not cache.artifact_exists(spec.cache_key())
+        assert cache.get(spec) is None and cache.peek(spec) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert len(cache) == 1 and list(cache.iter_entries()) == []
+        report = cache.vacuum()
+        assert report.corrupt_artifacts == 1
+        assert not old.exists() and len(cache) == 0
 
 
 class TestPeek:

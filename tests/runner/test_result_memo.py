@@ -80,19 +80,20 @@ class TestDecodedMemo:
         assert len(reads) == 2
         assert again.summary == changed.summary
 
-    def test_rewrite_by_vacuum_repack_is_decoded_again(self, tmp_path, reads):
+    def test_rewrite_outside_put_is_decoded_again(self, tmp_path, reads):
         cache = ResultCache(tmp_path / "c")
         path = cache.put(run_cell(SPEC))
         cache.get(SPEC)
-        # rewrite the artifact in the legacy timestamped-gzip form, then
-        # let repack put the canonical bytes back
+        # the same payload under a timestamped gzip header: new bytes,
+        # new inode, same cell
         payload = gzip.decompress(path.read_bytes())
-        with open(path, "wb") as raw:
+        tmp = path.with_name(path.name + ".rewrite")
+        with open(tmp, "wb") as raw:
             with gzip.GzipFile(
-                filename="legacy.json", fileobj=raw, mode="wb", mtime=123456789
+                filename="stamped.json", fileobj=raw, mode="wb", mtime=123456789
             ) as fh:
                 fh.write(payload)
-        assert cache.vacuum(repack=True).repacked_artifacts == 1
+        tmp.replace(path)
         before = len(reads)
         assert cache.get(SPEC) is not None
         assert len(reads) == before + 1

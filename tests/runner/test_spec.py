@@ -5,9 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.runner import ExperimentSpec, run_cell
+from repro.runner import ExperimentSpec, ResultCache, run_cell
 from repro.runner.spec import (
-    CellResult,
     _job_from_list,
     _job_to_list,
     summary_from_dict,
@@ -216,12 +215,14 @@ class TestExperimentSpec3D:
         jobs = spec.build_jobs()
         assert [j.size for j in jobs] == [400]  # 600 > 512 dropped
 
-    def test_run_cell_executes_3d_spec(self):
+    def test_run_cell_executes_3d_spec(self, tmp_path):
         small = ExperimentSpec(**{**SPEC_3D.to_dict(), "mesh_shape": (4, 4, 4), "n_jobs": 8})
         cell = run_cell(small)
         assert cell.summary.mesh_shape == (4, 4, 4)
         assert cell.summary.n_jobs > 0
-        clone = CellResult.from_dict(json.loads(json.dumps(cell.to_dict())))
+        cache = ResultCache(tmp_path / "c")
+        cache.put(cell)
+        clone = cache.get(small)
         assert clone.spec == small and clone.summary == cell.summary
 
 
@@ -312,9 +313,11 @@ class TestTraceRefSpecs:
 
 
 class TestCellResult:
-    def test_round_trip_exact(self):
+    def test_round_trip_exact(self, tmp_path):
         cell = run_cell(SPEC)
-        clone = CellResult.from_dict(json.loads(json.dumps(cell.to_dict())))
+        cache = ResultCache(tmp_path / "c")
+        cache.put(cell)
+        clone = cache.get(SPEC)
         assert clone.spec == cell.spec
         assert clone.summary == cell.summary
         assert clone.jobs == cell.jobs

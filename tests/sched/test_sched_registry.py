@@ -279,6 +279,15 @@ class TestEasyQueue:
         assert machine.started == [0, 1, 2]
         assert not queue
 
+    def test_lone_blocked_head_asks_for_no_reservation(self):
+        """With no job behind the blocked head nothing can backfill, so
+        the (costly) reservation is not asked."""
+        head = Job(0, 0.0, 10, 1.0)
+        machine = FakeMachine(4)
+        queue = self._queue([head])
+        assert not queue.start_jobs(machine.try_start, 0.0, no_reserve)
+        assert machine.started == [] and queue.head() is head
+
     def test_reservation_is_for_the_new_blocked_head(self):
         """The FCFS pass starts the old head first; backfill then reserves
         for the job that blocks now."""
