@@ -24,6 +24,7 @@ import pytest
 
 from repro.experiments.config import Scale
 from repro.runner import ResultCache, run_many, sweep_specs
+from repro.trace.store import default_store, trace_digest
 
 #: Sweep sized so the grid dominates process-pool overhead.
 BENCH_SCALE = Scale(
@@ -107,7 +108,10 @@ class TestEngineBench:
 #: 100 deliberately tiny cells (4 loads x 5 allocators x 5 seeds of a
 #: single 1-node job on a 2x2 mesh): the smallest *real* cell the stack
 #: can run -- the shape where dispatch overhead, not simulation, is the
-#: bill.
+#: bill.  The cells run without a cache, so they hydrate their one-row
+#: trace from the default workload store (see ``TestTierBench``).
+TINY_TRACE = ((0, 0.0, 1, 10.0),)
+
 TINY_GRID = [
     spec
     for seed in (1, 2, 3, 4, 5)
@@ -117,7 +121,7 @@ TINY_GRID = [
         (1.0, 0.8, 0.6, 0.4),
         ("row-major", "s-curve", "hilbert", "hilbert+bf", "s-curve+bf"),
         seed=seed,
-        trace=((0, 0.0, 1, 10.0),),
+        trace_ref=trace_digest(TINY_TRACE),
     )
 ]
 
@@ -143,6 +147,11 @@ def _auto_vs_forced_process():
 
 
 class TestTierBench:
+    @pytest.fixture(autouse=True)
+    def _tiny_trace_in_default_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        default_store().put(TINY_TRACE)
+
     def test_auto_tier_matches_forced_process_on_tiny_cells(self):
         """Correctness half of the tier-refactor headline: on 100 tiny
         cells ``auto`` and the forced Pool path give identical cells.

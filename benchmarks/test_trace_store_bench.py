@@ -1,15 +1,14 @@
 """Benchmarks for the content-addressed trace store (repro.trace.store).
 
-Three claims behind the interning refactor, measured on the boosted
-Fig 9/10 workload (the repo's heaviest explicit-trace cells):
+Three claims behind the trace store, measured on the boosted Fig 9/10
+workload (the repo's heaviest explicit-trace cells):
 
-* the worker-dispatch payload collapses from O(trace) to O(1): a ref
-  spec pickles >10x smaller than the same spec with inline rows,
-* cell artifacts stop embedding trace rows and pack per-job results, so
-  a boosted-fig9 artifact shrinks >10x versus the pre-refactor format-1
-  encoding of the identical cell,
-* an explicit-trace sweep produces identical results through the
-  interned path, with the trace written to disk exactly once.
+* the worker-dispatch payload is O(1) in the trace length: a spec
+  carries only its trace's digest,
+* cell artifacts do not embed trace rows and pack per-job results, so
+  a boosted-fig9 artifact is >10x smaller than the format-1 encoding
+  of the identical cell (spec with inline rows, full job rows),
+* an explicit-trace sweep writes its trace to disk exactly once.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from repro.mesh.topology import Mesh
 from repro.runner import ExperimentSpec, ResultCache, run_cell, run_many, sweep_specs
 from repro.runner.spec import _job_to_list, summary_to_dict
 from repro.trace.archive import trace_rows
+from repro.trace.store import trace_digest
 
 #: Big enough that per-job payloads dominate fixed overheads, scaled so
 #: the n-body cell still simulates in seconds.
@@ -42,13 +42,16 @@ BENCH_SCALE = Scale(
 MESH = Mesh(16, 16)
 
 
-def format1_bytes(cell) -> int:
+def format1_bytes(cell, store) -> int:
     """Size of ``cell`` in the pre-refactor format-1 artifact encoding
-    (plain JSON: inline spec, full job rows), frozen here as the
-    reference the format-2 artifact is measured against."""
+    (plain JSON: the spec with its trace's rows from ``store`` inline,
+    full job rows), frozen here as the reference the format-2 artifact
+    is measured against."""
+    spec = cell.spec.to_dict()
+    spec["trace"] = [list(row) for row in store.get(spec.pop("trace_ref"))]
     payload = {
         "format": 1,
-        "spec": cell.spec.to_dict(),
+        "spec": spec,
         "summary": summary_to_dict(cell.summary),
         "jobs": [_job_to_list(j) for j in cell.jobs],
         "elapsed": cell.elapsed,
@@ -62,50 +65,41 @@ def boosted_trace():
     return trace_rows(_boosted_trace(BENCH_SCALE, MESH))
 
 
-@pytest.fixture(scope="module")
-def fig9_spec(boosted_trace):
-    """One boosted-fig9 cell (n-body, load 1.0 -- the driver's grid)."""
+def fig9_spec(trace) -> ExperimentSpec:
+    """One boosted-fig9 cell (n-body, load 1.0 -- the driver's grid)
+    replaying ``trace``; a cache must hold the rows to run or store it."""
     return ExperimentSpec(
         mesh_shape=MESH.shape,
         pattern="n-body",
         allocator="hilbert+bf",
         load=1.0,
         seed=BENCH_SCALE.seed,
-        trace=boosted_trace,
+        trace_ref=trace_digest(trace),
     )
 
 
 class TestDispatchPayload:
-    def test_ref_spec_pickles_10x_smaller(self, fig9_spec, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        ref = fig9_spec.intern(cache.traces)
-        inline_bytes = len(pickle.dumps(fig9_spec))
-        ref_bytes = len(pickle.dumps(ref))
-        ratio = inline_bytes / ref_bytes
+    def test_payload_is_trace_length_invariant(self, boosted_trace):
+        """Specs cost the same bytes no matter how long the log is."""
+        short = fig9_spec(boosted_trace[:10])
+        long = fig9_spec(boosted_trace)
         print(
-            f"\nworker payload: inline {inline_bytes} B -> ref {ref_bytes} B "
-            f"({ratio:.0f}x smaller, {len(fig9_spec.trace)}-row trace)"
+            f"\nworker payload: {len(pickle.dumps(long))} B for a "
+            f"{len(boosted_trace)}-row trace"
         )
-        assert ratio > 10.0
-
-    def test_payload_is_trace_length_invariant(self, fig9_spec, tmp_path):
-        """Ref specs cost the same bytes no matter how long the log is."""
-        cache = ResultCache(tmp_path / "c")
-        short = ExperimentSpec(
-            **{**fig9_spec.to_dict(), "trace": fig9_spec.trace[:10]}
-        ).intern(cache.traces)
-        long = fig9_spec.intern(cache.traces)
         assert abs(len(pickle.dumps(short)) - len(pickle.dumps(long))) < 16
 
 
 class TestArtifactSize:
-    def test_boosted_fig9_artifact_shrinks_10x(self, fig9_spec, tmp_path):
+    def test_boosted_fig9_artifact_shrinks_10x(self, boosted_trace, tmp_path):
         """The acceptance criterion: no embedded trace rows, packed job
         columns, gzip -- >10x smaller than the format-1 encoding of the
         *same* computed cell, decoding back bit-identically."""
-        cell = run_cell(fig9_spec)
-        pre = format1_bytes(cell)
         cache = ResultCache(tmp_path / "c")
+        cache.traces.put(boosted_trace)
+        spec = fig9_spec(boosted_trace)
+        cell = run_cell(spec, store=cache.traces)
+        pre = format1_bytes(cell, cache.traces)
         path = cache.put(cell)
         post = path.stat().st_size
         ratio = pre / post
@@ -114,22 +108,22 @@ class TestArtifactSize:
             f"format-1 {pre / 1024:.0f} kB -> format-2 {post / 1024:.1f} kB "
             f"({ratio:.1f}x smaller)"
         )
-        hit = ResultCache(tmp_path / "c").get(fig9_spec)
+        hit = ResultCache(tmp_path / "c").get(spec)
         assert hit is not None
         assert hit.jobs == cell.jobs and hit.summary == cell.summary
         assert ratio > 10.0
 
     def test_trace_stored_once_across_grid(self, boosted_trace, tmp_path):
         """N cells sharing a trace cost one store entry, not N copies."""
+        cache = ResultCache(tmp_path / "c")
         grid = sweep_specs(
             MESH.shape,
             ("ring",),
             (1.0, 0.5),
             ("mc", "hilbert+bf"),
             seed=BENCH_SCALE.seed,
-            trace=boosted_trace,
+            trace_ref=cache.traces.put(boosted_trace),
         )
-        cache = ResultCache(tmp_path / "c")
         cells = run_many(grid, cache=cache)
         assert len(cache.traces) == 1
         trace_bytes = cache.traces.size_bytes()
@@ -140,6 +134,6 @@ class TestArtifactSize:
             f"+ {artifact_bytes / 1024:.0f} kB artifacts "
             f"(inline-era lower bound ~{inline_equiv / 1024:.0f} kB)"
         )
-        # the interned path must still produce the inline path's numbers
-        inline_cells = run_many(grid)
-        assert [c.summary for c in cells] == [c.summary for c in inline_cells]
+        # the cached run must produce what running each cell directly does
+        direct = [run_cell(spec, store=cache.traces) for spec in grid]
+        assert [c.summary for c in cells] == [c.summary for c in direct]

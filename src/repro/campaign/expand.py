@@ -9,17 +9,17 @@ blocks, deduplicated by spec digest, and validated cell-by-cell (a
 fabric, is rejected here, after filters had the chance to exclude it).
 
 Workload sources resolve once per distinct source: SWF logs are parsed
-and prepared through the archive pipeline and -- when a workload store is
-available -- interned so every cell references the trace by digest.  The
+and prepared through the archive pipeline and interned into the workload
+store :func:`expand` is given, so every cell references the trace by
+digest; expanding an SWF source without a store is an error.  The
 per-source accounting (:class:`SourceInfo`) rides along in the
 :class:`Expansion` so drivers and reports can show exactly what was
 ingested.
 
 Every cell carries a **cell digest**: the SHA-256 of the canonical JSON
-of its spec's digest-normalised form (inline rows replaced by their
-content address).  It is pure -- no store access -- identical for the
-inline and interned representations of the same cell, and is what the
-campaign manifest keys completion status by.
+of its spec.  It is pure -- no store access, since an explicit trace
+enters it as its content address -- and is what the campaign manifest
+keys completion status by.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.campaign.model import (
     TraceSource,
 )
 from repro.runner.spec import ExperimentSpec
-from repro.trace.store import TraceStore, trace_digest
+from repro.trace.store import TraceStore
 
 __all__ = [
     "CampaignCell",
@@ -50,18 +50,14 @@ __all__ = [
 
 
 def cell_digest(spec: ExperimentSpec) -> str:
-    """Pure content digest of a cell (both trace representations agree).
+    """Pure content digest of a cell (no store access).
 
     >>> spec = ExperimentSpec(mesh_shape=(8, 8), pattern="ring",
     ...                       allocator="mc", load=1.0, seed=1, n_jobs=10)
     >>> cell_digest(spec)[:12]
     'f86d22745a54'
-    >>> cell_digest(spec) == cell_digest(spec.with_trace_digest())
-    True
     """
-    canonical = json.dumps(
-        spec.with_trace_digest().to_dict(), sort_keys=True, separators=(",", ":")
-    )
+    canonical = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -183,10 +179,9 @@ def _resolve_source(
 ) -> tuple[dict, SourceInfo]:
     """Workload spec fields + accounting for one non-synthetic source.
 
-    Returns the ``ExperimentSpec`` keyword fragment -- ``trace_ref``
-    when a store is available (rows interned once), inline ``trace``
-    otherwise -- so campaigns behave exactly like the figure drivers:
-    interning is representation, never behaviour.
+    Returns the ``ExperimentSpec`` keyword fragment ``{"trace_ref":
+    digest}``; an SWF source's prepared rows are interned into ``store``
+    once, and without a store it raises :class:`CampaignError`.
     """
     if source.kind == "ref":
         assert source.digest is not None
@@ -202,6 +197,12 @@ def _resolve_source(
     from repro.trace.swf import parse_swf
 
     path = _resolve_swf_path(source, base_dir)
+    if store is None:
+        raise CampaignError(
+            f"workload {source.label!r}: an swf workload is interned into "
+            "a workload store, and expand() was given none (pass store=, "
+            "e.g. a ResultCache's traces)"
+        )
     parsed, parse_report = parse_swf(path)
     prepared, norm_report = prepare_trace(
         parsed,
@@ -211,17 +212,15 @@ def _resolve_source(
         oversized=source.oversized,
         target_load=source.target_load,
     )
-    rows = trace_rows(prepared)
+    digest = store.put(trace_rows(prepared))
     info = SourceInfo(
         source=source,
-        digest=trace_digest(rows),
+        digest=digest,
         n_jobs=len(prepared),
         parse=parse_report,
         normalize=norm_report,
     )
-    if store is not None:
-        return {"trace_ref": store.put(rows)}, info
-    return {"trace": rows}, info
+    return {"trace_ref": digest}, info
 
 
 def _network_fragment(settings: dict):
@@ -249,9 +248,9 @@ def expand(
     campaign:
         The validated campaign (``load_campaign`` validates on load).
     store:
-        Workload store to intern SWF sources into; ``None`` keeps
-        explicit traces inline in the specs (identical results and cache
-        keys -- see :meth:`ExperimentSpec.cache_key`).
+        Workload store to intern SWF sources into and to check ``ref``
+        sources against.  ``None`` expands synthetic and ``ref`` sources
+        only: an ``swf`` source raises :class:`CampaignError`.
     check:
         Re-run :meth:`Campaign.validate` first (cheap; keeps
         programmatically built campaigns honest).

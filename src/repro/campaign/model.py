@@ -406,7 +406,7 @@ class Campaign:
                     f"known: {sorted(known_allocators)}"
                 )
         for value in self.axes["load"]:
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not isinstance(value, (int, float)) or not value > 0:  # NaN too
                 raise CampaignError(
                     f"bad load {value!r} in axis 'load': loads must be positive numbers"
                 )

@@ -168,18 +168,6 @@ def _execute(
     file goes with the root.
     """
     expansion = expand(campaign, store=cache.traces)
-    if cache.traces is None:
-        refs = [
-            label
-            for label, info in expansion.sources.items()
-            if info.source.kind == "ref"
-        ]
-        if refs:
-            raise CampaignError(
-                f"workload {refs[0]!r}: a ref workload needs a cache -- its "
-                "trace lives in a cache's workload store, and a cache-less "
-                "run has none"
-            )
     path = manifest_path(cache.root, campaign.name, expansion.digest)
     manifest = CampaignManifest.open(path, campaign.name, expansion.digest)
     keys: dict[str, str | None] = {}
@@ -334,14 +322,9 @@ class _ScratchCache(ResultCache):
     """What a cache-less run executes against: a root for its manifest
     that lives for one call (:func:`_scratch_cache`).  Nothing put in it
     could ever be read back, so it keeps nothing: every lookup misses and
-    no artifact is written.  With ``traces=False`` it has no workload
-    store and traces stay inline; ``traces=True`` keeps the root's store
-    for the one ``ref`` workload a replayed trace is interned as."""
-
-    def __init__(self, root, traces: bool = False):
-        super().__init__(root)
-        if not traces:
-            self.traces = None
+    no artifact is written.  Its root's workload store holds the traces
+    the run interns (its ``swf`` workloads, or a replayed trace) for the
+    run's cells to hydrate from."""
 
     def get(self, spec):
         self.misses += 1
@@ -351,10 +334,10 @@ class _ScratchCache(ResultCache):
 
 
 @contextmanager
-def _scratch_cache(traces: bool = False):
+def _scratch_cache():
     """A :class:`_ScratchCache` in a temporary root, removed on exit."""
     with tempfile.TemporaryDirectory(prefix="repro-campaign-") as root:
-        yield _ScratchCache(root, traces=traces)
+        yield _ScratchCache(root)
 
 
 class _NoLeases:
@@ -432,7 +415,16 @@ def run_campaign(
         return _execute(
             replaying(cache.traces), cache, None, jobs, progress, tier, limit=limit
         )
-    with _scratch_cache(traces=trace is not None) as scratch:
+    if trace is None:
+        campaign.validate()  # normalises the workload axis to TraceSources
+        refs = [s.label for s in campaign.axes.get("workload", ()) if s.kind == "ref"]
+        if refs:
+            raise CampaignError(
+                f"workload {refs[0]!r}: a ref workload needs a cache -- its "
+                "trace lives in a cache's workload store, and a cache-less "
+                "run has none"
+            )
+    with _scratch_cache() as scratch:
         return _execute(
             replaying(scratch.traces), scratch, None, jobs, progress, tier,
             limit=limit, private=True,

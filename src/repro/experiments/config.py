@@ -95,7 +95,12 @@ _SCALES = {s.name: s for s in (SMALL, MEDIUM, FULL)}
 
 
 def get_scale(name: str) -> Scale:
-    """Look up a scale by name."""
+    """Look up a scale by name.
+
+    >>> small = get_scale("small")
+    >>> small.n_jobs, small.loads
+    (150, (1.0, 0.6, 0.2))
+    """
     try:
         return _SCALES[name]
     except KeyError:

@@ -58,7 +58,7 @@ class FigSwfResult:
     mesh2d: list[SweepResult]
     torus: list[SweepResult]
     n_jobs: int
-    digest: str | None
+    digest: str
     parse: SwfParseReport | None
     normalize: NormalizeReport
 
@@ -82,10 +82,10 @@ def run(
     seed:
         Per-job pattern randomness (the trace itself is fixed).
     jobs / cache:
-        Parallel engine fan-out and artifact cache.  With a cache the
-        prepared trace is interned into its workload store and every spec
-        references it by digest; without one, specs carry the rows inline
-        (identical results and cache keys either way).
+        Parallel engine fan-out and artifact cache.  The prepared trace
+        is interned into the cache's workload store -- without a cache,
+        into the run's throwaway store -- and every spec references it
+        by digest.
     swf_path:
         SWF file to ingest in place of the bundled mini fixture; a
         relative path resolves against the working directory.
@@ -105,7 +105,7 @@ def run(
         mesh2d=groups["16x16"],
         torus=groups["8x8x8t"],
         n_jobs=info.n_jobs,
-        digest=info.digest if cache is not None else None,
+        digest=info.digest,
         parse=info.parse,
         normalize=info.normalize,
     )
@@ -120,8 +120,7 @@ def report(result: FigSwfResult) -> str:
     if result.parse is not None:
         header.append(f"parse: {result.parse.summary()}")
     header.append(f"prepare: {result.normalize.summary()}")
-    if result.digest is not None:
-        header.append(f"interned as {result.digest[:12]}… (specs reference it by digest)")
+    header.append(f"interned as {result.digest[:12]}… (specs reference it by digest)")
     blocks = [
         "\n".join(header),
         report_sweep(result.mesh2d),

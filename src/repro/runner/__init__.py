@@ -12,11 +12,11 @@ JSON-serializable -- and provides:
   tiers** -- ``inline`` (in-process, no Pool spin-up), ``process``
   (chunked ``multiprocessing`` fan-out) and the default ``auto``
   policy that picks by pending-cell count and estimated per-cell
-  cost -- preserving spec order in the results and
-  interning inline explicit traces into the content-addressed workload
-  store (:mod:`repro.trace.store`) so workers receive digest-sized
-  refs.  Tiers are a transport choice only: results, artifacts and
-  cache keys are byte-identical across all of them,
+  cost -- preserving spec order in the results.  Explicit traces are
+  digests into the content-addressed workload store
+  (:mod:`repro.trace.store`), so workers receive digest-sized specs.
+  Tiers are a transport choice only: results, artifacts and cache
+  keys are byte-identical across all of them,
 * :class:`ResultCache`: a compressed artifact store under
   ``.repro-cache/`` keyed by spec hash, so repeated sweeps and the
   benchmark suite skip already-computed cells; explicit traces are

@@ -58,11 +58,7 @@ def _ls(cache: ResultCache, args) -> int:
             continue
         if args.allocator is not None and spec.allocator != args.allocator:
             continue
-        trace = "synthetic"
-        if spec.trace_ref is not None:
-            trace = spec.trace_ref[:12]
-        elif spec.trace is not None:
-            trace = f"inline({len(spec.trace)})"
+        trace = "synthetic" if spec.trace_ref is None else spec.trace_ref[:12]
         rows.append(
             {
                 "key": path.name.partition(".")[0][:12],

@@ -277,7 +277,7 @@ class ResultCache:
         if entry is not None and entry[0] == signature:
             self._decoded.move_to_end(path)
             result = entry[1]
-            if result.spec.with_trace_digest() != spec.with_trace_digest():
+            if result.spec != spec:
                 return None
         else:
             result = self._load(path, expect=spec)
@@ -341,11 +341,7 @@ class ResultCache:
         result = self._decode(data, load_jobs=load_jobs)
         if result is None:
             return None
-        # Interned and inline forms of a cell must validate against each
-        # other, so compare the pure digest-normalised forms.
-        if expect is not None and (
-            result.spec.with_trace_digest() != expect.with_trace_digest()
-        ):
+        if expect is not None and result.spec != expect:
             return None
         return result
 
@@ -353,8 +349,8 @@ class ResultCache:
     def put(self, result: CellResult) -> Path:
         """Persist ``result``; returns the artifact path.
 
-        The artifact references the cell's trace by digest (interning
-        inline rows into :attr:`traces`) and packs per-job rows whenever
+        The artifact references the cell's trace by digest (the rows must
+        be in :attr:`traces`) and packs per-job rows whenever
         the packed form decodes back bit-identically; otherwise it falls
         back to full rows.  The bytes written are a pure function of the
         cell's content and the zlib build: the gzip stream carries
@@ -364,7 +360,7 @@ class ResultCache:
         identical file for the same spec.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        spec = result.spec.intern(self.traces)
+        spec = result.spec
         payload = {
             "format": CACHE_FORMAT,
             "spec": spec.to_dict(),

@@ -18,6 +18,7 @@ two pluggable **execution tiers**:
     The chunked ``multiprocessing.Pool`` fan-out; workers hydrate
     ``trace_ref`` specs from the on-disk workload store, which
     memoizes each trace per process, so a worker reads a trace once.
+    A spec pickles in a few hundred bytes whatever its trace length.
 ``auto`` (the default)
     Picks a tier from the pending-cell count and the estimated per-cell
     cost: a caller-provided estimate (e.g. a campaign manifest's
@@ -29,13 +30,10 @@ for the same spec list -- tiers are a *transport* choice, never a
 semantic one (pinned by the cross-tier determinism tests).  Results
 always come back in spec order.
 
-Specs carrying an inline explicit trace are *interned* on submission
-whenever a workload store is available (the cache's sibling store by
-default): the rows are written once to the content-addressed store and
-workers receive a digest-sized ref spec instead of re-pickling thousands
-of rows per cell.  Interning is cache-key neutral (see
-:meth:`~repro.runner.spec.ExperimentSpec.cache_key`), so results and
-artifacts are identical either way.
+Explicit-trace specs reference their rows by digest (``trace_ref``).
+They hydrate from the cache's workload store, or from the default
+store under ``$REPRO_CACHE_DIR`` when there is no cache, exactly as
+:func:`run_cell` does.
 """
 
 from __future__ import annotations
@@ -109,8 +107,8 @@ def run_cell(spec: ExperimentSpec, store=None) -> CellResult:
     """Execute one cell; deterministic in the spec alone.
 
     ``store`` is the :class:`~repro.trace.store.TraceStore` that
-    hydrates ref specs (``trace_ref``); inline and synthetic specs
-    never touch it.  ``None`` falls back to the default
+    hydrates ref specs (``trace_ref``); synthetic specs never touch
+    it.  ``None`` falls back to the default
     workload store under ``$REPRO_CACHE_DIR``/``.repro-cache``.
 
     >>> cell = run_cell(ExperimentSpec(
@@ -254,7 +252,7 @@ def _worker(payload: tuple[ExperimentSpec, str | None]) -> CellResult:
 
     ``payload`` is ``(spec, store_root)``: the store location rides along
     explicitly because workers must hydrate ref specs against the same
-    store the parent interned into (which need not be the default root).
+    store the parent reads (which need not be the default root).
     """
     spec, store_root = payload
     store = TraceStore(store_root) if store_root is not None else None
@@ -266,7 +264,6 @@ def run_many(
     jobs: int | None = 1,
     cache: ResultCache | None = None,
     progress: Callable[[int, int, CellResult], None] | None = None,
-    store: TraceStore | None = None,
     tier: str | None = "auto",
     est_cell_s: float | None = None,
     on_decision: Callable[[TierDecision], None] | None = None,
@@ -284,15 +281,12 @@ def run_many(
         the per-cell cost estimate (:func:`auto_jobs`).
     cache:
         Optional :class:`ResultCache`; hits skip computation, misses are
-        stored after computing.
+        stored after computing.  Ref specs hydrate from its workload
+        store (:attr:`ResultCache.traces`), or from the default store
+        when there is no cache.
     progress:
         Optional ``callback(done, total, cell)`` fired as cells resolve
         (cache hits first, then computed cells in completion order).
-    store:
-        Workload store used to intern inline explicit traces before
-        dispatch and to hydrate ref specs.  Defaults to the cache's
-        sibling store; with neither cache nor store, inline specs are
-        dispatched as-is (ref specs then hydrate from the default store).
     tier:
         Execution tier: ``"inline"``, ``"process"`` or ``"auto"`` (see the module docstring); ``None`` means
         ``"auto"``, so callers can thread through an unset CLI flag
@@ -305,12 +299,6 @@ def run_many(
     on_decision:
         Optional callback receiving the :class:`TierDecision` actually
         taken -- observability for CLIs and the campaign manifest.
-
-    Notes
-    -----
-    Cells computed for an interned spec come back carrying the ref form
-    in ``CellResult.spec``; it is the same cell (identical cache key and
-    results) in the compact representation.
     """
     if tier is None:
         tier = "auto"
@@ -321,8 +309,7 @@ def run_many(
     results: list[CellResult | None] = [None] * total
     done = 0
 
-    if store is None and cache is not None:
-        store = cache.traces
+    store = cache.traces if cache is not None else None
     store_root = str(store.root) if store is not None else None
 
     def resolve(index: int, cell: CellResult) -> None:
@@ -333,16 +320,12 @@ def run_many(
             progress(done, total, cell)
 
     # Cache pass + duplicate coalescing: identical specs compute once.
-    # Interning the explicit trace (when a store is available) shrinks
-    # the per-cell worker payload from O(trace) to O(1).
     pending: dict[ExperimentSpec, list[int]] = {}
     for i, spec in enumerate(spec_list):
         hit = cache.get(spec) if cache is not None else None
         if hit is not None:
             resolve(i, hit)
         else:
-            if store is not None:
-                spec = spec.intern(store)
             pending.setdefault(spec, []).append(i)
 
     def fan_out(cell: CellResult) -> None:
@@ -421,7 +404,6 @@ def sweep_specs(
     seed: int,
     n_jobs: int = 0,
     runtime_scale: float = 1.0,
-    trace=None,
     network=None,
     torus: bool = False,
     trace_ref: str | None = None,
@@ -429,8 +411,7 @@ def sweep_specs(
     """The figure-grid spec list, in the drivers' canonical cell order
     (pattern-major, then load, then allocator).  ``mesh_shape`` may be a
     2- or 3-tuple; ``torus`` wraps opposite faces (fig12's 8x8x8 torus);
-    the explicit workload may be inline rows (``trace``) or an interned
-    digest (``trace_ref``).
+    an explicit workload is the digest of a stored trace (``trace_ref``).
 
     >>> grid = sweep_specs((8, 8), ("ring", "all-to-all"), (1.0, 0.5),
     ...                    ("mc",), seed=1, n_jobs=10)
@@ -446,7 +427,6 @@ def sweep_specs(
             seed=seed,
             n_jobs=n_jobs,
             runtime_scale=runtime_scale,
-            trace=trace,
             network=network,
             torus=torus,
             trace_ref=trace_ref,

@@ -2,20 +2,19 @@
 
 An :class:`ExperimentSpec` pins down everything one simulation cell needs:
 the mesh, the communication pattern, the allocator, the load factor, the
-seed, and the workload (either the synthetic-trace parameters or an
-explicit base trace).  Specs are frozen, hashable (usable as dict keys and
-dedup keys) and round-trip through JSON, which is what makes both the
-multiprocessing fan-out and the on-disk cache possible: workers rebuild
-the whole cell from the spec alone, and the cache keys artifacts by the
-SHA-256 of the spec's canonical JSON form.
+seed, and the workload (either the synthetic-trace parameters or the
+digest of an explicit base trace).  Specs are frozen, hashable (usable
+as dict keys and dedup keys) and round-trip through JSON, which is what
+makes both the multiprocessing fan-out and the on-disk cache possible:
+workers rebuild the whole cell from the spec alone, and the cache keys
+artifacts by the SHA-256 of the spec's canonical JSON form.
 
-Explicit traces come in two interchangeable forms: inline rows
-(``trace``) or a content-address into the workload store
-(``trace_ref``, see :mod:`repro.trace.store`).  :meth:`ExperimentSpec.intern`
-converts inline to ref, and :meth:`ExperimentSpec.cache_key` hashes a ref's
-rows in place of its digest -- so both forms of the same cell share one
-byte-identical cache key, which is what lets the engine intern traces
-without invalidating any pre-existing ``.repro-cache/`` artifact.
+An explicit trace is always a content address into the workload store
+(``trace_ref``, see :mod:`repro.trace.store`): the rows live once in the
+store, and a spec carries only their 64-character digest.
+:meth:`ExperimentSpec.cache_key` hashes the store's rows in place of the
+digest, so every cache key is byte-identical to the one the same cell
+had when specs still carried their rows inline.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import hashlib
 import json
 import math
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.mesh.clos import build_topology as _build_topology
 from repro.mesh.clos import topology_label
@@ -33,7 +32,7 @@ from repro.network.fluid import NetworkParams
 from repro.sched.job import Job, JobResult
 from repro.sched.registry import apply_priority, validate_priority
 from repro.sched.stats import RunSummary
-from repro.trace.store import TraceStore, canonical_trace, default_store, trace_digest
+from repro.trace.store import TraceStore, default_store
 
 __all__ = [
     "ExperimentSpec",
@@ -92,17 +91,14 @@ class ExperimentSpec:
     seed:
         Base seed for trace generation and per-job pattern randomness.
     n_jobs / runtime_scale:
-        Synthetic-trace parameters (ignored when ``trace`` is given).
-    trace:
-        Optional explicit base trace as ``(job_id, arrival, size,
-        runtime)`` tuples, *before* load contraction -- used for SWF
-        traces and the boosted Fig 9/10 workload.
+        Synthetic-trace parameters (ignored when ``trace_ref`` is given).
     trace_ref:
         Content address (SHA-256 digest) of an explicit base trace in the
-        workload store, the interned alternative to ``trace`` (exactly one
-        of the two may be set).  Ref specs pickle in a few hundred bytes
-        regardless of trace length, which is what makes ``--scale full``
-        fan-out cheap.
+        workload store: ``(job_id, arrival, size, runtime)`` rows,
+        *before* load contraction -- used for SWF traces and the boosted
+        Fig 9/10 workload.  Specs pickle in a few hundred bytes regardless
+        of trace length, which is what makes ``--scale full`` fan-out
+        cheap.
     network:
         Non-default fluid-network parameters as sorted ``(name, value)``
         pairs (see :meth:`from_network_params`); ``None`` means the
@@ -132,7 +128,6 @@ class ExperimentSpec:
     seed: int
     n_jobs: int = 0
     runtime_scale: float = 1.0
-    trace: tuple[TraceRow, ...] | None = None
     network: tuple[tuple[str, float | None], ...] | None = None
     scheduler: str = "fcfs"
     torus: bool = False
@@ -142,10 +137,7 @@ class ExperimentSpec:
     n_users: int = 0
 
     def __post_init__(self) -> None:
-        # Normalise list inputs so hashing/equality always work.  Trace
-        # rows are also type-normalised to (int, float, int, float) so the
-        # inline form, the store's canonical form, and the cache key all
-        # agree byte-for-byte.
+        # Normalise list inputs so hashing/equality always work.
         object.__setattr__(self, "mesh_shape", tuple(self.mesh_shape))
         if self.topology is not None:
             # Canonicalise the string (so "fattree:8" and "fattree:k=8"
@@ -162,8 +154,6 @@ class ExperimentSpec:
                 object.__setattr__(self, "topology", topology_label(topo))
                 object.__setattr__(self, "mesh_shape", tuple(topo.shape))
                 object.__setattr__(self, "torus", False)
-        if self.trace is not None:
-            object.__setattr__(self, "trace", canonical_trace(self.trace))
         if self.network is not None:
             object.__setattr__(
                 self, "network", tuple(tuple(kv) for kv in self.network)
@@ -172,35 +162,33 @@ class ExperimentSpec:
             raise ValueError(
                 f"mesh_shape must be (w, h) or (w, h, d), got {self.mesh_shape!r}"
             )
-        if self.load <= 0:
+        if not self.load > 0:  # also rejects NaN, whose cell never ends
             raise ValueError(f"load must be positive, got {self.load!r}")
-        if self.trace is not None and self.trace_ref is not None:
-            raise ValueError("trace and trace_ref are mutually exclusive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.trace_ref is not None and not _is_digest(self.trace_ref):
             raise ValueError(
                 f"trace_ref must be a 64-char SHA-256 hex digest, got {self.trace_ref!r}"
             )
-        if self.trace is None and self.trace_ref is None and self.n_jobs < 1:
-            raise ValueError("specs without an explicit trace need n_jobs >= 1")
+        if self.trace_ref is None:
+            if self.n_jobs < 1:
+                raise ValueError("specs without an explicit trace need n_jobs >= 1")
+            if not self.runtime_scale > 0:  # also rejects NaN
+                raise ValueError(
+                    f"runtime_scale must be positive, got {self.runtime_scale!r}"
+                )
         validate_priority(self.priority)
         if self.n_users < 0:
             raise ValueError(f"n_users must be >= 0, got {self.n_users!r}")
 
     # -- workload ------------------------------------------------------
-    @property
-    def has_explicit_trace(self) -> bool:
-        """Whether the cell replays an explicit base trace (either form)."""
-        return self.trace is not None or self.trace_ref is not None
-
     def base_trace(self, store: TraceStore | None = None) -> tuple[TraceRow, ...]:
-        """The explicit base trace rows, hydrating refs from ``store``.
+        """The explicit base trace rows, hydrated from ``store``.
 
         ``store`` defaults to the workload store under the default cache
         root; raises :class:`ValueError` for synthetic specs and
         :class:`KeyError` for refs missing from the store.
         """
-        if self.trace is not None:
-            return self.trace
         if self.trace_ref is None:
             raise ValueError("spec has no explicit trace")
         return (store if store is not None else default_store()).get(self.trace_ref)
@@ -222,8 +210,6 @@ class ExperimentSpec:
             # The digest is the trace's content address: every store
             # holding it holds the same rows.
             source: tuple = ("ref", self.trace_ref)
-        elif self.trace is not None:
-            source = ("trace", self.trace)
         else:
             source = (
                 "synthetic", self.seed, self.n_jobs, self.runtime_scale, self.n_users
@@ -248,7 +234,7 @@ class ExperimentSpec:
             sdsc_paragon_trace,
         )
 
-        if self.has_explicit_trace:
+        if self.trace_ref is not None:
             base = [_job_from_row(row) for row in self.base_trace(store)]
         else:
             base = sdsc_paragon_trace(
@@ -284,36 +270,6 @@ class ExperimentSpec:
             return _build_topology(self.topology)
         return Mesh(*self.mesh_shape, torus=self.torus)
 
-    # -- trace interning -----------------------------------------------
-    def intern(self, store: TraceStore) -> "ExperimentSpec":
-        """Ref form of this spec: inline rows moved into ``store``.
-
-        No-op for synthetic and already-interned specs.  The returned spec
-        has the byte-identical cache key of the original (the key hashes
-        the trace rows either way).
-        """
-        if self.trace is None:
-            return self
-        return replace(self, trace=None, trace_ref=store.put(self.trace))
-
-    def with_trace_digest(self) -> "ExperimentSpec":
-        """Digest-normalised form (pure -- no store access).
-
-        Inline rows are replaced by their content address, so the two
-        forms of the same cell compare equal; used by the cache to
-        validate artifacts against requesting specs.
-
-        >>> from repro.trace.store import trace_digest
-        >>> inline = ExperimentSpec(mesh_shape=(8, 8), pattern="ring",
-        ...                         allocator="mc", load=1.0, seed=1,
-        ...                         trace=((0, 0.0, 4, 10.0),))
-        >>> inline.with_trace_digest().trace_ref == trace_digest(inline.trace)
-        True
-        """
-        if self.trace is None:
-            return self
-        return replace(self, trace=None, trace_ref=trace_digest(self.trace))
-
     # -- network parameters --------------------------------------------
     def network_params(self) -> NetworkParams:
         """The cell's fluid-network parameters."""
@@ -338,8 +294,10 @@ class ExperimentSpec:
         """JSON-ready dict (tuples become lists).
 
         ``torus`` and ``trace_ref`` are serialized only when set: the
-        defaults are omitted so 2-D inline specs -- and therefore their
-        cache keys -- are unchanged by the N-D and trace-store refactors.
+        defaults are omitted so 2-D specs -- and therefore their cache
+        keys -- are unchanged by the N-D and trace-store refactors.
+        ``"trace"`` is always ``None``: specs no longer carry inline rows,
+        but the key stays in every cache key, cell digest and artifact.
         """
         out = {
             "mesh_shape": list(self.mesh_shape),
@@ -349,7 +307,7 @@ class ExperimentSpec:
             "seed": self.seed,
             "n_jobs": self.n_jobs,
             "runtime_scale": self.runtime_scale,
-            "trace": None if self.trace is None else [list(r) for r in self.trace],
+            "trace": None,
             "network": None if self.network is None else [list(kv) for kv in self.network],
             "scheduler": self.scheduler,
         }
@@ -367,7 +325,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Raises :class:`ValueError` on a non-null ``"trace"``: inline rows
+        are not a spec form, so an artifact carrying them decodes as a
+        miss.
+        """
+        if data.get("trace") is not None:
+            raise ValueError("inline trace rows are not a spec form; use trace_ref")
         return cls(
             mesh_shape=tuple(data["mesh_shape"]),
             pattern=data["pattern"],
@@ -376,9 +341,6 @@ class ExperimentSpec:
             seed=data["seed"],
             n_jobs=data.get("n_jobs", 0),
             runtime_scale=data.get("runtime_scale", 1.0),
-            trace=None
-            if data.get("trace") is None
-            else tuple(tuple(r) for r in data["trace"]),
             network=None
             if data.get("network") is None
             else tuple(tuple(kv) for kv in data["network"]),
@@ -391,12 +353,12 @@ class ExperimentSpec:
         )
 
     def cache_key(self, store: TraceStore | None = None) -> str:
-        """SHA-256 hex digest of the canonical *inline* JSON form.
+        """SHA-256 hex digest of the spec's canonical JSON form.
 
         Ref specs hash the store's canonical rows (``store`` defaults to
-        the workload store) in place of their digest, so interning is
-        cache-key neutral: both forms of a cell address the same artifact,
-        and every pre-refactor inline key is byte-identical.
+        the workload store) in place of their digest, so every key is
+        byte-identical to the one the cell had when specs carried their
+        rows inline.
 
         >>> spec = ExperimentSpec(mesh_shape=(8, 8), pattern="ring",
         ...                       allocator="mc", load=1.0, seed=1, n_jobs=10)

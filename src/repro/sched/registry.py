@@ -122,20 +122,23 @@ class EasyQueue(FCFSQueue):
 
         A later job starts if it ends by the shadow time at the 1 msg/s
         issue floor (``quota`` seconds), or fits in the spare processors.
-        Each backfilled start moves the reservation, so it is re-asked;
-        with no job behind the head nothing could backfill, and none is.
+        Each backfilled start moves the reservation, so it is re-asked
+        before the next candidate; with no candidate left to test (none
+        behind the head, or after the last one) it is not asked.
         """
         started = super().start_jobs(try_start, now, reserve)
         if len(self._queue) < 2:
             return started
         head = self._queue[0]
+        candidates = list(self._queue)[1:]
         shadow, spare = reserve(head)
-        for job in list(self._queue)[1:]:
+        for i, job in enumerate(candidates, 1):
             fits_window = now + job.quota <= shadow + _WINDOW_SLACK
             if (fits_window or job.size <= spare) and try_start(job):
                 self._queue.remove(job)
                 started = True
-                shadow, spare = reserve(head)
+                if i < len(candidates):
+                    shadow, spare = reserve(head)
         return started
 
 

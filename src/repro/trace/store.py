@@ -1,19 +1,15 @@
 """Content-addressed workload store.
 
-Explicit base traces (real SWF logs, the boosted Fig 9/10 workload) used
-to be embedded row-by-row in every :class:`~repro.runner.spec.ExperimentSpec`
-that referenced them -- thousands of rows pickled into each worker dispatch
-and serialized into each cell's cache artifact.  This module stores a trace
-*once*, keyed by the SHA-256 of its canonical JSON form, under
-``<cache-root>/traces/<digest>.json``; everything else (specs, artifacts,
-worker payloads) carries only the 64-character digest.
+Explicit base traces (real SWF logs, the boosted Fig 9/10 workload) are
+stored here *once*, keyed by the SHA-256 of their canonical JSON form,
+under ``<cache-root>/traces/<digest>.json``; everything else (every
+:class:`~repro.runner.spec.ExperimentSpec`, artifact and worker payload)
+carries only the 64-character digest, its ``trace_ref``.
 
-The digest doubles as the identity used by the experiment cache: an
-interned spec hashes its trace's rows in place of the digest, so a spec
-referencing a trace by digest has the *byte-identical* cache key of the
-same spec carrying the rows inline (see
-:meth:`~repro.runner.spec.ExperimentSpec.cache_key`).  Interning therefore
-never invalidates existing ``.repro-cache/`` artifacts.
+A spec's cache key hashes its trace's rows in place of the digest (see
+:meth:`~repro.runner.spec.ExperimentSpec.cache_key`), so the keys are
+byte-identical to the ones the same cells had when specs embedded their
+rows inline.
 
 Store files are immutable once written (same digest == same bytes), which
 makes concurrent writers trivially safe: writes go through a temp file and
@@ -95,9 +91,8 @@ def trace_digest(rows) -> str:
     """SHA-256 hex digest of the canonical JSON form of a base trace.
 
     This is the content address: two traces share a digest iff their
-    normalised rows serialize to the same bytes.  It is also exactly the
-    fragment an inline spec contributes to its cache key, which is what
-    keeps interning cache-key-neutral.
+    normalised rows serialize to the same bytes.  A spec's cache key
+    hashes the same normalised rows in place of the digest.
 
     >>> trace_digest([(0, 0.0, 4, 10.0)])[:12]
     '83eb952851e7'

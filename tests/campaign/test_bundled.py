@@ -21,6 +21,7 @@ from repro.campaign import bundled_campaign_names, bundled_campaign_path, expand
 from repro.experiments.config import SMALL
 from repro.experiments.sweep import PAPER_ALLOCATORS, PAPER_PATTERNS
 from repro.runner import ResultCache, sweep_specs
+from repro.trace.store import TraceStore
 
 GOLDEN_DIR = Path(__file__).parent.parent / "experiments" / "data"
 
@@ -41,8 +42,8 @@ class TestBundledInventory:
             assert expected in names
 
     @pytest.mark.parametrize("name", bundled_campaign_names())
-    def test_every_bundled_campaign_loads_and_expands(self, name):
-        expansion = expand(_bundled(name))
+    def test_every_bundled_campaign_loads_and_expands(self, name, tmp_path):
+        expansion = expand(_bundled(name), store=TraceStore(tmp_path / "traces"))
         assert expansion.cells
 
 
@@ -80,7 +81,7 @@ class TestSpecEquality:
         campaign = [c.spec for c in expand(_bundled("fig12")).cells]
         assert campaign == driver
 
-    def test_figswf_campaign_equals_driver_grid(self):
+    def test_figswf_campaign_equals_driver_grid(self, tmp_path):
         from repro.trace.archive import bundled_mini_swf, prepare_trace, trace_rows
         from repro.trace.swf import parse_swf
 
@@ -92,7 +93,8 @@ class TestSpecEquality:
             max_size=512,
             oversized="drop",
         )
-        rows = trace_rows(prepared)
+        store = TraceStore(tmp_path / "traces")
+        digest = store.put(trace_rows(prepared))
         driver = []
         for shape, torus in (((16, 16), False), ((8, 8, 8), True)):
             driver += _grid(
@@ -100,30 +102,29 @@ class TestSpecEquality:
                 ("s-curve", "s-curve+bf", "hilbert", "hilbert+bf"),
                 patterns=("all-to-all",),
                 torus=torus,
-                trace=rows,
+                trace_ref=digest,
             )
-        campaign = [c.spec for c in expand(_bundled("figswf")).cells]
+        campaign = [c.spec for c in expand(_bundled("figswf"), store=store).cells]
         assert campaign == driver
 
     def test_fig09_campaign_equals_driver_grid(self, tmp_path):
         """The boosted trace replaces the workload axis as a ``ref``; the
-        cells key exactly as inline rows on the hand-built grid do."""
+        cells are the hand-built grid's."""
         from repro.campaign.model import TraceSource
         from repro.experiments.metric_correlation import _boosted_trace
         from repro.mesh.topology import Mesh
         from repro.trace.archive import trace_rows
 
-        rows = trace_rows(_boosted_trace(SMALL, Mesh(16, 16)))
+        store = TraceStore(tmp_path / "traces")
+        digest = store.put(trace_rows(_boosted_trace(SMALL, Mesh(16, 16))))
         driver = _grid(
-            (16, 16), PAPER_ALLOCATORS, patterns=("n-body",), loads=(1.0,), trace=rows
+            (16, 16), PAPER_ALLOCATORS, patterns=("n-body",), loads=(1.0,),
+            trace_ref=digest,
         )
-        cache = ResultCache(tmp_path / "cache")
         campaign = _bundled("fig09").scaled(SMALL)
-        digest = cache.traces.put(rows)
         campaign.axes["workload"] = [TraceSource(kind="ref", digest=digest)]
-        cells = [c.spec for c in expand(campaign, store=cache.traces).cells]
-        assert cells == [s.intern(cache.traces) for s in driver]
-        assert [cache.key_for(s) for s in cells] == [s.cache_key() for s in driver]
+        cells = [c.spec for c in expand(campaign, store=store).cells]
+        assert cells == driver
 
     def test_fig11_campaign_equals_driver_grid(self):
         driver = _grid(

@@ -80,16 +80,51 @@ def test_duplicate_cells_dedupe_by_spec_digest():
     assert len({c.digest for c in expansion.cells}) == 4
 
 
-def test_cell_digest_is_representation_invariant(tmp_path):
-    text = BASE + '\nworkload = [{kind = "swf", path = "bundled:sdsc-mini", n_jobs = 8, time_scale = 0.01, max_size = 64}]\n'
-    inline = expand(loads_campaign(text))
-    interned = expand(loads_campaign(text), store=TraceStore(tmp_path / "traces"))
-    assert [c.spec.trace for c in inline.cells][0] is not None
-    assert [c.spec.trace_ref for c in interned.cells][0] is not None
-    assert [c.digest for c in inline.cells] == [c.digest for c in interned.cells]
-    assert inline.digest == interned.digest
-    for a, b in zip(inline.cells, interned.cells):
-        assert cell_digest(a.spec) == cell_digest(b.spec)
+#: Cell digests of the mini-SWF cells below, recorded when specs could
+#: still carry their trace rows inline (both forms digested alike then).
+MINI_SWF_CELL_DIGESTS = [
+    "b5aa4030fe02bca9c773d87fca26c4fd1a2c68263621d836719500f3f98d7320",
+    "4959c9b55953ee8a26fbb9355a8ec25321c064b736631c318127e95f5a06286e",
+    "2a87de0d0021341340591cf5393a09debae7c9aadff3bc95b79d35a077a390ef",
+    "20ecaa5b2d7da236998117f2c1d639bbca0cd210fdd09079f5d9a1264040686d",
+]
+
+MINI_SWF = (
+    BASE
+    + '\nworkload = [{kind = "swf", path = "bundled:sdsc-mini", n_jobs = 8, '
+    "time_scale = 0.01, max_size = 64}]\n"
+)
+
+
+def test_cell_digest_pins_the_mini_swf_cells(tmp_path):
+    expansion = expand(loads_campaign(MINI_SWF), store=TraceStore(tmp_path / "traces"))
+    assert [c.digest for c in expansion.cells] == MINI_SWF_CELL_DIGESTS
+    assert [cell_digest(c.spec) for c in expansion.cells] == MINI_SWF_CELL_DIGESTS
+    assert expansion.digest == (
+        "e57280123c7724914cda58276a7ea6121696ac1352d98ec7c68b83f5d918beb4"
+    )
+
+
+def test_swf_source_needs_a_store():
+    with pytest.raises(CampaignError, match="'swf:bundled:sdsc-mini'.*given none"):
+        expand(loads_campaign(MINI_SWF))
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("seed = -1", "seed must be >= 0"),
+        ("runtime_scale = 0.0", "runtime_scale must be positive"),
+        ("runtime_scale = nan", "runtime_scale must be positive"),
+    ],
+)
+def test_spec_that_could_only_fail_in_its_cell_rejected(setting, message):
+    key = setting.split(" = ")[0]
+    text = "\n".join(
+        setting if line.startswith(f"{key} = ") else line for line in BASE.splitlines()
+    )
+    with pytest.raises(CampaignError, match=rf"cell \{{.*\}}: {message}"):
+        expand(loads_campaign(text))
 
 
 def test_2d_only_allocator_on_3d_mesh_rejected():

@@ -132,9 +132,10 @@ class TestValidation:
         with pytest.raises(CampaignError, match="unknown axis 'fanciness'"):
             campaign.validate()
 
-    def test_nonpositive_load_rejected(self):
+    @pytest.mark.parametrize("bad", [0.0, float("nan")])
+    def test_nonpositive_load_rejected(self, bad):
         campaign = self._campaign()
-        campaign.axes["load"] = [1.0, 0.0]
+        campaign.axes["load"] = [1.0, bad]
         with pytest.raises(CampaignError, match="load"):
             campaign.validate()
 

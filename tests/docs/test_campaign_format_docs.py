@@ -21,6 +21,7 @@ from repro.campaign import expand, loads_campaign
 from repro.campaign.model import KNOWN_AXES, KNOWN_SETTINGS
 from repro.campaign.model import _SOURCE_KEYS  # the parser's own key set
 from repro.runner.engine import TIERS
+from repro.trace.store import TraceStore
 
 DOCS = Path(__file__).resolve().parents[2] / "docs"
 DOC = DOCS / "campaign-format.md"
@@ -39,18 +40,18 @@ def test_document_exists_with_snippets():
 
 
 @pytest.mark.parametrize("index", range(len(_blocks("toml")) or 1))
-def test_every_toml_snippet_loads_and_expands(index):
+def test_every_toml_snippet_loads_and_expands(index, tmp_path):
     blocks = _blocks("toml")
     text = blocks[index]
     campaign = loads_campaign(text, fmt="toml", base_dir=DOCS)
-    expansion = expand(campaign)  # store-less: pure resolution
+    expansion = expand(campaign, store=TraceStore(tmp_path / "traces"))
     assert expansion.cells, f"snippet {index} ({campaign.name}) expands to no cells"
 
 
-def test_json_snippet_loads_and_expands():
+def test_json_snippet_loads_and_expands(tmp_path):
     (text,) = _blocks("json")
     campaign = loads_campaign(text, fmt="json", base_dir=DOCS)
-    assert expand(campaign).cells
+    assert expand(campaign, store=TraceStore(tmp_path / "traces")).cells
 
 
 def test_python_snippets_compile():

@@ -1,10 +1,10 @@
 """The public-API docstring contract (docs satellite).
 
-Two executable guarantees over every subpackage but the experiment
-drivers (:mod:`repro.runner`, :mod:`repro.campaign`, :mod:`repro.trace`,
-:mod:`repro.mesh`, :mod:`repro.sched`, :mod:`repro.core`,
-:mod:`repro.analysis`, :mod:`repro.network`, :mod:`repro.patterns`,
-:mod:`repro.viz`):
+Two executable guarantees over every subpackage (:mod:`repro.runner`,
+:mod:`repro.campaign`, :mod:`repro.trace`, :mod:`repro.mesh`,
+:mod:`repro.sched`, :mod:`repro.core`, :mod:`repro.analysis`,
+:mod:`repro.network`, :mod:`repro.patterns`, :mod:`repro.viz` and the
+experiment drivers, :mod:`repro.experiments`):
 
 * every name exported through ``__all__`` carries a docstring (module
   constants are exempt -- Python attaches no ``__doc__`` to them; their
@@ -24,6 +24,7 @@ import pytest
 import repro.analysis
 import repro.campaign
 import repro.core
+import repro.experiments
 import repro.mesh
 import repro.network
 import repro.patterns
@@ -43,6 +44,7 @@ PUBLIC_PACKAGES = (
     repro.network,
     repro.patterns,
     repro.viz,
+    repro.experiments,
 )
 
 

@@ -159,30 +159,31 @@ class TestTraceInput:
     """``--trace`` runs through each figure's bundled campaign."""
 
     def test_fig7_trace_equals_direct_engine_run(self, tiny_scale, tmp_path, capsys):
-        """The campaign's ref workload replays the log exactly as inline
-        rows handed straight to the engine do."""
+        """The campaign's ref workload replays the log exactly as its rows
+        handed straight to the engine do."""
         from repro.experiments.sweep import (
             PAPER_ALLOCATORS,
             PAPER_PATTERNS,
             SweepResult,
             report_sweep,
         )
-        from repro.runner import run_many, sweep_specs
+        from repro.runner import ResultCache, run_many, sweep_specs
         from repro.trace.archive import trace_rows
         from repro.trace.swf import read_swf
 
         path = _write_trace(tmp_path / "late.swf", first_id=1, first_arrival=500.0)
         assert path.read_text().split()[:2] == ["1", "500"]
         jobs = read_swf(path)
+        direct = ResultCache(tmp_path / "direct")
         specs = sweep_specs(
             (16, 22),
             PAPER_PATTERNS,
             tiny_scale.loads,
             PAPER_ALLOCATORS,
             seed=tiny_scale.seed,
-            trace=trace_rows(jobs),
+            trace_ref=direct.traces.put(trace_rows(jobs)),
         )
-        cells = run_many(specs)
+        cells = run_many(specs, cache=direct)
         per_pattern = len(tiny_scale.loads) * len(PAPER_ALLOCATORS)
         reference = report_sweep(
             [

@@ -132,21 +132,22 @@ class TestSweep:
         assert len(PAPER_ALLOCATORS) == 9
         assert PAPER_PATTERNS == ("all-to-all", "n-body", "random")
 
-    def test_custom_trace_passthrough(self):
-        from repro.runner import run_many, sweep_specs
+    def test_custom_trace_passthrough(self, tmp_path):
+        from repro.runner import ResultCache, run_many, sweep_specs
         from repro.sched.job import Job
         from repro.trace.archive import trace_rows
 
         trace = [Job(i, 50.0 * i, 4, 10.0) for i in range(5)]
+        cache = ResultCache(tmp_path / "c")
         specs = sweep_specs(
             (8, 8),
             ("ring",),
             TINY.loads,
             ("hilbert+bf",),
             seed=TINY.seed,
-            trace=trace_rows(trace),
+            trace_ref=cache.traces.put(trace_rows(trace)),
         )
-        assert run_many(specs)[0].summary.n_jobs == 5
+        assert run_many(specs, cache=cache)[0].summary.n_jobs == 5
 
 
 class TestMetricCorrelation:

@@ -69,7 +69,7 @@ def _assert_matches_golden(scale_name: str, actual: dict) -> None:
 
 
 def test_figswf_small_matches_golden_and_is_jobs_invariant(tmp_path):
-    """Small-scale golden, computed through the interned-trace path --
+    """Small-scale golden, computed through a cache's workload store --
     serially and with 4 workers, which must agree bit-for-bit."""
     serial = compute_panels("small", jobs=1, cache_root=tmp_path / "serial")
     _assert_matches_golden("small", serial)
@@ -77,11 +77,11 @@ def test_figswf_small_matches_golden_and_is_jobs_invariant(tmp_path):
     assert parallel == serial
 
 
-def test_figswf_inline_path_matches_interned_path(tmp_path):
-    """No cache => inline rows in every spec; results must be identical
-    (interning is representation, not behaviour)."""
-    inline = compute_panels("small", jobs=1, cache_root=None)
-    _assert_matches_golden("small", inline)
+def test_figswf_cacheless_path_matches_golden():
+    """No cache => the trace is interned into the run's throwaway store;
+    the panels must equal the golden all the same."""
+    cacheless = compute_panels("small", jobs=1, cache_root=None)
+    _assert_matches_golden("small", cacheless)
 
 
 @pytest.mark.skipif(

@@ -102,21 +102,20 @@ TRACE = tuple((i, 30.0 * i, 2 ** (i % 5), 20.0 + i) for i in range(40))
 class TestCompactArtifacts:
     """Format-2 artifacts: ref specs, packed jobs, gzip -- all lossless."""
 
-    def _trace_spec(self, **overrides) -> ExperimentSpec:
-        base = dict(
+    def _trace_spec(self, cache: ResultCache) -> ExperimentSpec:
+        return ExperimentSpec(
             mesh_shape=(8, 8),
             pattern="all-to-all",
             allocator="hilbert+bf",
             load=1.0,
             seed=5,
-            trace=TRACE,
+            trace_ref=cache.traces.put(TRACE),
         )
-        base.update(overrides)
-        return ExperimentSpec(**base)
 
     def test_artifact_does_not_embed_trace_rows(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        path = cache.put(run_cell(self._trace_spec()))
+        spec = self._trace_spec(cache)
+        path = cache.put(run_cell(spec, store=cache.traces))
         data = read_artifact(path)
         assert data["format"] == CACHE_FORMAT
         assert data["spec"].get("trace") is None
@@ -125,8 +124,8 @@ class TestCompactArtifacts:
 
     def test_hit_is_bit_identical_to_computed(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        spec = self._trace_spec()
-        cell = run_cell(spec)
+        spec = self._trace_spec(cache)
+        cell = run_cell(spec, store=cache.traces)
         cache.put(cell)
         hit = ResultCache(tmp_path / "c").get(spec)
         assert hit is not None
@@ -155,14 +154,17 @@ class TestCompactArtifacts:
         assert hit.jobs == cell.jobs
         assert all(isinstance(j, JobResult) for j in hit.jobs)
 
-    def test_interned_and_inline_requests_share_artifacts(self, tmp_path):
+    def test_inline_trace_artifact_is_a_miss(self, tmp_path):
+        """Inline rows are not a spec form: a hand-made artifact whose
+        spec carries them decodes as a miss, not as the ref cell."""
         cache = ResultCache(tmp_path / "c")
-        inline = self._trace_spec()
-        ref = inline.intern(cache.traces)
-        cache.put(run_cell(inline))
-        assert cache.get(ref) is not None
-        assert cache.get(inline) is not None
-        assert len(cache) == 1
+        spec = self._trace_spec(cache)
+        path = cache.put(run_cell(spec, store=cache.traces))
+        data = read_artifact(path)
+        del data["spec"]["trace_ref"]
+        data["spec"]["trace"] = [list(row) for row in TRACE]
+        write_artifact(path, data)
+        assert ResultCache(cache.root).get(spec) is None
 
 
 class TestArtifactFormat:

@@ -107,55 +107,61 @@ class TestRunMany:
         assert all(c.cached for c in again)
 
 
-class TestTraceInterning:
-    """run_many moves inline traces into the workload store on submission."""
+class TestTraceRefGrids:
+    """Explicit-trace cells hydrate from the cache's workload store, or
+    from the default store when there is no cache."""
 
     TRACE = tuple((i, 40.0 * i, 2 ** (i % 4), 25.0) for i in range(24))
 
-    def _grid(self):
+    def _grid(self, store):
         return sweep_specs(
             (8, 8), ("ring",), (1.0, 0.5), ("mc", "hilbert+bf"),
-            seed=3, trace=self.TRACE,
+            seed=3, trace_ref=store.put(self.TRACE),
         )
 
-    def test_interned_results_equal_inline(self, tmp_path):
-        inline_cells = run_many(self._grid())  # no cache/store: inline path
+    def test_cached_results_equal_cacheless(self, tmp_path):
+        from repro.trace.store import default_store
+
+        cacheless = run_many(self._grid(default_store()))
         cache = ResultCache(tmp_path / "c")
-        interned_cells = run_many(self._grid(), cache=cache)
-        assert [c.summary for c in interned_cells] == [c.summary for c in inline_cells]
-        assert [c.jobs for c in interned_cells] == [c.jobs for c in inline_cells]
-        # the trace landed in the store exactly once; specs now reference it
+        cached = run_many(self._grid(cache.traces), cache=cache)
+        assert [c.summary for c in cached] == [c.summary for c in cacheless]
+        assert [c.jobs for c in cached] == [c.jobs for c in cacheless]
         assert len(cache.traces) == 1
-        assert all(c.spec.trace_ref is not None for c in interned_cells)
+        assert len(cache) == len(cached)
 
     def test_parallel_workers_hydrate_from_store(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        serial = run_many(self._grid(), cache=cache)
+        serial = run_many(self._grid(cache.traces), cache=cache)
+        other = ResultCache(tmp_path / "c2")
         parallel = run_many(
-            self._grid(), jobs=3, cache=ResultCache(tmp_path / "c2"), tier="process"
+            self._grid(other.traces), jobs=3, cache=other, tier="process"
         )
         assert [c.summary for c in parallel] == [c.summary for c in serial]
         assert [c.jobs for c in parallel] == [c.jobs for c in serial]
 
-    def test_warm_cache_serves_inline_submissions(self, tmp_path):
+    def test_warm_cache_serves_ref_submissions(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        first = run_many(self._grid(), cache=cache)
+        first = run_many(self._grid(cache.traces), cache=cache)
         warm = ResultCache(tmp_path / "c")
-        second = run_many(self._grid(), cache=warm)
+        second = run_many(self._grid(warm.traces), cache=warm)
         assert warm.hits == len(second) and warm.misses == 0
         assert [c.summary for c in second] == [c.summary for c in first]
         assert [c.jobs for c in second] == [c.jobs for c in first]
 
-    def test_ref_specs_accepted_directly(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        digest = cache.traces.put(self.TRACE)
-        ref_grid = sweep_specs(
-            (8, 8), ("ring",), (1.0, 0.5), ("mc", "hilbert+bf"),
-            seed=3, trace_ref=digest,
-        )
-        ref_cells = run_many(ref_grid, jobs=2, cache=cache, tier="process")
-        inline_cells = run_many(self._grid())
-        assert [c.summary for c in ref_cells] == [c.summary for c in inline_cells]
+    def test_cacheless_workers_hydrate_from_default_store(self):
+        from repro.trace.store import default_store
+
+        grid = self._grid(default_store())
+        parallel = run_many(grid, jobs=2, tier="process")
+        serial = run_many(grid)
+        assert [c.summary for c in parallel] == [c.summary for c in serial]
+
+    def test_run_many_takes_no_store(self):
+        """The store follows the cache; there is no second way to pass one."""
+        import inspect
+
+        assert "store" not in inspect.signature(run_many).parameters
 
 
 class TestSweepDeterminism:

@@ -28,12 +28,10 @@ TRACE = ((0, 0.0, 4, 30.0), (1, 5.0, 8, 12.5), (2, 9.0, 2, 40.0))
 
 @pytest.fixture
 def warm_cache(tmp_path):
-    """A cache with two synthetic cells and one interned-trace cell."""
+    """A cache with two synthetic cells and one explicit-trace cell."""
     cache = ResultCache(tmp_path / "cache")
-    run_many(
-        [_spec(), _spec(allocator="mc"), _spec(pattern="all-to-all", trace=TRACE, n_jobs=0)],
-        cache=cache,
-    )
+    traced = _spec(pattern="all-to-all", trace_ref=cache.traces.put(TRACE), n_jobs=0)
+    run_many([_spec(), _spec(allocator="mc"), traced], cache=cache)
     return cache
 
 

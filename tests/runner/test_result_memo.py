@@ -162,11 +162,10 @@ class TestJobsMemo:
 
     def test_ref_spec_against_store_without_trace_raises(self, tmp_path):
         store = TraceStore(tmp_path / "traces")
-        inline = dataclasses.replace(
-            SPEC, n_jobs=0, trace=((0, 0.0, 4, 10.0), (1, 1.0, 8, 5.0))
+        ref = dataclasses.replace(
+            SPEC, n_jobs=0, trace_ref=store.put(((0, 0.0, 4, 10.0), (1, 1.0, 8, 5.0)))
         )
-        ref = inline.intern(store)
-        assert ref.build_jobs(store) == inline.build_jobs()  # now memoised
+        assert ref.build_jobs(store) == ref._build_jobs(store)  # now memoised
         with pytest.raises(KeyError, match="not in store"):
             ref.build_jobs(TraceStore(tmp_path / "empty"))
         store.remove(ref.trace_ref)

@@ -1,7 +1,6 @@
 """Tests for ExperimentSpec / CellResult serialization and hashing."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -38,10 +37,15 @@ SPEC_3D = ExperimentSpec(
     runtime_scale=0.01,
 )
 
+#: The explicit trace of the pinned ref cell below.
+PINNED_TRACE = ((0, 0.0, 4, 30.0), (1, 5.0, 8, 12.5))
+
 #: Cache keys of representative 2-D specs recorded *before* the N-D
 #: refactor.  These must never change: they are what keeps pre-existing
 #: ``.repro-cache/`` artifacts valid.  If one of these fails, the spec
-#: serialization changed in a cache-invalidating way.
+#: serialization changed in a cache-invalidating way.  The explicit-trace
+#: cell's key was recorded with its rows inline; its ref form, resolved
+#: through a store holding ``PINNED_TRACE``, must hash to the same key.
 PRE_REFACTOR_KEYS = {
     ExperimentSpec(
         mesh_shape=(8, 8),
@@ -67,7 +71,7 @@ PRE_REFACTOR_KEYS = {
         allocator="s-curve",
         load=0.4,
         seed=2,
-        trace=((0, 0.0, 4, 30.0), (1, 5.0, 8, 12.5)),
+        trace_ref=trace_digest(PINNED_TRACE),
     ): "6fe29b7ce280438ab0523f290a72af45eff649b3b94e604c359577c4bf86a5d0",
     ExperimentSpec(
         mesh_shape=(16, 16),
@@ -96,10 +100,11 @@ class TestExperimentSpec:
             allocator="mc",
             load=1.0,
             seed=1,
-            trace=[[0, 0.0, 4, 30.0]],  # type: ignore[arg-type]
+            n_jobs=5,
+            network=[["hop_latency", 0.5]],  # type: ignore[arg-type]
         )
         assert spec.mesh_shape == (8, 8)
-        assert spec.trace == ((0, 0.0, 4, 30.0),)
+        assert spec.network == (("hop_latency", 0.5),)
         hash(spec)  # tuples throughout -> hashable
 
     def test_json_round_trip(self):
@@ -109,10 +114,10 @@ class TestExperimentSpec:
     def test_cache_key_stable_and_sensitive(self):
         assert SPEC.cache_key() == ExperimentSpec.from_dict(SPEC.to_dict()).cache_key()
         for changed in (
-            ExperimentSpec(**{**SPEC.to_dict(), "mesh_shape": (8, 9)}),
-            ExperimentSpec(**{**SPEC.to_dict(), "allocator": "mc"}),
-            ExperimentSpec(**{**SPEC.to_dict(), "load": 0.4}),
-            ExperimentSpec(**{**SPEC.to_dict(), "seed": 4}),
+            ExperimentSpec.from_dict({**SPEC.to_dict(), "mesh_shape": (8, 9)}),
+            ExperimentSpec.from_dict({**SPEC.to_dict(), "allocator": "mc"}),
+            ExperimentSpec.from_dict({**SPEC.to_dict(), "load": 0.4}),
+            ExperimentSpec.from_dict({**SPEC.to_dict(), "seed": 4}),
         ):
             assert changed.cache_key() != SPEC.cache_key()
 
@@ -121,14 +126,33 @@ class TestExperimentSpec:
             ExperimentSpec(
                 mesh_shape=(8,), pattern="ring", allocator="mc", load=1.0, seed=0, n_jobs=5
             )
-        with pytest.raises(ValueError):
-            ExperimentSpec(
-                mesh_shape=(8, 8), pattern="ring", allocator="mc", load=0.0, seed=0, n_jobs=5
-            )
+        for load in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="load must be positive"):
+                ExperimentSpec(
+                    mesh_shape=(8, 8), pattern="ring", allocator="mc", load=load,
+                    seed=0, n_jobs=5,
+                )
         with pytest.raises(ValueError):  # no trace and no synthetic length
             ExperimentSpec(
                 mesh_shape=(8, 8), pattern="ring", allocator="mc", load=1.0, seed=0
             )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentSpec.from_dict({**SPEC.to_dict(), "seed": -1})
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, float("nan")])
+    def test_nonpositive_runtime_scale_rejected_on_synthetic_specs(self, scale):
+        with pytest.raises(ValueError, match="runtime_scale must be positive"):
+            ExperimentSpec.from_dict({**SPEC.to_dict(), "runtime_scale": scale})
+
+    def test_runtime_scale_ignored_by_explicit_traces(self):
+        """An explicit trace never reads ``runtime_scale``, so any value
+        is accepted there."""
+        spec = ExperimentSpec.from_dict(
+            {**SPEC.to_dict(), "n_jobs": 0, "runtime_scale": 0.0, "trace_ref": "a" * 64}
+        )
+        assert spec.runtime_scale == 0.0
 
     def test_build_jobs_matches_driver_pipeline(self):
         expected = apply_load_factor(
@@ -146,35 +170,38 @@ class TestExperimentSpec:
         assert ExperimentSpec.from_network_params(NetworkParams()) is None
 
         custom = NetworkParams(hop_latency=0.5, message_flits=32.0)
-        spec = ExperimentSpec(
-            **{**SPEC.to_dict(), "network": ExperimentSpec.from_network_params(custom)}
+        spec = ExperimentSpec.from_dict(
+            {**SPEC.to_dict(), "network": ExperimentSpec.from_network_params(custom)}
         )
         assert spec.network_params() == custom
         assert spec.cache_key() != SPEC.cache_key()
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec and clone.network_params() == custom
 
-    def test_2d_cache_keys_unchanged_by_nd_refactor(self):
+    def test_2d_cache_keys_unchanged_by_nd_refactor(self, tmp_path):
         """Regression guard: pre-refactor artifacts must stay addressable."""
+        store = TraceStore(tmp_path / "traces")
+        assert store.put(PINNED_TRACE) == trace_digest(PINNED_TRACE)
         for spec, key in PRE_REFACTOR_KEYS.items():
-            assert spec.cache_key() == key, spec
+            assert spec.cache_key(store) == key, spec
 
     def test_2d_spec_dict_omits_torus_default(self):
         """The torus flag must not leak into legacy serialized forms."""
         assert "torus" not in SPEC.to_dict()
         assert SPEC_3D.to_dict()["torus"] is True
 
-    def test_build_jobs_from_explicit_trace(self):
+    def test_build_jobs_from_explicit_trace(self, tmp_path):
         trace = [Job(0, 0.0, 4, 30.0), Job(1, 10.0, 100, 30.0)]
+        store = TraceStore(tmp_path / "traces")
         spec = ExperimentSpec(
             mesh_shape=(8, 8),
             pattern="ring",
             allocator="mc",
             load=0.5,
             seed=0,
-            trace=trace_rows(trace),
+            trace_ref=store.put(trace_rows(trace)),
         )
-        jobs = spec.build_jobs()
+        jobs = spec.build_jobs(store)
         assert len(jobs) == 1  # the 100-proc job is oversized for 8x8
         assert jobs[0].arrival == 0.0 and jobs[0].size == 4
 
@@ -187,9 +214,9 @@ class TestExperimentSpec3D:
         assert clone.cache_key() == SPEC_3D.cache_key()
 
     def test_cache_key_sensitive_to_new_dimension(self):
-        flat = ExperimentSpec(**{**SPEC_3D.to_dict(), "mesh_shape": (8, 64)})
-        mesh = ExperimentSpec(**{**SPEC_3D.to_dict(), "torus": False})
-        deeper = ExperimentSpec(**{**SPEC_3D.to_dict(), "mesh_shape": (8, 8, 9)})
+        flat = ExperimentSpec.from_dict({**SPEC_3D.to_dict(), "mesh_shape": (8, 64)})
+        mesh = ExperimentSpec.from_dict({**SPEC_3D.to_dict(), "torus": False})
+        deeper = ExperimentSpec.from_dict({**SPEC_3D.to_dict(), "mesh_shape": (8, 8, 9)})
         keys = {s.cache_key() for s in (SPEC_3D, flat, mesh, deeper)}
         assert len(keys) == 4
 
@@ -201,8 +228,9 @@ class TestExperimentSpec3D:
                     load=1.0, seed=0, n_jobs=5,
                 )
 
-    def test_build_jobs_uses_full_torus_capacity(self):
+    def test_build_jobs_uses_full_torus_capacity(self, tmp_path):
         trace = [Job(0, 0.0, 400, 30.0), Job(1, 1.0, 600, 30.0)]
+        store = TraceStore(tmp_path / "traces")
         spec = ExperimentSpec(
             mesh_shape=(8, 8, 8),
             torus=True,
@@ -210,13 +238,15 @@ class TestExperimentSpec3D:
             allocator="hilbert",
             load=1.0,
             seed=0,
-            trace=trace_rows(trace),
+            trace_ref=store.put(trace_rows(trace)),
         )
-        jobs = spec.build_jobs()
+        jobs = spec.build_jobs(store)
         assert [j.size for j in jobs] == [400]  # 600 > 512 dropped
 
     def test_run_cell_executes_3d_spec(self, tmp_path):
-        small = ExperimentSpec(**{**SPEC_3D.to_dict(), "mesh_shape": (4, 4, 4), "n_jobs": 8})
+        small = ExperimentSpec.from_dict(
+            {**SPEC_3D.to_dict(), "mesh_shape": (4, 4, 4), "n_jobs": 8}
+        )
         cell = run_cell(small)
         assert cell.summary.mesh_shape == (4, 4, 4)
         assert cell.summary.n_jobs > 0
@@ -227,89 +257,83 @@ class TestExperimentSpec3D:
 
 
 class TestTraceRefSpecs:
-    """The interned (content-addressed) form of explicit-trace specs."""
+    """Explicit-trace specs: a content address into the workload store."""
 
-    TRACE = ((0, 0.0, 4, 30.0), (1, 5.0, 8, 12.5))
+    TRACE = PINNED_TRACE
 
-    def _inline(self, **overrides) -> ExperimentSpec:
+    def _ref(self, store: TraceStore, **overrides) -> ExperimentSpec:
         base = dict(
             mesh_shape=(16, 16),
             pattern="n-body",
             allocator="s-curve",
             load=0.4,
             seed=2,
-            trace=self.TRACE,
+            trace_ref=store.put(self.TRACE),
         )
         base.update(overrides)
         return ExperimentSpec(**base)
 
-    def test_intern_resolve_round_trip(self, tmp_path):
+    def test_base_trace_resolves_stored_rows(self, tmp_path):
         store = TraceStore(tmp_path / "traces")
-        inline = self._inline()
-        ref = inline.intern(store)
-        assert ref.trace is None
+        ref = self._ref(store)
         assert ref.trace_ref == trace_digest(self.TRACE)
-        assert replace(ref, trace=ref.base_trace(store), trace_ref=None) == inline
-        assert inline.intern(store) == ref  # idempotent
-        assert ref.intern(store) == ref
+        assert ref.base_trace(store) == self.TRACE
 
-    def test_cache_key_is_interning_invariant(self, tmp_path):
-        """The acceptance criterion: inline keys are byte-identical to the
-        pre-refactor pins, and the ref form hashes to the same key."""
+    def test_cache_key_hashes_the_stored_rows(self, tmp_path):
+        """The key of the ref form is the pinned pre-refactor inline key."""
         store = TraceStore(tmp_path / "traces")
-        inline = self._inline()
-        assert inline.cache_key() == (
+        assert self._ref(store).cache_key(store) == (
             "6fe29b7ce280438ab0523f290a72af45eff649b3b94e604c359577c4bf86a5d0"
         )  # pinned in PRE_REFACTOR_KEYS above
-        ref = inline.intern(store)
-        assert ref.cache_key(store) == inline.cache_key()
 
     def test_json_round_trip_preserves_ref(self, tmp_path):
-        ref = self._inline().intern(TraceStore(tmp_path / "t"))
+        ref = self._ref(TraceStore(tmp_path / "t"))
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(ref.to_dict())))
         assert clone == ref and clone.trace_ref == ref.trace_ref
 
-    def test_inline_dict_omits_trace_ref(self):
-        assert "trace_ref" not in self._inline().to_dict()
+    def test_dict_keeps_null_trace_and_omits_absent_ref(self, tmp_path):
+        assert self._ref(TraceStore(tmp_path / "t")).to_dict()["trace"] is None
+        assert SPEC.to_dict()["trace"] is None
         assert "trace_ref" not in SPEC.to_dict()
 
-    def test_mutually_exclusive_forms(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            self._inline(trace_ref="0" * 64)
+    def test_inline_rows_are_not_a_spec_form(self):
+        with pytest.raises(TypeError):
+            ExperimentSpec(
+                mesh_shape=(8, 8), pattern="ring", allocator="mc", load=1.0,
+                seed=1, trace=self.TRACE,
+            )
+        data = {**SPEC.to_dict(), "n_jobs": 0, "trace": [list(r) for r in self.TRACE]}
+        with pytest.raises(ValueError, match="inline trace rows"):
+            ExperimentSpec.from_dict(data)
+
+    def test_trace_ref_must_be_a_digest(self, tmp_path):
         with pytest.raises(ValueError, match="64-char"):
-            self._inline(trace=None, trace_ref="zz")
+            self._ref(TraceStore(tmp_path / "t"), trace_ref="zz")
 
-    def test_with_trace_digest_is_pure_and_form_invariant(self, tmp_path):
-        inline = self._inline()
-        ref = inline.intern(TraceStore(tmp_path / "t"))
-        assert inline.with_trace_digest() == ref.with_trace_digest() == ref
+    def test_run_cell_hydrates_from_the_given_store(self, tmp_path):
+        """The store is transport: any store holding the rows gives the
+        same cell, the default store included."""
+        from repro.trace.store import default_store
 
-    def test_build_jobs_ref_equals_inline(self, tmp_path):
         store = TraceStore(tmp_path / "traces")
-        inline = self._inline()
-        ref = inline.intern(store)
-        assert ref.build_jobs(store) == inline.build_jobs()
-
-    def test_run_cell_ref_equals_inline(self, tmp_path):
-        store = TraceStore(tmp_path / "traces")
-        inline = self._inline(pattern="ring", load=1.0)
-        ref = inline.intern(store)
-        a, b = run_cell(inline), run_cell(ref, store=store)
+        ref = self._ref(store, pattern="ring", load=1.0)
+        a = run_cell(ref, store=store)
+        default_store().put(self.TRACE)
+        b = run_cell(ref)
         assert a.summary == b.summary
         assert a.jobs == b.jobs
 
     def test_missing_trace_raises_clearly(self, tmp_path):
-        ref = self._inline(trace=None, trace_ref="a" * 64)
+        ref = self._ref(TraceStore(tmp_path / "t"), trace_ref="a" * 64)
         with pytest.raises(KeyError, match="not in store"):
             ref.build_jobs(TraceStore(tmp_path / "empty"))
 
-    def test_trace_rows_type_normalised(self):
+    def test_trace_rows_type_normalised(self, tmp_path):
         # ints where floats belong (and vice versa) must not change the key
-        messy = ExperimentSpec(
-            **{**self._inline().to_dict(), "trace": ((0, 0, 4.0, 30), (1, 5, 8, 12.5))}
-        )
-        assert messy.trace == self._inline().trace
-        assert messy.cache_key() == self._inline().cache_key()
+        store = TraceStore(tmp_path / "traces")
+        messy = store.put(((0, 0, 4.0, 30), (1, 5, 8, 12.5)))
+        assert messy == self._ref(store).trace_ref
+        assert store.get(messy) == self.TRACE
 
 
 class TestCellResult:

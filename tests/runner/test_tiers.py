@@ -20,14 +20,18 @@ from repro.runner import (
     sweep_specs,
 )
 from repro.runner import engine as engine_mod
+from repro.trace.store import default_store
 
 TRACE = tuple((i, 40.0 * i, 2 ** (i % 4), 25.0) for i in range(24))
 
-#: A mixed grid: explicit-trace cells (which intern to refs that workers
-#: hydrate from the store) plus synthetic cells (which never touch one).
-def _grid():
+#: A mixed grid: explicit-trace cells (refs that workers hydrate from the
+#: store) plus synthetic cells (which never touch one).  ``store`` is the
+#: cache's workload store, or ``None`` for the default store a cache-less
+#: run hydrates from.
+def _grid(store=None):
+    digest = (store if store is not None else default_store()).put(TRACE)
     refs = sweep_specs(
-        (8, 8), ("ring",), (1.0, 0.5), ("mc", "hilbert+bf"), seed=3, trace=TRACE
+        (8, 8), ("ring",), (1.0, 0.5), ("mc", "hilbert+bf"), seed=3, trace_ref=digest
     )
     synth = sweep_specs(
         (8, 8), ("all-to-all",), (1.0,), ("s-curve+bf",), seed=2, n_jobs=20,
@@ -47,7 +51,7 @@ class TestCrossTierDeterminism:
         artifacts = {}
         for tier in FORCED_TIERS:
             cache = ResultCache(tmp_path / tier.replace("+", "-"))
-            run_many(_grid(), jobs=2, cache=cache, tier=tier)
+            run_many(_grid(cache.traces), jobs=2, cache=cache, tier=tier)
             artifacts[tier] = {
                 p.name: p.read_bytes() for p in cache.root.glob("*.json.gz")
             }
@@ -61,9 +65,9 @@ class TestCrossTierDeterminism:
 
     def test_auto_matches_forced_tiers(self, tmp_path):
         auto_cache = ResultCache(tmp_path / "auto")
-        run_many(_grid(), jobs=2, cache=auto_cache, tier="auto")
+        run_many(_grid(auto_cache.traces), jobs=2, cache=auto_cache, tier="auto")
         inline_cache = ResultCache(tmp_path / "inline")
-        run_many(_grid(), jobs=2, cache=inline_cache, tier="inline")
+        run_many(_grid(inline_cache.traces), jobs=2, cache=inline_cache, tier="inline")
         auto_files = {p.name: p.read_bytes() for p in auto_cache.root.glob("*.json.gz")}
         inline_files = {
             p.name: p.read_bytes() for p in inline_cache.root.glob("*.json.gz")
@@ -80,9 +84,9 @@ class TestCrossTierDeterminism:
         """Artifacts are a pure function of the cell: re-running the same
         cold grid (fresh cache) writes the identical files."""
         first = ResultCache(tmp_path / "one")
-        run_many(_grid(), cache=first)
+        run_many(_grid(first.traces), cache=first)
         second = ResultCache(tmp_path / "two")
-        run_many(_grid(), cache=second)
+        run_many(_grid(second.traces), cache=second)
         a = {p.name: p.read_bytes() for p in first.root.glob("*.json.gz")}
         b = {p.name: p.read_bytes() for p in second.root.glob("*.json.gz")}
         assert a == b
@@ -149,14 +153,14 @@ class TestAutoPolicy:
 
     def test_auto_with_big_estimate_fans_out(self, tmp_path):
         decisions = []
-        grid = _grid()
         cache = ResultCache(tmp_path / "c")
+        grid = _grid(cache.traces)
         cells = run_many(
             grid, jobs=2, cache=cache, tier="auto", est_cell_s=5.0,
             on_decision=decisions.append,
         )
-        # interned ref cells fan out like any other: workers hydrate
-        # them from the cache's store
+        # ref cells fan out like any other: workers hydrate them from
+        # the cache's store
         assert decisions[0].tier == "process"
         assert len(cells) == len(grid)
 
@@ -182,7 +186,7 @@ class TestAutoJobs:
 
     def test_run_many_jobs_none_autotunes_and_stays_deterministic(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        grid = _grid()
+        grid = _grid(cache.traces)
         cells = run_many(grid, jobs=None, cache=cache)
         assert len(cells) == len(grid)
         warm = run_many(grid, jobs=None, cache=ResultCache(cache.root))

@@ -262,6 +262,25 @@ class TestEasyQueue:
         assert machine.started == [1]
         assert asked == [0, 0]  # always for the blocked head
 
+    def test_last_backfill_asks_for_no_reservation(self):
+        """A backfill re-asks the reservation only for a candidate that
+        follows it: two backfills behind the head ask twice, not three
+        times."""
+        head = Job(0, 0.0, 10, 1.0)
+        rest = [Job(1, 0.0, 1, 5.0), Job(2, 0.0, 1, 5.0)]
+        machine = FakeMachine(4)
+        calls = 0
+
+        def reserve(job):
+            nonlocal calls
+            calls += 1
+            return 50.0, 0
+
+        queue = self._queue([head, *rest])
+        assert queue.start_jobs(machine.try_start, 0.0, reserve)
+        assert machine.started == [1, 2]
+        assert calls == 2
+
     def test_backfill_keeps_queue_order(self):
         head = Job(0, 0.0, 10, 1.0)
         rest = [Job(i, 0.0, 1, 5.0) for i in (3, 1, 2)]
@@ -302,7 +321,7 @@ class TestEasyQueue:
         queue = self._queue(jobs)
         assert queue.start_jobs(machine.try_start, 0.0, reserve)
         assert machine.started == [0, 2]
-        assert asked == [1, 1]
+        assert asked == [1]  # job 2 was the last candidate: no re-ask
 
 
 class TestDegenerateEquivalence:
