@@ -7,12 +7,16 @@ vectorised* :class:`LinkSpace` (identity, not a graph-space wrapper),
 and the batched difference-array accumulation has to stay far ahead of
 the per-message routing loop it replaced.  The Clos side pins its own
 vectorised claim -- masked hop templates must beat per-message routing
-too, or ``GraphLinkSpace.accumulate_route_loads`` is decoration.
+too, or ``GraphLinkSpace.accumulate_route_loads`` is decoration.  Its
+per-message reference walks the fabric's scalar route from
+``oracles.routing`` (``ClosTopology.route`` itself is now read off the
+template, one message at a time).
 """
 
 import time
 
 import numpy as np
+from oracles.routing import route_path
 
 from repro.mesh.clos import FatTree
 from repro.mesh.topology import Mesh
@@ -48,6 +52,15 @@ def _per_message_reference(space, src, dst, weight):
     for s, d, w in zip(src, dst, weight):
         for link in space.links_on_route(int(s), int(d)):
             loads[link] += w
+    return loads
+
+
+def _per_message_scalar_route(fabric, space, src, dst, weight):
+    loads = np.zeros(space.n_links)
+    for s, d, w in zip(src, dst, weight):
+        path = route_path(fabric, int(s), int(d))
+        for u, v in zip(path, path[1:]):
+            loads[space.link_id(u, v)] += w
     return loads
 
 
@@ -90,7 +103,8 @@ def test_clos_template_accumulation_beats_routing_loop(benchmark):
     src, dst, weight = _message_batch(fabric.n_nodes)
     t_fast, fast = _best_of(lambda: space.accumulate_route_loads(src, dst, weight))
     t_ref, ref = _best_of(
-        lambda: _per_message_reference(space, src, dst, weight), repeats=1
+        lambda: _per_message_scalar_route(fabric, space, src, dst, weight),
+        repeats=1,
     )
     np.testing.assert_allclose(fast, ref)
     speedup = t_ref / t_fast

@@ -91,10 +91,6 @@ class Allocation:
             self.held = self.nodes
         else:
             self.held = np.asarray(self.held, dtype=np.int64)
-        if len(self.nodes) > 1:
-            ordered = np.sort(self.nodes)
-            if np.any(ordered[1:] == ordered[:-1]):
-                raise ValueError("allocation contains duplicate nodes")
         if self.held is not self.nodes and not np.isin(self.nodes, self.held).all():
             raise ValueError("held must contain every allocated node")
 

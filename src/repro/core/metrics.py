@@ -56,15 +56,14 @@ def total_pairwise_hops(mesh: AnyMesh, nodes) -> int:
     ``sum_{i<j} |c_i - c_j| = sum_j (2j - k + 1) * c_(j)`` (O(k log k)),
     which also powers the Gen-Alg inner loop.  Torus axes use a value
     census instead, since the identity does not survive wraparound.
-    Switched fabrics (Clos) carry their own distance-class censuses and
-    are dispatched to ``total_pairwise_distance``.
+    Switched fabrics (Clos) sum their dense route-length matrix.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     k = len(nodes)
     if k < 2:
         return 0
     if not getattr(mesh, "is_mesh", True):
-        return int(mesh.total_pairwise_distance(nodes))
+        return int(mesh.pairwise_distance(nodes).sum()) // 2
     total = 0
     for coords, extent in zip(mesh.axis_coords(nodes), mesh.shape):
         c = coords.astype(np.int64)

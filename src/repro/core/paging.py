@@ -58,13 +58,8 @@ def free_runs(free_ranks: np.ndarray) -> list[tuple[int, int]]:
     ``free_ranks`` must be sorted ascending; indices refer to positions in
     that array (so a run ``(i, L)`` covers ``free_ranks[i : i + L]``).
     """
-    m = len(free_ranks)
-    if m == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(free_ranks) != 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [m]))
-    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
+    starts, lengths = _run_bounds(free_ranks)
+    return list(zip(starts.tolist(), lengths.tolist()))
 
 
 def select_freelist(free_ranks: np.ndarray, need: int) -> np.ndarray:
@@ -85,7 +80,8 @@ def select_min_span(free_ranks: np.ndarray, need: int) -> np.ndarray:
 
 
 def _run_bounds(free_ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`free_runs`: ``(start_indices, lengths)``."""
+    """Maximal runs of consecutive ranks as ``(start_indices, lengths)``
+    arrays (:func:`free_runs` is the list form)."""
     m = len(free_ranks)
     if m == 0:
         empty = np.empty(0, dtype=np.int64)

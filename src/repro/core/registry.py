@@ -52,7 +52,21 @@ __all__ = [
     "allocator_names_clos",
     "paper_allocators",
     "fig11_allocators",
+    "PAPER_ALLOCATORS",
 ]
+
+#: The nine strategies of Figs 7/8, in the paper's legend order.
+PAPER_ALLOCATORS = (
+    "mc",
+    "mc1x1",
+    "gen-alg",
+    "s-curve",
+    "s-curve+bf",
+    "hilbert",
+    "hilbert+bf",
+    "h-indexing",
+    "h-indexing+bf",
+)
 
 _CURVES = ("s-curve", "hilbert", "h-indexing", "row-major")
 #: Curve strategies with a 3-D ordering, in 2-D legend order.
@@ -137,18 +151,7 @@ def paper_allocators() -> list[Allocator]:
     free list and with Best Fit.  (First Fit results are described in the
     text but omitted from the paper's graphs.)
     """
-    names = [
-        "mc",
-        "mc1x1",
-        "gen-alg",
-        "s-curve",
-        "s-curve+bf",
-        "hilbert",
-        "hilbert+bf",
-        "h-indexing",
-        "h-indexing+bf",
-    ]
-    return [make_allocator(n) for n in names]
+    return [make_allocator(n) for n in PAPER_ALLOCATORS]
 
 
 def fig11_allocators() -> list[Allocator]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.campaign import bundled_campaign_path, load_campaign, run_campaign
 from repro.campaign.runner import CampaignRun
+from repro.core.registry import PAPER_ALLOCATORS
 from repro.experiments.config import Scale
 from repro.runner import ResultCache
 from repro.sched.job import Job
@@ -31,19 +32,6 @@ __all__ = [
     "PAPER_ALLOCATORS",
     "PAPER_PATTERNS",
 ]
-
-#: The nine strategies of Figs 7/8, in the paper's legend order.
-PAPER_ALLOCATORS = (
-    "mc",
-    "mc1x1",
-    "gen-alg",
-    "s-curve",
-    "s-curve+bf",
-    "hilbert",
-    "hilbert+bf",
-    "h-indexing",
-    "h-indexing+bf",
-)
 
 #: The three patterns of Figs 7/8, in panel order (a), (b), (c).
 PAPER_PATTERNS = ("all-to-all", "n-body", "random")

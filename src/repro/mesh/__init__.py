@@ -4,16 +4,16 @@ This package models the space-shared mesh-connected machines of the paper
 (Cplant-like 2-D meshes such as 16x22 and 16x16).  It provides:
 
 * :class:`~repro.mesh.topology.Mesh` -- 2-D and 3-D meshes and tori: node
-  coordinate systems and distance metrics,
-* :mod:`~repro.mesh.routing` -- dimension-ordered (x-y) routing, the
-  deadlock-free routing used by ProcSimity and by the paper's contiguity
-  discussion ("messages use x-y routing rather than arbitrary paths"),
+  coordinate systems, distance metrics, and dimension-ordered (x-y)
+  routing (:meth:`~repro.mesh.topology.Mesh.route`), the deadlock-free
+  routing used by ProcSimity and by the paper's contiguity discussion
+  ("messages use x-y routing rather than arbitrary paths"),
 * :class:`~repro.mesh.machine.Machine` -- the processor-occupancy state
   shared by the scheduler and the allocators,
 * :mod:`~repro.mesh.clos` -- the switched (fat-tree / leaf-spine /
   dragonfly) implementations of the :class:`~repro.mesh.topology.Topology`
-  protocol, built from strings by
-  :func:`~repro.mesh.clos.build_topology`.
+  protocol, each declaring its up/down route once as a masked hop
+  template, built from strings by :func:`~repro.mesh.clos.build_topology`.
 """
 
 from repro.mesh.clos import (
@@ -25,7 +25,6 @@ from repro.mesh.clos import (
     topology_label,
 )
 from repro.mesh.machine import Machine
-from repro.mesh.routing import route_links, route_path
 from repro.mesh.topology import Mesh, Topology
 
 __all__ = [
@@ -38,6 +37,4 @@ __all__ = [
     "build_topology",
     "topology_label",
     "Machine",
-    "route_path",
-    "route_links",
 ]

@@ -17,6 +17,11 @@ dragonfly), so every (src, dst) host pair maps to exactly one vertex path
 -- the switched analogue of the mesh's deterministic x-y routing, which is
 what keeps the fluid engine's load accounting closed over topologies.
 
+Each fabric declares that route once, as a masked hop template
+(:meth:`ClosTopology.route_segments`); the scalar route, the hop
+distances and the link loads and hop totals of
+:class:`~repro.network.links.GraphLinkSpace` are all read off it.
+
 Construction from strings is handled by :func:`build_topology`
 (``"fattree:k=8"``, ``"leafspine:40x16"``, ``"dragonfly:9x4x2"``, or a
 plain mesh string like ``"16x22"`` / ``"8x8x8t"``); :func:`topology_label`
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mesh.topology import Mesh, Topology, parse_mesh_string
+from repro.mesh.topology import Mesh, Topology, check_ids, parse_mesh_string
 
 __all__ = [
     "ClosTopology",
@@ -47,13 +52,13 @@ class ClosTopology:
     """Shared surface of the switched (switch-vertex) topologies.
 
     Subclasses define the vertex layout (:attr:`n_nodes`, ``n_vertices``),
-    adjacency (:meth:`neighbors`), deterministic routing (:meth:`route` and
-    its vectorised twin :meth:`route_segments`), the closed-form hop
-    distance (:meth:`_host_distance`), and the host hierarchy
-    (:meth:`hierarchy_levels`).  The base class supplies the protocol
-    plumbing on top: broadcastable :meth:`distance`, dense
-    :meth:`pairwise_distance`, component counting by lowest-level unit, and
-    a cached :class:`~repro.network.links.GraphLinkSpace`.
+    adjacency (:meth:`neighbors`), the host hierarchy
+    (:meth:`hierarchy_levels`), and their deterministic route, declared
+    once as a masked hop template (:meth:`route_segments`).  The base
+    class derives the rest of the protocol from that template: the scalar
+    :meth:`route`, broadcastable :meth:`distance`, dense
+    :meth:`pairwise_distance`, component counting by lowest-level unit,
+    and a cached :class:`~repro.network.links.GraphLinkSpace`.
     """
 
     #: Switched fabrics have no wraparound axes and no mesh closed forms.
@@ -76,10 +81,6 @@ class ClosTopology:
         """Canonical ``kind:params`` string (parseable by build_topology)."""
         raise NotImplementedError
 
-    def _host_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorised hop count between host-id arrays (no validation)."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
     def hierarchy_levels(self) -> tuple[tuple[str, np.ndarray], ...]:
         """Host grouping levels, smallest unit first.
 
@@ -90,19 +91,25 @@ class ClosTopology:
         """
         raise NotImplementedError  # pragma: no cover - abstract
 
+    def neighbors(self, node: int) -> list[int]:  # pragma: no cover - abstract
+        """Vertices sharing a link with ``node``."""
+        raise NotImplementedError
+
     def route_segments(
         self, src: np.ndarray, dst: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorised routes: ``(from_vertex, to_vertex, active_mask)`` hops.
+        """The fabric's route: ``(from_vertex, to_vertex, active_mask)`` hops.
 
         Every message's route is the masked subsequence of a fixed, short
-        hop template (at most 6 hops on these fabrics), which is what lets
-        :class:`~repro.network.links.GraphLinkSpace` accumulate a whole
-        batch of messages with a handful of ``np.add.at`` calls.
+        hop template (at most 6 hops on these fabrics), evaluated for
+        broadcastable host-id arrays without validation.  It is the only
+        route definition: everything else below reads it, and
+        :class:`~repro.network.links.GraphLinkSpace` accumulates a whole
+        batch of messages with one ``np.add.at`` per template hop.
         """
         raise NotImplementedError  # pragma: no cover - abstract
 
-    # -- shared protocol plumbing --------------------------------------
+    # -- protocol derived from the hop template --------------------------
     @property
     def shape(self) -> tuple[int, ...]:
         """Flat ``(n_nodes,)`` extent tuple (serialisation surface)."""
@@ -117,61 +124,38 @@ class ClosTopology:
         """Array of every host id."""
         return np.arange(self.n_nodes)
 
-    def _check_hosts(self, *arrays) -> None:
-        for arr in arrays:
-            if np.any(arr < 0) or np.any(arr >= self.n_nodes):
-                raise ValueError(f"node id out of range for {self.label}")
+    def _label(self) -> str:
+        """Name used in error messages (the canonical label)."""
+        return self.label
+
+    def route(self, src: int, dst: int) -> list[int]:
+        """Vertex path between hosts (endpoints included): ``src``, then
+        the ``to`` vertex of each active template hop."""
+        ends = np.asarray([src, dst], dtype=np.int64)
+        check_ids(self, ends)
+        hops = self.route_segments(ends[:1], ends[1:])
+        return [int(src)] + [int(v[0]) for _, v, mask in hops if mask[0]]
 
     def distance(self, a, b):
-        """Hop count of the deterministic route between host ids."""
+        """Hop count of the deterministic route between host ids
+        (broadcasts): the number of active template hops."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        self._check_hosts(a, b)
-        out = self._host_distance(a, b)
-        return int(out) if np.ndim(out) == 0 else out
-
-    # The mesh-era names remain as aliases so metric code that predates
-    # the protocol (and user analysis scripts) keeps working.
-    def manhattan(self, a, b):
-        """Alias of :meth:`distance` (mesh-era name)."""
-        return self.distance(a, b)
+        check_ids(self, a, b)
+        (_, _, first), *rest = self.route_segments(a, b)
+        dist = first.astype(np.int64)
+        for _, _, mask in rest:
+            dist += mask
+        return int(dist) if dist.ndim == 0 else dist
 
     def pairwise_distance(self, nodes) -> np.ndarray:
         """Dense ``(k, k)`` matrix of hop distances between ``nodes``."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        self._check_hosts(nodes)
-        return self._host_distance(nodes[:, None], nodes[None, :])
-
-    def pairwise_manhattan(self, nodes) -> np.ndarray:
-        """Alias of :meth:`pairwise_distance` (mesh-era name)."""
-        return self.pairwise_distance(nodes)
-
-    def total_pairwise_distance(self, nodes) -> int:
-        """Sum of hop distances over unordered host pairs.
-
-        Subclasses with few distance classes override this with unit
-        censuses; the generic path is the dense matrix.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if len(nodes) < 2:
-            return 0
-        return int(self.pairwise_distance(nodes).sum()) // 2
+        return self.distance(nodes[:, None], nodes[None, :])
 
     def are_adjacent(self, a: int, b: int) -> bool:
         """True when two vertices share a link."""
         return b in self.neighbors(a)
-
-    def neighbors(self, node: int) -> list[int]:  # pragma: no cover - abstract
-        """Vertices sharing a link with ``node``."""
-        raise NotImplementedError
-
-    def route(self, src: int, dst: int) -> list[int]:
-        """Vertex path between hosts (endpoints included)."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _check_route_args(self, src: int, dst: int) -> None:
-        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
-            raise ValueError(f"node id out of range for {self.label}")
 
     # -- component metrics (the Clos reading of "contiguity") ----------
     def _unit_of(self, nodes: np.ndarray) -> np.ndarray:
@@ -186,7 +170,7 @@ class ClosTopology:
         contiguous when it fits under one such switch.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        self._check_hosts(nodes)
+        check_ids(self, nodes)
         if len(set(nodes.tolist())) != len(nodes):
             raise ValueError("duplicate nodes")
         groups: dict[int, list[int]] = {}
@@ -199,7 +183,7 @@ class ClosTopology:
         nodes = np.asarray(nodes, dtype=np.int64)
         if len(nodes) == 0:
             return 0
-        self._check_hosts(nodes)
+        check_ids(self, nodes)
         units = self._unit_of(nodes)
         if len(np.unique(nodes)) != len(nodes):
             raise ValueError("duplicate nodes")
@@ -241,9 +225,6 @@ class FatTree(ClosTopology):
     """
 
     k: int
-
-    is_mesh = False
-    torus = False
 
     def __post_init__(self) -> None:
         if self.k < 2 or self.k % 2 != 0:
@@ -326,46 +307,17 @@ class FatTree(ClosTopology):
         return [self._agg0 + p * half + j for p in range(k)]
 
     # -- routing -------------------------------------------------------
-    def route(self, src: int, dst: int) -> list[int]:
-        """d-mod-k up/down vertex path between hosts."""
-        self._check_route_args(src, dst)
-        if src == dst:
-            return [src]
-        half = self.half
-        e_a, e_b = src // half, dst // half
-        path = [src, self._edge0 + e_a]
-        if e_a != e_b:
-            p_a, p_b = e_a // half, e_b // half
-            j = dst % half  # upward agg chosen by the dst's host digit
-            path.append(self._agg0 + p_a * half + j)
-            if p_a != p_b:
-                m = (dst // half) % half  # core chosen by the edge digit
-                path.append(self._core0 + j * half + m)
-                path.append(self._agg0 + p_b * half + j)
-            path.append(self._edge0 + e_b)
-        path.append(dst)
-        return path
-
-    def _host_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        half = self.half
-        hp = self._hosts_per_pod()
-        same_edge = (a // half) == (b // half)
-        same_pod = (a // hp) == (b // hp)
-        return np.where(
-            a == b, 0, np.where(same_edge, 2, np.where(same_pod, 4, 6))
-        )
-
     def route_segments(self, src, dst):
         """Masked 6-hop template of the d-mod-k route (see base class)."""
         half = self.half
         e_a, e_b = src // half, dst // half
         p_a, p_b = e_a // half, e_b // half
-        j = dst % half
+        j = dst % half  # upward agg chosen by the dst's host digit
         edge_a = self._edge0 + e_a
         edge_b = self._edge0 + e_b
         agg_a = self._agg0 + p_a * half + j
         agg_b = self._agg0 + p_b * half + j
-        core = self._core0 + j * half + (dst // half) % half
+        core = self._core0 + j * half + e_b % half  # core by the edge digit
         m_any = src != dst
         m_edge = m_any & (e_a != e_b)
         m_pod = m_edge & (p_a != p_b)
@@ -378,24 +330,6 @@ class FatTree(ClosTopology):
             (down_from, edge_b, m_edge),
             (edge_b, dst, m_any),
         ]
-
-    def total_pairwise_distance(self, nodes) -> int:
-        """Census closed form over the {2, 4, 6} distance classes."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        n = len(nodes)
-        if n < 2:
-            return 0
-        self._check_hosts(nodes)
-        half = self.half
-
-        def same_pairs(units, count):
-            census = np.bincount(units, minlength=count)
-            return int((census * (census - 1) // 2).sum())
-
-        in_edge = same_pairs(nodes // half, self.k * half)
-        in_pod = same_pairs(nodes // self._hosts_per_pod(), self.k)
-        all_pairs = n * (n - 1) // 2
-        return 2 * in_edge + 4 * (in_pod - in_edge) + 6 * (all_pairs - in_pod)
 
 
 @dataclass(frozen=True)
@@ -412,9 +346,6 @@ class LeafSpine(ClosTopology):
     leaves: int
     spines: int
     oversubscription: float = 1.0
-
-    is_mesh = False
-    torus = False
 
     def __post_init__(self) -> None:
         if self.leaves < 1 or self.spines < 1:
@@ -484,23 +415,6 @@ class LeafSpine(ClosTopology):
             return hosts + [self._spine0 + s for s in range(self.spines)]
         return [self._leaf0 + l for l in range(self.leaves)]  # spine
 
-    def route(self, src: int, dst: int) -> list[int]:
-        """Up/down path through the destination-hashed spine."""
-        self._check_route_args(src, dst)
-        if src == dst:
-            return [src]
-        hpl = self.hosts_per_leaf
-        l_a, l_b = src // hpl, dst // hpl
-        if l_a == l_b:
-            return [src, self._leaf0 + l_a, dst]
-        spine = self._spine0 + dst % self.spines
-        return [src, self._leaf0 + l_a, spine, self._leaf0 + l_b, dst]
-
-    def _host_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        hpl = self.hosts_per_leaf
-        same_leaf = (a // hpl) == (b // hpl)
-        return np.where(a == b, 0, np.where(same_leaf, 2, 4))
-
     def route_segments(self, src, dst):
         """Masked 4-hop template of the up/down route."""
         hpl = self.hosts_per_leaf
@@ -516,17 +430,6 @@ class LeafSpine(ClosTopology):
             (spine, leaf_b, m_leaf),
             (leaf_b, dst, m_any),
         ]
-
-    def total_pairwise_distance(self, nodes) -> int:
-        """Census closed form over the {2, 4} distance classes."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        n = len(nodes)
-        if n < 2:
-            return 0
-        self._check_hosts(nodes)
-        census = np.bincount(nodes // self.hosts_per_leaf, minlength=self.leaves)
-        in_leaf = int((census * (census - 1) // 2).sum())
-        return 2 * in_leaf + 4 * (n * (n - 1) // 2 - in_leaf)
 
 
 @dataclass(frozen=True)
@@ -545,9 +448,6 @@ class Dragonfly(ClosTopology):
     groups: int
     routers: int
     hosts: int
-
-    is_mesh = False
-    torus = False
 
     def __post_init__(self) -> None:
         if min(self.groups, self.routers, self.hosts) < 1:
@@ -622,41 +522,6 @@ class Dragonfly(ClosTopology):
             if int(self._gateway(g, j)) == r:
                 peers.append(self._router_vertex(j, int(self._gateway(j, g))))
         return hosts + local + peers
-
-    def route(self, src: int, dst: int) -> list[int]:
-        """Minimal path: local router, gateway pair, remote router."""
-        self._check_route_args(src, dst)
-        if src == dst:
-            return [src]
-        r_a, r_b = src // self.hosts, dst // self.hosts
-        path = [src, self._router0 + r_a]
-        if r_a != r_b:
-            g_a, g_b = r_a // self.routers, r_b // self.routers
-            if g_a == g_b:
-                path.append(self._router0 + r_b)
-            else:
-                gw_a = self._router_vertex(g_a, int(self._gateway(g_a, g_b)))
-                gw_b = self._router_vertex(g_b, int(self._gateway(g_b, g_a)))
-                if path[-1] != gw_a:
-                    path.append(gw_a)
-                path.append(gw_b)
-                if gw_b != self._router0 + r_b:
-                    path.append(self._router0 + r_b)
-        path.append(dst)
-        return path
-
-    def _host_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        r_a, r_b = a // self.hosts, b // self.hosts
-        g_a, g_b = r_a // self.routers, r_b // self.routers
-        la, lb = r_a % self.routers, r_b % self.routers
-        gw_a = self._gateway(g_a, g_b)
-        gw_b = self._gateway(g_b, g_a)
-        inter = 3 + (la != gw_a).astype(np.int64) + (lb != gw_b).astype(np.int64)
-        return np.where(
-            a == b,
-            0,
-            np.where(r_a == r_b, 2, np.where(g_a == g_b, 3, inter)),
-        )
 
     def route_segments(self, src, dst):
         """Masked 6-hop template of the minimal route."""

@@ -22,12 +22,21 @@ contiguous baseline, the ASCII renderings).  :func:`parse_mesh_string` is
 the one parser of the ``WxH[xD][t]`` mesh grammar shared by topology
 strings and campaign files.
 
+Routing is dimension-ordered (x-y on 2-D meshes, x-y-z on 3-D ones), the
+deadlock-free routing of ProcSimity that the paper assumes ("messages use
+x-y routing rather than arbitrary paths", Section 4.3).  A mesh declares
+it once, as the directed links
+:meth:`repro.network.links.LinkSpace.links_on_route` crosses;
+:meth:`Mesh.route` is the vertex view of that link list.
+
 Meshes are one family of :class:`Topology` -- the structural protocol the
-routing, link-accounting, and metrics layers program against.  The Clos
-fabrics of :mod:`repro.mesh.clos` (fat-tree, leaf-spine, dragonfly)
-implement the same protocol with explicit switch vertices; meshes keep
-their vectorised closed forms as the fast path (``is_mesh`` distinguishes
-the two families where a closed form only exists for meshes).
+link-accounting and metrics layers program against.  The Clos fabrics of
+:mod:`repro.mesh.clos` (fat-tree, leaf-spine, dragonfly) implement the
+same protocol with explicit switch vertices and declare their route once
+as a masked hop template; meshes keep their vectorised closed forms as
+the fast path (``is_mesh`` distinguishes the two families where a closed
+form only exists for meshes).  :func:`check_ids` is the one host-id range
+check both families share.
 """
 
 from __future__ import annotations
@@ -39,7 +48,21 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["Topology", "Mesh", "parse_mesh_string"]
+__all__ = ["Topology", "Mesh", "check_ids", "parse_mesh_string"]
+
+
+def check_ids(topology: "Topology", *arrays: np.ndarray) -> None:
+    """Reject host ids outside ``[0, topology.n_nodes)``.
+
+    The distance helpers index per-host lookup arrays directly; without
+    this check a negative id would silently wrap to the last host instead
+    of raising.  Empty arrays pass.  The error names the topology by its
+    ``_label()`` (:class:`Mesh` and the Clos fabrics both define one).
+    """
+    n = topology.n_nodes
+    for arr in arrays:
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            raise ValueError(f"node id out of range for {topology._label()}")
 
 
 @runtime_checkable
@@ -49,9 +72,8 @@ class Topology(Protocol):
     *Hosts* (allocatable processors) carry dense ids in ``[0, n_nodes)``;
     topologies with explicit switches expose them as extra vertices in
     ``[n_nodes, n_vertices)``.  Meshes have no switches, so there every
-    vertex is a host.  The surface below is what the routing
-    (:mod:`repro.mesh.routing`), link-accounting
-    (:mod:`repro.network.links`), and metrics (:mod:`repro.core.metrics`)
+    vertex is a host.  The surface below is what the link-accounting
+    (:mod:`repro.network.links`) and metrics (:mod:`repro.core.metrics`)
     layers require; implementations additionally set the class attribute
     ``is_mesh`` so mesh-only closed forms (difference-array link censuses,
     per-axis pairwise sums) can keep their fast path.
@@ -198,7 +220,7 @@ class Mesh:
         if len(coords) != len(self.shape) or not all(
             0 <= c < n for c, n in zip(coords, self.shape)
         ):
-            raise ValueError(f"{coords} outside {self._label()} mesh")
+            raise ValueError(f"{coords} outside {self._label()}")
         node = 0
         for c, n in zip(reversed(coords), reversed(self.shape)):
             node = node * n + c
@@ -207,29 +229,19 @@ class Mesh:
     def coords(self, node):
         """Return ``(x, y[, z])`` for a node id (scalar or array)."""
         node = np.asarray(node)
-        self._check_ids(node)
+        check_ids(self, node)
         out = tuple(c[node] for c in self._coords)
         if node.ndim == 0:
             return tuple(int(c) for c in out)
         return out
 
     def _label(self) -> str:
-        return "x".join(str(n) for n in self.shape)
+        """Name used in error messages (``"16x22 mesh"``)."""
+        return "x".join(str(n) for n in self.shape) + " mesh"
 
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------
-    def _check_ids(self, *arrays) -> None:
-        """Reject out-of-range ids.
-
-        The distance helpers index the cached coordinate arrays directly;
-        without this check a negative id would silently wrap to the last
-        node instead of raising.
-        """
-        for arr in arrays:
-            if np.any(arr < 0) or np.any(arr >= self.n_nodes):
-                raise ValueError(f"node id out of range for {self._label()} mesh")
-
     def _axis_deltas(self, a, b) -> list[np.ndarray]:
         """Per-axis (torus-aware) distances between coordinate tuples."""
         out = []
@@ -247,9 +259,9 @@ class Mesh:
         travels, the distance used throughout the paper (e.g. "average
         number of communication hops between the processors of a job").
         """
-        a = np.asarray(a)
-        b = np.asarray(b)
-        self._check_ids(a, b)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        check_ids(self, a, b)
         out, *rest = self._axis_deltas(self.axis_coords(a), self.axis_coords(b))
         for d in rest:
             out = out + d
@@ -259,15 +271,15 @@ class Mesh:
         """Chebyshev (L-infinity) distance; MC's shells are Chebyshev rings."""
         a = np.asarray(a)
         b = np.asarray(b)
-        self._check_ids(a, b)
+        check_ids(self, a, b)
         deltas = self._axis_deltas(self.axis_coords(a), self.axis_coords(b))
         out = np.maximum.reduce(deltas)
         return int(out) if out.ndim == 0 else out
 
     def pairwise_manhattan(self, nodes) -> np.ndarray:
         """Dense ``(k, k)`` matrix of Manhattan distances between ``nodes``."""
-        nodes = np.asarray(nodes)
-        self._check_ids(nodes)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        check_ids(self, nodes)
         coords = self.axis_coords(nodes)
         out, *rest = self._axis_deltas(
             [c[:, None] for c in coords], [c[None, :] for c in coords]
@@ -281,10 +293,20 @@ class Mesh:
     pairwise_distance = pairwise_manhattan
 
     def route(self, src: int, dst: int) -> list[int]:
-        """Dimension-ordered (x-y[-z]) route; see :func:`repro.mesh.routing`."""
-        from repro.mesh.routing import route_path
+        """Dimension-ordered (x-y[-z]) vertex path, endpoints included.
 
-        return route_path(self, src, dst)
+        Axes are corrected lowest-first; on a torus each leg takes the
+        shorter way around, ties positive.  The path is ``src`` followed
+        by the head of every link
+        :meth:`~repro.network.links.LinkSpace.links_on_route` crosses
+        (lazy import: the network package depends on mesh).
+        """
+        from repro.network.links import LinkSpace
+
+        space = LinkSpace.for_mesh(self)
+        return [int(src)] + [
+            space.endpoints(link)[1] for link in space.links_on_route(src, dst)
+        ]
 
     # ------------------------------------------------------------------
     # Adjacency

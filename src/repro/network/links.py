@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mesh.topology import Mesh, Topology
+from repro.mesh.topology import Mesh, Topology, check_ids
 
 __all__ = ["LinkSpace", "GraphLinkSpace", "link_space_for"]
 
@@ -436,17 +436,31 @@ class GraphLinkSpace:
         whole batch accumulates with one ``np.add.at`` per template hop
         -- the switched-fabric analogue of the mesh difference arrays.
         """
+        return self.route_tally(src, dst, weight)[0]
+
+    def route_tally(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weight: float | np.ndarray = 1.0,
+    ) -> tuple[np.ndarray, int | float]:
+        """``(loads, hops)`` as :meth:`LinkSpace.route_tally`, from one
+        pass over the hop template: each active hop adds its message's
+        weight to the hop's link and one hop to the message's distance."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise ValueError("src and dst must have the same shape")
-        weight_arr = np.broadcast_to(
-            np.asarray(weight, dtype=np.float64), src.shape
-        ).ravel()
+        check_ids(self.topology, src, dst)
+        weight = _message_weights(weight, src.shape)
+        # np.add.at has no fast path for a dtype cast: scatter float64.
+        load_weight = weight.astype(np.float64, copy=False)
         src = src.ravel()
         dst = dst.ravel()
         loads = np.zeros(self.n_links, dtype=np.float64)
+        dist = np.zeros(src.shape, dtype=np.int64)
         for u, v, mask in self.topology.route_segments(src, dst):
+            dist += mask
             if not np.any(mask):
                 continue
             u = np.broadcast_to(np.asarray(u, dtype=np.int64), mask.shape)
@@ -456,21 +470,8 @@ class GraphLinkSpace:
                 raise ValueError(
                     f"route segment crosses a non-link in {self.topology!r}"
                 )
-            np.add.at(loads, ids, weight_arr[mask])
-        return loads
-
-    def route_tally(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        weight: float | np.ndarray = 1.0,
-    ) -> tuple[np.ndarray, int | float]:
-        """``(loads, hops)`` as :meth:`LinkSpace.route_tally`, with the hop
-        total taken from the topology's route lengths."""
-        loads = self.accumulate_route_loads(src, dst, weight)
-        dist = np.asarray(self.topology.distance(src, dst), dtype=np.int64)
-        weight = _message_weights(weight, dist.shape)
-        total = np.vdot(dist.ravel(), weight)
+            np.add.at(loads, ids, load_weight[mask])
+        total = np.vdot(dist, weight)
         return loads, (int if weight.dtype == np.int64 else float)(total)
 
 

@@ -1,39 +1,75 @@
-"""Tests for repro.mesh.routing (dimension-ordered routing, 2-D and 3-D)."""
+"""Dimension-ordered routing on 2-D and 3-D meshes and tori.
+
+A mesh declares its route once, as ``LinkSpace.links_on_route``;
+``Mesh.route`` is its vertex view.  Both are checked here against the
+independent scalar reference in ``oracles.routing`` (all host pairs on
+small meshes and tori, every destination from a few sources on the 8x8x8
+torus) and against the hand-worked paths below.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import routing as oracle
 
-from repro.mesh.routing import route_hop_count, route_links, route_path
 from repro.mesh.topology import Mesh
 from repro.network.links import LinkSpace
+
+
+def _links(mesh, src, dst):
+    return LinkSpace.for_mesh(mesh).links_on_route(src, dst)
+
+
+ORACLE_MESHES = {
+    "4x5": (Mesh(4, 5), None),
+    "2x3t": (Mesh(2, 3, torus=True), None),
+    "1x6t": (Mesh(1, 6, torus=True), None),
+    "4x5t": (Mesh(4, 5, torus=True), None),
+    "3x2x2": (Mesh(3, 2, 2), None),
+    "2x2x2t": (Mesh(2, 2, 2, torus=True), None),
+    "3x2x4t": (Mesh(3, 2, 4, torus=True), None),
+    "8x8x8t": (Mesh(8, 8, 8, torus=True), (0, 73, 511)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_route_and_links_match_oracle(name):
+    """Every host pair (every destination from a few sources on 8x8x8t)."""
+    mesh, sources = ORACLE_MESHES[name]
+    space = LinkSpace.for_mesh(mesh)
+    for src in sources or range(mesh.n_nodes):
+        for dst in range(mesh.n_nodes):
+            assert mesh.route(src, dst) == oracle.route_path(mesh, src, dst)
+            assert space.links_on_route(src, dst) == oracle.route_links(
+                mesh, src, dst
+            )
 
 
 class TestRoutePath:
     def test_self_message(self):
         mesh = Mesh(4, 4)
-        assert route_path(mesh, 5, 5) == [5]
+        assert mesh.route(5, 5) == [5]
 
     def test_horizontal(self):
         mesh = Mesh(4, 4)
-        path = route_path(mesh, mesh.node_id(0, 1), mesh.node_id(3, 1))
+        path = mesh.route(mesh.node_id(0, 1), mesh.node_id(3, 1))
         assert path == [mesh.node_id(x, 1) for x in range(4)]
 
     def test_vertical(self):
         mesh = Mesh(4, 4)
-        path = route_path(mesh, mesh.node_id(2, 0), mesh.node_id(2, 3))
+        path = mesh.route(mesh.node_id(2, 0), mesh.node_id(2, 3))
         assert path == [mesh.node_id(2, y) for y in range(4)]
 
     def test_x_before_y(self):
         mesh = Mesh(4, 4)
-        path = route_path(mesh, mesh.node_id(0, 0), mesh.node_id(2, 2))
+        path = mesh.route(mesh.node_id(0, 0), mesh.node_id(2, 2))
         coords = [mesh.coords(n) for n in path]
         assert coords == [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]
 
     def test_negative_directions(self):
         mesh = Mesh(4, 4)
-        path = route_path(mesh, mesh.node_id(3, 3), mesh.node_id(1, 1))
+        path = mesh.route(mesh.node_id(3, 3), mesh.node_id(1, 1))
         coords = [mesh.coords(n) for n in path]
         assert coords == [(3, 3), (2, 3), (1, 3), (1, 2), (1, 1)]
 
@@ -42,7 +78,7 @@ class TestRoutePath:
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b = rng.integers(0, mesh.n_nodes, 2)
-            path = route_path(mesh, int(a), int(b))
+            path = mesh.route(int(a), int(b))
             assert len(path) == mesh.manhattan(int(a), int(b)) + 1
 
     def test_consecutive_steps_adjacent(self):
@@ -50,18 +86,18 @@ class TestRoutePath:
         rng = np.random.default_rng(4)
         for _ in range(50):
             a, b = rng.integers(0, mesh.n_nodes, 2)
-            path = route_path(mesh, int(a), int(b))
+            path = mesh.route(int(a), int(b))
             for u, v in zip(path, path[1:]):
                 assert mesh.are_adjacent(u, v)
 
     def test_torus_takes_short_way(self):
         mesh = Mesh(8, 8, torus=True)
-        path = route_path(mesh, mesh.node_id(0, 0), mesh.node_id(7, 0))
+        path = mesh.route(mesh.node_id(0, 0), mesh.node_id(7, 0))
         assert len(path) == 2  # wraps instead of walking across
 
     def test_hop_count_matches_manhattan(self):
         mesh = Mesh(5, 5)
-        assert route_hop_count(mesh, 0, 24) == mesh.manhattan(0, 24)
+        assert len(mesh.route(0, 24)) - 1 == mesh.manhattan(0, 24)
 
 
 class TestRouteLinks:
@@ -70,7 +106,7 @@ class TestRouteLinks:
         rng = np.random.default_rng(5)
         for _ in range(50):
             a, b = rng.integers(0, mesh.n_nodes, 2)
-            links = route_links(mesh, int(a), int(b))
+            links = _links(mesh, int(a), int(b))
             assert len(links) == mesh.manhattan(int(a), int(b))
 
     def test_links_connect_path(self):
@@ -79,14 +115,15 @@ class TestRouteLinks:
         rng = np.random.default_rng(6)
         for _ in range(30):
             a, b = rng.integers(0, mesh.n_nodes, 2)
-            path = route_path(mesh, int(a), int(b))
-            links = route_links(mesh, int(a), int(b))
+            path = oracle.route_path(mesh, int(a), int(b))
+            links = _links(mesh, int(a), int(b))
+            assert len(links) == len(path) - 1
             for (u, v), link in zip(zip(path, path[1:]), links):
                 assert space.endpoints(link) == (u, v)
 
     def test_self_message_no_links(self):
         mesh = Mesh(4, 4)
-        assert route_links(mesh, 7, 7) == []
+        assert _links(mesh, 7, 7) == []
 
     @given(
         w=st.integers(2, 10),
@@ -99,7 +136,7 @@ class TestRouteLinks:
         mesh = Mesh(w, h)
         rng = np.random.default_rng(seed)
         a, b = (int(v) for v in rng.integers(0, mesh.n_nodes, 2))
-        path = route_path(mesh, a, b)
+        path = mesh.route(a, b)
         coords = [mesh.coords(n) for n in path]
         ys = [c[1] for c in coords]
         sy = coords[0][1]
@@ -111,11 +148,11 @@ class TestRouteLinks:
 class TestRoutePath3D:
     def test_self_message(self):
         mesh = Mesh(4, 4, 4)
-        assert route_path(mesh, 21, 21) == [21]
+        assert mesh.route(21, 21) == [21]
 
     def test_x_then_y_then_z(self):
         mesh = Mesh(4, 4, 4)
-        path = route_path(mesh, mesh.node_id(0, 0, 0), mesh.node_id(2, 1, 1))
+        path = mesh.route(mesh.node_id(0, 0, 0), mesh.node_id(2, 1, 1))
         coords = [mesh.coords(n) for n in path]
         assert coords == [
             (0, 0, 0), (1, 0, 0), (2, 0, 0),  # x leg first
@@ -129,7 +166,7 @@ class TestRoutePath3D:
             rng = np.random.default_rng(7)
             for _ in range(50):
                 a, b = (int(v) for v in rng.integers(0, mesh.n_nodes, 2))
-                path = route_path(mesh, a, b)
+                path = mesh.route(a, b)
                 assert len(path) == mesh.manhattan(a, b) + 1
                 for u, v in zip(path, path[1:]):
                     assert mesh.manhattan(u, v) == 1
@@ -138,16 +175,16 @@ class TestRoutePath3D:
         mesh = Mesh(8, 8, 8, torus=True)
         src = mesh.node_id(0, 0, 1)
         dst = mesh.node_id(7, 0, 1)
-        path = route_path(mesh, src, dst)
+        path = mesh.route(src, dst)
         assert path == [src, dst]  # 1 wrap hop, not 7 direct hops
         # And in z, where wraparound crosses the z = 0 face:
-        path = route_path(mesh, mesh.node_id(3, 3, 1), mesh.node_id(3, 3, 6))
+        path = mesh.route(mesh.node_id(3, 3, 1), mesh.node_id(3, 3, 6))
         zs = [mesh.coords(n)[2] for n in path]
         assert zs == [1, 0, 7, 6]
 
     def test_no_wrap_on_plain_3d_mesh(self):
         mesh = Mesh(8, 8, 8)
-        path = route_path(mesh, mesh.node_id(0, 0, 0), mesh.node_id(7, 0, 0))
+        path = mesh.route(mesh.node_id(0, 0, 0), mesh.node_id(7, 0, 0))
         assert len(path) == 8  # walks straight across, no wraparound
 
 
@@ -158,7 +195,7 @@ class TestRouteLinks3D:
         rng = np.random.default_rng(8)
         for _ in range(50):
             a, b = (int(v) for v in rng.integers(0, mesh.n_nodes, 2))
-            links = route_links(mesh, int(a), int(b))
+            links = _links(mesh, int(a), int(b))
             assert len(links) == mesh.manhattan(a, b)
 
     @pytest.mark.parametrize("torus", [False, True])
@@ -168,8 +205,8 @@ class TestRouteLinks3D:
         rng = np.random.default_rng(9)
         for _ in range(30):
             a, b = (int(v) for v in rng.integers(0, mesh.n_nodes, 2))
-            path = route_path(mesh, a, b)
-            links = route_links(mesh, a, b)
+            path = oracle.route_path(mesh, a, b)
+            links = _links(mesh, a, b)
             assert len(links) == len(path) - 1
             for (u, v), link in zip(zip(path, path[1:]), links):
                 assert space.endpoints(link) == (u, v)
@@ -177,7 +214,7 @@ class TestRouteLinks3D:
     def test_wrap_leg_uses_wraparound_link(self):
         mesh = Mesh(4, 4, 4, torus=True)
         space = LinkSpace.for_mesh(mesh)
-        links = route_links(mesh, mesh.node_id(0, 2, 2), mesh.node_id(3, 2, 2))
+        links = _links(mesh, mesh.node_id(0, 2, 2), mesh.node_id(3, 2, 2))
         assert len(links) == 1
         # The single link is the negative-x wraparound channel 0 -> 3.
         assert space.endpoints(links[0]) == (

@@ -7,14 +7,19 @@ adjacency, duplicate-free neighbor lists, routes that start/end at their
 endpoints and walk only links, and a distance that is a true metric
 (symmetric, zero-diagonal, triangle inequality) equal to the route
 length.  The allocator/network layers rely on exactly these properties,
-so a new topology that passes this module is safe to plug in.
+so a new topology that passes this module is safe to plug in.  Routes and
+fabric distances are also pinned, over every host pair, to the scalar
+reference in ``oracles.routing``, and every topology shares one host-id
+range check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import routing as oracle
 
+from repro.core.metrics import total_pairwise_hops
 from repro.mesh.clos import Dragonfly, FatTree, LeafSpine
 from repro.mesh.topology import Mesh, Topology
 
@@ -87,6 +92,12 @@ class TestRoutes:
     def test_self_route_is_trivial(self, topo):
         assert topo.route(3 % topo.n_nodes, 3 % topo.n_nodes) == [3 % topo.n_nodes]
 
+    def test_every_host_pair_matches_oracle(self, topo):
+        n = topo.n_nodes
+        for src in range(n):
+            for dst in range(n):
+                assert topo.route(src, dst) == oracle.route_path(topo, src, dst)
+
 
 class TestDistanceMetric:
     def test_pairwise_matrix_is_a_metric(self, topo):
@@ -105,6 +116,50 @@ class TestDistanceMetric:
         dist = np.asarray(topo.pairwise_distance(np.arange(topo.n_nodes)))
         for a, b in _host_pairs(topo, limit=50):
             assert topo.distance(a, b) == dist[a, b]
+
+
+class TestFabricDistancesMatchOracle:
+    """The template-derived distances equal the fabrics' closed forms."""
+
+    @pytest.fixture(params=[n for n in sorted(TOPOLOGIES) if "mesh" not in n
+                            and "torus" not in n])
+    def fabric(self, request):
+        return TOPOLOGIES[request.param]()
+
+    def test_pairwise_distance(self, fabric):
+        nodes = np.arange(fabric.n_nodes)
+        dist = fabric.pairwise_distance(nodes)
+        expected = oracle.host_distance(fabric, nodes[:, None], nodes[None, :])
+        assert dist.dtype == np.int64
+        assert np.array_equal(dist, expected)
+
+    def test_total_pairwise_hops(self, fabric):
+        rng = np.random.default_rng(5)
+        for k in (0, 1, 2, 5, fabric.n_nodes):
+            nodes = rng.permutation(fabric.n_nodes)[:k]
+            assert total_pairwise_hops(fabric, nodes) == (
+                oracle.total_pairwise_distance(fabric, nodes)
+            )
+
+
+class TestIdRange:
+    """One host-id range check guards meshes and fabrics alike."""
+
+    def test_empty_ids(self, topo):
+        assert topo.pairwise_distance([]).shape == (0, 0)
+        assert np.asarray(topo.distance([], [])).shape == (0,)
+
+    @pytest.mark.parametrize("which", ["low", "high"])
+    def test_out_of_range_ids_raise(self, topo, which):
+        bad = -1 if which == "low" else topo.n_nodes
+        with pytest.raises(ValueError, match="out of range"):
+            topo.distance(bad, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            topo.distance([0, 1], [0, bad])
+        with pytest.raises(ValueError, match="out of range"):
+            topo.pairwise_distance([0, bad])
+        with pytest.raises(ValueError, match="out of range"):
+            topo.route(0, bad)
 
 
 class TestMeshRegressions:

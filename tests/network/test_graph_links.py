@@ -1,8 +1,8 @@
 """GraphLinkSpace: the switched-fabric side of the link accounting.
 
-Pins three things: the vectorised ``accumulate_route_loads`` (masked
-fixed hop templates + ``np.add.at``) agrees exactly with the per-message
-``links_on_route`` reference on every fabric, ``link_space_for``
+Pins three things: the vectorised ``route_tally`` (masked fixed hop
+templates + ``np.add.at``) agrees exactly with the per-message scalar
+routes of ``oracles.routing`` on every fabric, ``link_space_for``
 dispatches meshes to their cached vectorised ``LinkSpace`` (the fast
 path the benchmarks guard), and the fluid network runs unchanged on a
 Clos machine.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import routing as oracle
 
 from repro.mesh.clos import Dragonfly, FatTree, LeafSpine
 from repro.mesh.topology import Mesh
@@ -56,9 +57,30 @@ class TestGraphLinkSpace:
         loads = space.accumulate_route_loads(src, dst, weight)
         expected = np.zeros(space.n_links)
         for s, d, w in zip(src, dst, weight):
-            for link in space.links_on_route(int(s), int(d)):
+            for link in oracle.route_links(fabric, int(s), int(d)):
                 expected[link] += w
         np.testing.assert_allclose(loads, expected)
+
+    def test_route_tally_hops_match_oracle(self, fabric):
+        space = fabric.link_space()
+        rng = np.random.default_rng(8)
+        src = rng.integers(0, fabric.n_nodes, size=120)
+        dst = rng.integers(0, fabric.n_nodes, size=120)
+        counts = rng.integers(1, 4, size=120)
+        _, hops = space.route_tally(src, dst, counts)
+        assert isinstance(hops, int)
+        assert hops == sum(
+            int(c) * oracle.route_hop_count(fabric, int(s), int(d))
+            for s, d, c in zip(src, dst, counts)
+        )
+
+    def test_links_on_route_match_oracle(self, fabric):
+        space = fabric.link_space()
+        for src in range(fabric.n_nodes):
+            for dst in range(fabric.n_nodes):
+                assert space.links_on_route(src, dst) == oracle.route_links(
+                    fabric, src, dst
+                )
 
     def test_cached_per_topology(self, fabric):
         assert fabric.link_space() is fabric.link_space()

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.loop_engine import ENGINES, run_engine
 
-from repro.core.base import Allocator
+from repro.core.base import Allocation, Allocator
 from repro.core.metrics import average_pairwise_hops
 from repro.core.registry import make_allocator
 from repro.mesh.clos import FatTree
+from repro.mesh.machine import AllocationError
 from repro.mesh.topology import Mesh
 from repro.network.fluid import NetworkParams
 from repro.patterns.base import get_pattern
@@ -110,6 +111,21 @@ class TestBasicRuns:
         jobs = [Job(7, 0.0, 4, 10.0), Job(7, second_arrival, 4, 10.0)]
         with pytest.raises(ValueError, match="job id 7"):
             make_sim(jobs, mesh=Mesh(4, 4), pattern="random")
+
+    def test_allocator_returning_duplicate_nodes_is_refused(self):
+        """``Machine.allocate`` is the one duplicate check on a job start."""
+
+        class Repeating(Allocator):
+            name = "repeating"
+
+            def allocate(self, request, machine):
+                node = int(machine.free_nodes()[0])
+                return Allocation(request.job_id, [node] * request.size)
+
+        sim = Simulation(Mesh(4, 4), Repeating(), get_pattern("ring"),
+                         [Job(0, 0.0, 3, 10.0)])
+        with pytest.raises(AllocationError, match="duplicate"):
+            sim.run()
 
     def test_makespan_is_last_completion(self):
         jobs = [Job(i, float(i), 4, 20.0) for i in range(5)]
