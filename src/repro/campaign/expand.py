@@ -257,19 +257,15 @@ def expand(
     """
     if check:
         campaign.validate()
-    from repro.core.registry import (
-        allocator_names,
-        allocator_names_3d,
-        allocator_names_clos,
-    )
+    from repro.core.registry import make_allocator
+    from repro.mesh.clos import build_topology
 
     axes = campaign.axes
     names = list(axes)
     machine_axis = "topology" if "topology" in axes else "mesh"
     expansion = Expansion(campaign=campaign)
-    allocators_3d = set(allocator_names_3d())
-    allocators_clos = set(allocator_names_clos())
-    clos_only = allocators_clos - set(allocator_names())
+    machines = {m.label: build_topology(m.label) for m in axes[machine_axis]}
+    placeable: set[tuple[str, str]] = set()  # (allocator, machine) checked
     source_cache: dict[TraceSource, tuple[dict, SourceInfo]] = {}
     seen: dict[str, CampaignCell] = {}
 
@@ -301,27 +297,16 @@ def expand(
 
         mesh: MeshAxis = raw[machine_axis]
         allocator: str = raw["allocator"]
-        if mesh.topology is not None:
-            if allocator not in allocators_clos:
+        pairing = (allocator, mesh.label)
+        if pairing not in placeable:
+            try:
+                make_allocator(allocator).check_places_on(machines[mesh.label])
+            except ValueError as exc:
                 raise CampaignError(
-                    f"allocator {allocator!r} cannot place on the switched "
-                    f"fabric {mesh.label!r} (cell {coords}); restrict the "
-                    "axis, or add an [[exclude]] pairing them (Clos-capable "
-                    f"allocators: {sorted(allocators_clos)})"
-                )
-        elif allocator in clos_only:
-            raise CampaignError(
-                f"allocator {allocator!r} needs a switched fabric and cannot "
-                f"place on the mesh {mesh.label!r} (cell {coords}); restrict "
-                "the axis, or add an [[exclude]] pairing them"
-            )
-        elif len(mesh.shape) == 3 and allocator not in allocators_3d:
-            raise CampaignError(
-                f"allocator {allocator!r} cannot place on the 3-D mesh "
-                f"{mesh.label!r} (cell {coords}); restrict the axis, or add "
-                "an [[exclude]] pairing them (3-D-capable allocators: "
-                f"{sorted(allocators_3d)})"
-            )
+                    f"{exc} (cell {coords}); restrict the axis, or add an "
+                    "[[exclude]] pairing them"
+                ) from None
+            placeable.add(pairing)
 
         source: TraceSource = raw.get("workload", TraceSource(kind="synthetic"))
         if source.kind == "synthetic":

@@ -351,7 +351,7 @@ class Campaign:
         depend on the whole cell (e.g. a 2-D-only allocator paired with a
         3-D mesh) happen during expansion, after filters apply.
         """
-        from repro.core.registry import allocator_names, allocator_names_clos
+        from repro.core.registry import allocator_names
         from repro.patterns.base import pattern_names
 
         if not self.name or not isinstance(self.name, str):
@@ -398,7 +398,7 @@ class Campaign:
                     f"unknown pattern {value!r} in axis 'pattern'; "
                     f"known: {sorted(known_patterns)}"
                 )
-        known_allocators = set(allocator_names()) | set(allocator_names_clos())
+        known_allocators = set(allocator_names())
         for value in self.axes["allocator"]:
             if value not in known_allocators:
                 raise CampaignError(

@@ -9,6 +9,13 @@ scheduler" (Section 1) -- accordingly, allocators here are pure policy:
 they never mutate the machine; the scheduler applies the returned
 allocation.
 
+Each strategy declares once, in :attr:`Allocator.places_on`, which kinds
+of machine it places on -- a 2-D mesh, a 3-D mesh, or a switched fabric
+(see :func:`machine_kind`) -- and :meth:`Allocator.allocate` refuses any
+other kind with a :class:`ValueError` before the strategy runs.  The
+registry's name lists and the campaign expander read the same
+declaration.
+
 Allocation order matters: the simulator maps pattern rank ``r`` to
 ``allocation.nodes[r]``, so the order defines the job's virtual ring for
 the n-body pattern.  Each strategy documents its order (curve order for
@@ -22,9 +29,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.mesh.clos import topology_label
 from repro.mesh.machine import Machine
+from repro.mesh.topology import Topology
 
-__all__ = ["Request", "Allocation", "Allocator"]
+__all__ = ["Request", "Allocation", "Allocator", "machine_kind"]
+__all__ += ["MESH_2D", "MESH_3D", "FABRIC", "MACHINE_KINDS"]
+
+#: The kinds of machine an allocator can declare it places on.
+MESH_2D = "2-D mesh"
+MESH_3D = "3-D mesh"
+FABRIC = "switched fabric"
+MACHINE_KINDS = (MESH_2D, MESH_3D, FABRIC)
+
+
+def machine_kind(topology: Topology) -> str:
+    """The kind of machine ``topology`` is, one of :data:`MACHINE_KINDS`.
+
+    Read from what every topology already carries: ``is_mesh`` tells a
+    mesh or torus from a switched fabric, and ``n_dims`` a 2-D mesh from
+    a 3-D one.
+
+    >>> from repro.mesh.clos import build_topology
+    >>> [machine_kind(build_topology(t)) for t in ("16x22", "8x8x8t", "fattree:k=4")]
+    ['2-D mesh', '3-D mesh', 'switched fabric']
+    """
+    if not topology.is_mesh:
+        return FABRIC
+    return MESH_2D if topology.n_dims == 2 else MESH_3D
 
 
 @dataclass(frozen=True)
@@ -108,41 +140,48 @@ class Allocation:
 class Allocator(ABC):
     """Base class for allocation strategies.
 
-    Subclasses implement :meth:`allocate`; they must not mutate the machine.
-    ``name`` is the registry key (see :mod:`repro.core.registry`).
+    Subclasses declare :attr:`places_on` and implement :meth:`_place`;
+    they must not mutate the machine.  ``name`` is the registry key (see
+    :mod:`repro.core.registry`).
     """
 
     name: str = "abstract"
+    #: The machine kinds (:data:`MACHINE_KINDS`) this strategy places on.
+    places_on: frozenset[str] = frozenset()
+    #: The topology that last passed :meth:`check_places_on`, so a run of
+    #: starts on one machine pays one identity compare each.
+    _accepted: Topology | None = None
 
-    @abstractmethod
     def allocate(self, request: Request, machine: Machine) -> Allocation | None:
         """Choose processors for ``request`` given current occupancy.
 
-        Returns ``None`` if the request cannot be satisfied (for all the
-        paper's noncontiguous strategies that happens exactly when fewer
-        than ``request.size`` processors are free).
+        Raises :class:`ValueError` if the machine is of a kind the strategy
+        does not place on.  Returns ``None`` if the request cannot be
+        satisfied: always when fewer than ``request.size`` processors are
+        free, and for all the paper's noncontiguous strategies only then.
         """
+        if machine.mesh is not self._accepted:
+            self.check_places_on(machine.mesh)
+        if machine.n_free < request.size:
+            return None
+        return self._place(request, machine)
 
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _feasible(request: Request, machine: Machine) -> bool:
-        return machine.n_free >= request.size
-
-    def _require_2d(self, machine: Machine) -> None:
-        """Fail fast with a clear error on meshes this strategy can't place.
-
-        Shell/submesh geometry (MC, contiguous) and some orderings
-        (H-indexing, Gen-Alg's axis decomposition) are defined on 2-D
-        meshes only; handing them a 3-D machine must raise, not emit
-        garbage placements.
-        """
-        if machine.mesh.n_dims != 2:
+    def check_places_on(self, topology: Topology) -> None:
+        """Raise :class:`ValueError` unless this strategy places on
+        ``topology``'s kind of machine (the one placement refusal)."""
+        kind = machine_kind(topology)
+        if kind not in self.places_on:
             raise ValueError(
-                f"allocator {self.name!r} supports only 2-D meshes, got "
-                f"shape {tuple(machine.mesh.shape)}"
+                f"allocator {self.name!r} cannot place on the {kind} "
+                f"{topology_label(topology)!r}: it needs a "
+                + " or ".join(k for k in MACHINE_KINDS if k in self.places_on)
             )
+        self._accepted = topology
+
+    @abstractmethod
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
+        """Choose processors on a machine of a declared kind with at least
+        ``request.size`` free processors (``None``: no acceptable set)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import Allocation, Allocator, Request
+from repro.core.base import MESH_2D, Allocation, Allocator, Request
 from repro.core.mc import infer_shape
 from repro.mesh.machine import Machine
 
@@ -40,14 +40,12 @@ class FirstFitSubmesh(Allocator):
     """
 
     name = "first-fit-submesh"
+    places_on = frozenset({MESH_2D})
 
     def __init__(self, rotate: bool = True):
         self.rotate = rotate
 
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
-        self._require_2d(machine)
-        if not self._feasible(request, machine):
-            return None
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
         mesh = machine.mesh
         shape = request.shape or infer_shape(request.size, mesh)
         candidates = [shape]

@@ -50,6 +50,7 @@ __all__ = [
     "h_indexing",
     "get_curve",
     "curve_names",
+    "PLANAR_CURVES",
     "hilbert_points",
     "h_indexing_points",
 ]
@@ -277,8 +278,9 @@ def hilbert(mesh: Mesh) -> Curve:
 def h_indexing(mesh: Mesh) -> Curve:
     """H-indexing (closed fractal cycle), truncated from the enclosing square.
 
-    H-indexing is a 2-D construction: a 3-D mesh raises :class:`ValueError`,
-    which is how the 2-D-only Paging allocators refuse 3-D machines.
+    H-indexing is a 2-D construction (one of :data:`PLANAR_CURVES`): a 3-D
+    mesh raises :class:`ValueError`.  The Paging allocators built on it
+    declare 2-D meshes only, so they refuse a 3-D machine before this.
     """
     if mesh.n_dims != 2:
         raise ValueError(
@@ -288,6 +290,9 @@ def h_indexing(mesh: Mesh) -> Curve:
     pts = h_indexing_points(_enclosing_order(mesh))
     return _truncated("h-indexing", mesh, pts)
 
+
+#: Curves with a 2-D construction only; the others also order 3-D meshes.
+PLANAR_CURVES = frozenset({"h-indexing"})
 
 _BUILDERS = {
     "row-major": row_major,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import Allocation, Allocator, Request
+from repro.core.base import MESH_2D, Allocation, Allocator, Request
 from repro.mesh.machine import Machine
 
 __all__ = ["GenAlgAllocator"]
@@ -41,11 +41,9 @@ class GenAlgAllocator(Allocator):
     """The Gen-Alg allocator of Fig 3."""
 
     name = "gen-alg"
+    places_on = frozenset({MESH_2D})
 
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
-        self._require_2d(machine)
-        if not self._feasible(request, machine):
-            return None
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
         mesh = machine.mesh
         free = machine.free_nodes()
         k = request.size

@@ -7,7 +7,7 @@ job under as few first-hop switches as possible (rack/leaf/router) and
 inside one pod/group, because only traffic that climbs past a shared
 switch contends on uplinks.  These strategies read the topology's
 :meth:`~repro.mesh.clos.ClosTopology.hierarchy_levels` and therefore
-require a switched machine; handing them a mesh raises a clear
+declare switched fabrics only; handing them a mesh raises a clear
 :class:`ValueError` (the registry's mesh strategies are the converse).
 
 :class:`RandomAllocator` is the topology-agnostic scattered baseline: on
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import Allocation, Allocator, Request
+from repro.core.base import FABRIC, MACHINE_KINDS, Allocation, Allocator, Request
+from repro.mesh.clos import ClosTopology
 from repro.mesh.machine import Machine
 
 __all__ = [
@@ -43,14 +44,13 @@ class RandomAllocator(Allocator):
     """
 
     name = "random"
+    places_on = frozenset(MACHINE_KINDS)
 
     def __init__(self, salt: int = 0):
         self.salt = int(salt)
 
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
         """Draw ``request.size`` distinct free processors uniformly."""
-        if not self._feasible(request, machine):
-            return None
         free = machine.free_nodes()
         rng = np.random.default_rng(
             np.random.SeedSequence([0x52A11D0, self.salt, request.job_id])
@@ -60,17 +60,9 @@ class RandomAllocator(Allocator):
 
 
 class _HierarchyAllocator(Allocator):
-    """Shared plumbing: fetch hierarchy levels, pack whole units greedily."""
+    """Shared plumbing: pack whole hierarchy units greedily."""
 
-    def _levels(self, machine: Machine):
-        levels = getattr(machine.mesh, "hierarchy_levels", None)
-        if levels is None:
-            raise ValueError(
-                f"allocator {self.name!r} needs a switched topology with a "
-                f"host hierarchy (fat-tree / leaf-spine / dragonfly), got "
-                f"mesh shape {tuple(machine.mesh.shape)}"
-            )
-        return levels()
+    places_on = frozenset({FABRIC})
 
     @staticmethod
     def _pack_units(
@@ -97,15 +89,20 @@ class _HierarchyAllocator(Allocator):
         raise NotImplementedError
 
     def _rack_fill(
-        self, request: Request, free: np.ndarray, unit_of: np.ndarray,
-        total_per_unit: np.ndarray,
-    ) -> np.ndarray:
+        self, request: Request, free: np.ndarray, topology: ClosTopology
+    ) -> Allocation:
+        """Pack whole racks of ``free`` in :meth:`_unit_order`."""
+        _, unit_of = topology.hierarchy_levels()[0]
         unit_of_free = unit_of[free]
-        n_units = len(total_per_unit)
+        n_units = int(unit_of.max()) + 1
         counts = np.bincount(unit_of_free, minlength=n_units)
-        busy = total_per_unit - counts
+        busy = np.bincount(unit_of, minlength=n_units) - counts
         order = self._unit_order(counts, busy)
-        return self._pack_units(free, unit_of_free, order, request.size)
+        nodes = self._pack_units(free, unit_of_free, order, request.size)
+        return Allocation(job_id=request.job_id, nodes=nodes)
+
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
+        return self._rack_fill(request, machine.free_nodes(), machine.mesh)
 
 
 class RackAwareAllocator(_HierarchyAllocator):
@@ -118,16 +115,6 @@ class RackAwareAllocator(_HierarchyAllocator):
     """
 
     name = "rack-aware"
-
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
-        """Pack whole racks, largest free block first."""
-        levels = self._levels(machine)
-        if not self._feasible(request, machine):
-            return None
-        _, unit_of = levels[0]
-        total = np.bincount(unit_of, minlength=int(unit_of.max()) + 1)
-        nodes = self._rack_fill(request, machine.free_nodes(), unit_of, total)
-        return Allocation(job_id=request.job_id, nodes=nodes)
 
     def _unit_order(self, counts: np.ndarray, busy: np.ndarray) -> np.ndarray:
         return np.lexsort((np.arange(len(counts)), -counts))
@@ -145,23 +132,17 @@ class PodLocalAllocator(RackAwareAllocator):
 
     name = "pod-local"
 
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
         """Place inside the tightest pod that fits, else spill."""
-        levels = self._levels(machine)
-        if not self._feasible(request, machine):
-            return None
         free = machine.free_nodes()
-        _, rack_of = levels[0]
-        _, pod_of = levels[-1]
+        _, pod_of = machine.mesh.hierarchy_levels()[-1]
         n_pods = int(pod_of.max()) + 1
         pod_free = np.bincount(pod_of[free], minlength=n_pods)
         fits = np.flatnonzero(pod_free >= request.size)
         if len(fits) > 0:
             pod = int(fits[np.argmin(pod_free[fits])])  # best fit, lowest id
             free = free[pod_of[free] == pod]
-        total = np.bincount(rack_of, minlength=int(rack_of.max()) + 1)
-        nodes = self._rack_fill(request, free, rack_of, total)
-        return Allocation(job_id=request.job_id, nodes=nodes)
+        return self._rack_fill(request, free, machine.mesh)
 
 
 class OversubAwareAllocator(_HierarchyAllocator):
@@ -175,16 +156,6 @@ class OversubAwareAllocator(_HierarchyAllocator):
     """
 
     name = "oversub-aware"
-
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
-        """Pack racks ordered by (busy hosts, -free hosts, id)."""
-        levels = self._levels(machine)
-        if not self._feasible(request, machine):
-            return None
-        _, unit_of = levels[0]
-        total = np.bincount(unit_of, minlength=int(unit_of.max()) + 1)
-        nodes = self._rack_fill(request, machine.free_nodes(), unit_of, total)
-        return Allocation(job_id=request.job_id, nodes=nodes)
 
     def _unit_order(self, counts: np.ndarray, busy: np.ndarray) -> np.ndarray:
         return np.lexsort((np.arange(len(counts)), -counts, busy))

@@ -19,7 +19,7 @@ workload against every fixed strategy.
 
 from __future__ import annotations
 
-from repro.core.base import Allocation, Allocator, Request
+from repro.core.base import MESH_2D, Allocation, Allocator, Request
 from repro.mesh.machine import Machine
 
 __all__ = ["HybridAllocator", "default_rules"]
@@ -52,6 +52,9 @@ class HybridAllocator(Allocator):
     """
 
     name = "hybrid"
+    #: The default dispatch table mixes 2-D-only sub-allocators (MC), so
+    #: the hybrid refuses 3-D meshes up front rather than mid-workload.
+    places_on = frozenset({MESH_2D})
 
     def __init__(
         self,
@@ -63,10 +66,7 @@ class HybridAllocator(Allocator):
         self.rules = dict(rules) if rules is not None else default_rules()
         self.fallback = fallback or make_allocator("hilbert+bf")
 
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
-        # The default dispatch table mixes 2-D-only sub-allocators (MC), so
-        # the hybrid refuses 3-D meshes up front rather than mid-workload.
-        self._require_2d(machine)
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
         chosen = self.rules.get(request.pattern_hint or "", self.fallback)
         return chosen.allocate(request, machine)
 

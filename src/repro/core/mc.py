@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import Allocation, Allocator, Request
+from repro.core.base import MESH_2D, Allocation, Allocator, Request
 from repro.mesh.machine import Machine
 from repro.mesh.topology import Mesh
 
@@ -141,14 +141,13 @@ class MCAllocator(Allocator):
         True for MC (infer/accept a submesh shape); False for MC1x1.
     """
 
+    places_on = frozenset({MESH_2D})
+
     def __init__(self, shaped: bool = True):
         self.shaped = shaped
         self.name = "mc" if shaped else "mc1x1"
 
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
-        self._require_2d(machine)
-        if not self._feasible(request, machine):
-            return None
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
         mesh = machine.mesh
         k = request.size
         free = machine.free_nodes()

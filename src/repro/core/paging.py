@@ -32,8 +32,8 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.base import Allocation, Allocator, Request
-from repro.core.curves import get_curve
+from repro.core.base import MESH_2D, MESH_3D, Allocation, Allocator, Request
+from repro.core.curves import PLANAR_CURVES, get_curve
 from repro.mesh.machine import Machine
 from repro.mesh.topology import Mesh
 
@@ -181,7 +181,7 @@ class PagingAllocator(Allocator):
     page_size:
         The s of the 2^s x 2^s pages; 0 (the paper's setting) makes each
         page a single processor.  With s > 0 whole pages are held and the
-        mesh dimensions must be divisible by 2^s.
+        mesh must be 2-D with dimensions divisible by 2^s.
     curve_kwargs:
         Extra arguments for the curve builder (e.g. ``runs="long"`` for the
         long-direction S-curve ablation).
@@ -214,6 +214,9 @@ class PagingAllocator(Allocator):
         )
         if page_size:
             self.name += f"@s{page_size}"
+        # Pages are 2-D submeshes, and some curves have no 3-D construction.
+        planar = page_size or curve_name in PLANAR_CURVES
+        self.places_on = frozenset({MESH_2D} if planar else {MESH_2D, MESH_3D})
         self._mesh_cache: dict[tuple, tuple] = {}
 
     # -- mesh-specific precomputation -----------------------------------
@@ -227,11 +230,6 @@ class PagingAllocator(Allocator):
             page_of = None
             page_nodes = None
         else:
-            if mesh.n_dims != 2:
-                raise ValueError(
-                    "page_size > 0 pages are 2-D submeshes; use s = 0 "
-                    f"(the paper's setting) on a {mesh.n_dims}-D mesh"
-                )
             side = 1 << self.page_size
             if mesh.width % side or mesh.height % side:
                 raise ValueError(
@@ -254,9 +252,7 @@ class PagingAllocator(Allocator):
         return cached
 
     # -- allocation ------------------------------------------------------
-    def allocate(self, request: Request, machine: Machine) -> Allocation | None:
-        if not self._feasible(request, machine):
-            return None
+    def _place(self, request: Request, machine: Machine) -> Allocation | None:
         curve, page_of, page_nodes = self._bind(machine.mesh)
         if self.page_size == 0:
             free_ranks = np.sort(curve.rank[machine.free_nodes()])

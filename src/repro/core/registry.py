@@ -12,27 +12,31 @@ Names follow the paper's labels:
   motivation),
 * ``"hybrid"`` -- the pattern-dispatching strategy of Section 5's
   discussion,
-* ``"random"`` -- the scattered baseline (any topology),
+* ``"random"`` -- the scattered baseline (any machine),
 * ``"rack-aware"`` / ``"pod-local"`` / ``"oversub-aware"`` -- the
   hierarchy-aware strategies for the switched Clos fabrics of
-  :mod:`repro.mesh.clos`; they raise on meshes, and
-  :func:`allocator_names_clos` lists what places on a Clos machine.
+  :mod:`repro.mesh.clos`.
 
 :func:`paper_allocators` returns the nine strategies plotted in Figs 7/8,
 and :func:`fig11_allocators` the twelve rows of the Fig 11 table.
 
-Strategies are built lazily against whatever mesh the machine carries, and
-the curve strategies backed by a 3-D ordering (``row-major``, ``s-curve``
-and ``hilbert`` -- see :mod:`repro.core.curves`) also place jobs on 3-D
-:class:`~repro.mesh.topology.Mesh` machines; :func:`allocator_names_3d`
-lists them.  Every other strategy raises a clear :class:`ValueError` when
-handed a 3-D mesh (shell/submesh geometry and H-indexing are 2-D
-constructions).
+Strategies are built lazily against whatever machine they are handed.
+Each allocator class declares once which kinds of machine it places on
+(:attr:`~repro.core.base.Allocator.places_on`: a 2-D mesh, a 3-D mesh, or a
+switched fabric) and refuses any other kind with a clear
+:class:`ValueError`; :func:`allocator_names` filters the names by that
+declaration.  The shell, submesh and Gen-Alg geometry and H-indexing are
+2-D constructions, the other curves (``row-major``, ``s-curve`` and
+``hilbert`` -- see :mod:`repro.core.curves`) also order 3-D meshes, the
+hierarchy strategies need a fabric's switch hierarchy, and ``random``
+places anywhere.
 """
 
 from __future__ import annotations
 
-from repro.core.base import Allocator
+from functools import partial
+
+from repro.core.base import MACHINE_KINDS, Allocator
 from repro.core.contiguous import FirstFitSubmesh
 from repro.core.genalg import GenAlgAllocator
 from repro.core.hierarchy import (
@@ -48,8 +52,6 @@ from repro.core.paging import PagingAllocator
 __all__ = [
     "make_allocator",
     "allocator_names",
-    "allocator_names_3d",
-    "allocator_names_clos",
     "paper_allocators",
     "fig11_allocators",
     "PAPER_ALLOCATORS",
@@ -68,9 +70,26 @@ PAPER_ALLOCATORS = (
     "h-indexing+bf",
 )
 
+#: Every non-curve strategy by canonical name, in listing order.
+_STRATEGIES = {
+    "mc": partial(MCAllocator, shaped=True),
+    "mc1x1": partial(MCAllocator, shaped=False),
+    "gen-alg": GenAlgAllocator,
+    "contiguous": FirstFitSubmesh,
+    "hybrid": HybridAllocator,
+    "random": RandomAllocator,
+    "rack-aware": RackAwareAllocator,
+    "pod-local": PodLocalAllocator,
+    "oversub-aware": OversubAwareAllocator,
+}
+_ALIASES = {
+    "genalg": "gen-alg",
+    "first-fit-submesh": "contiguous",
+    "rackaware": "rack-aware",
+    "podlocal": "pod-local",
+    "oversubscription-aware": "oversub-aware",
+}
 _CURVES = ("s-curve", "hilbert", "h-indexing", "row-major")
-#: Curve strategies with a 3-D ordering, in 2-D legend order.
-_CURVES_3D = ("s-curve", "hilbert", "row-major")
 _SUFFIX_POLICY = {"ff": "first-fit", "bf": "best-fit", "ss": "sum-of-squares"}
 
 
@@ -82,66 +101,38 @@ def make_allocator(name: str, **kwargs) -> Allocator:
     S-curve ablation or ``make_allocator("hilbert+ff", page_size=1)``.
     """
     lowered = name.strip().lower()
-    if lowered == "mc":
-        return MCAllocator(shaped=True, **kwargs)
-    if lowered == "mc1x1":
-        return MCAllocator(shaped=False, **kwargs)
-    if lowered in ("gen-alg", "genalg"):
-        return GenAlgAllocator(**kwargs)
-    if lowered in ("contiguous", "first-fit-submesh"):
-        return FirstFitSubmesh(**kwargs)
-    if lowered == "hybrid":
-        return HybridAllocator(**kwargs)
-    if lowered == "random":
-        return RandomAllocator(**kwargs)
-    if lowered in ("rack-aware", "rackaware"):
-        return RackAwareAllocator(**kwargs)
-    if lowered in ("pod-local", "podlocal"):
-        return PodLocalAllocator(**kwargs)
-    if lowered in ("oversub-aware", "oversubscription-aware"):
-        return OversubAwareAllocator(**kwargs)
+    lowered = _ALIASES.get(lowered, lowered)
+    if lowered in _STRATEGIES:
+        return _STRATEGIES[lowered](**kwargs)
     curve, _, suffix = lowered.partition("+")
     if curve in _CURVES:
-        if suffix == "":
-            policy = "freelist"
-        else:
-            policy = _SUFFIX_POLICY.get(suffix, suffix)
+        policy = _SUFFIX_POLICY.get(suffix, suffix) if suffix else "freelist"
         return PagingAllocator(curve_name=curve, policy=policy, **kwargs)
-    known = sorted(set(allocator_names()) | set(allocator_names_clos()))
-    raise KeyError(f"unknown allocator {name!r}; known: {known}")
+    raise KeyError(f"unknown allocator {name!r}; known: {sorted(allocator_names())}")
 
 
-def allocator_names() -> list[str]:
-    """All canonical names that place on 2-D meshes.
+def allocator_names(kind: str | None = None) -> list[str]:
+    """Canonical registry names; with ``kind``, only those placing on it.
 
-    ``random`` is topology-agnostic and appears here, in
-    :func:`allocator_names_3d`, and in :func:`allocator_names_clos`; the
-    hierarchy strategies are Clos-only and listed by the latter.
+    ``kind`` is one of :data:`~repro.core.base.MACHINE_KINDS`, and a name
+    is kept when its allocator declares that kind in ``places_on``.
+
+    >>> allocator_names("3-D mesh")  # doctest: +NORMALIZE_WHITESPACE
+    ['random', 's-curve', 's-curve+ff', 's-curve+bf', 's-curve+ss',
+     'hilbert', 'hilbert+ff', 'hilbert+bf', 'hilbert+ss',
+     'row-major', 'row-major+ff', 'row-major+bf', 'row-major+ss']
+    >>> allocator_names("switched fabric")
+    ['random', 'rack-aware', 'pod-local', 'oversub-aware']
     """
-    names = ["mc", "mc1x1", "gen-alg", "contiguous", "hybrid", "random"]
+    names = list(_STRATEGIES)
     for curve in _CURVES:
         names.append(curve)
         names.extend(f"{curve}+{sfx}" for sfx in _SUFFIX_POLICY)
-    return names
-
-
-def allocator_names_3d() -> list[str]:
-    """Canonical names of the strategies that also place on 3-D meshes."""
-    names = ["random"]
-    for curve in _CURVES_3D:
-        names.append(curve)
-        names.extend(f"{curve}+{sfx}" for sfx in _SUFFIX_POLICY)
-    return names
-
-
-def allocator_names_clos() -> list[str]:
-    """Canonical names of the strategies that place on switched fabrics.
-
-    The hierarchy-aware strategies need
-    :meth:`~repro.mesh.clos.ClosTopology.hierarchy_levels` and raise on
-    meshes; ``random`` places anywhere.
-    """
-    return ["random", "rack-aware", "pod-local", "oversub-aware"]
+    if kind is None:
+        return names
+    if kind not in MACHINE_KINDS:
+        raise ValueError(f"unknown machine kind {kind!r}; known: {list(MACHINE_KINDS)}")
+    return [n for n in names if kind in make_allocator(n).places_on]
 
 
 def paper_allocators() -> list[Allocator]:

@@ -37,7 +37,6 @@ __all__ = [
     "total_message_hops",
     "all_pairs_load_vector",
     "all_pairs_mean_hops",
-    "all_pairs_closed_form",
     "pattern_flow_profile",
 ]
 
@@ -211,22 +210,6 @@ def all_pairs_mean_hops(mesh: Mesh, nodes: np.ndarray) -> float:
     return float(2 * total_pairwise_hops(mesh, nodes)) / (p * (p - 1))
 
 
-def all_pairs_closed_form(mesh: Topology, pattern) -> bool:
-    """True when :func:`pattern_flow_profile` takes the all-pairs census
-    path: a uniform all-pairs pattern on a plain (non-torus) mesh.
-
-    Its mean hops is then ``2T / (p(p-1))`` for the exact integer pair
-    total ``T``, the same IEEE quotient as the job's average pairwise hops
-    ``T / (p(p-1)/2)``, so the simulator reuses it instead of summing the
-    pairs a second time.
-    """
-    return (
-        getattr(pattern, "uniform_all_pairs", False)
-        and getattr(mesh, "is_mesh", True)
-        and not mesh.torus
-    )
-
-
 def pattern_flow_profile(
     mesh: Topology,
     pattern,
@@ -245,9 +228,15 @@ def pattern_flow_profile(
     count crossings exactly, so they are bit-identical to
     :func:`build_load_vector` and :func:`mean_message_hops` on the full
     cycle.
+
+    For a uniform all-pairs pattern on any topology the mean hops is the
+    exact integer hop total over all ordered pairs divided by their
+    count: the same IEEE quotient as
+    :func:`~repro.core.metrics.average_pairwise_hops` (``T / (p(p-1)/2)``
+    for the unordered total ``T``), which the simulator therefore reuses.
     """
     p = len(nodes)
-    if all_pairs_closed_form(mesh, pattern):
+    if getattr(pattern, "uniform_all_pairs", False) and mesh.is_mesh and not mesh.torus:
         if p < 2:
             space = link_space_for(mesh)
             return np.zeros(space.n_links, dtype=np.float64), 0.0, 0

@@ -39,7 +39,7 @@ from repro.core.metrics import average_pairwise_hops, n_components
 from repro.mesh.machine import Machine
 from repro.mesh.topology import Mesh
 from repro.network.fluid import FluidNetwork, NetworkParams
-from repro.network.traffic import all_pairs_closed_form, pattern_flow_profile
+from repro.network.traffic import pattern_flow_profile
 from repro.patterns.base import Pattern
 from repro.sched.job import Job, JobResult
 from repro.sched.registry import make_discipline, validate_scheduler
@@ -297,7 +297,7 @@ class Simulation:
                 self.params.message_flits,
                 rng,
             )
-            if all_pairs_closed_form(self.mesh, pattern):
+            if getattr(pattern, "uniform_all_pairs", False):
                 pairwise_hops = hops  # the same quotient of the same pair sum
             else:
                 pairwise_hops = average_pairwise_hops(self.mesh, allocation.nodes)

@@ -175,9 +175,10 @@ class TestMultishape:
         # non-cubic torus cells exist and use 3-D-capable allocators only
         torus_cells = expansion.select(mesh="16x8x4t")
         assert torus_cells
-        from repro.core.registry import allocator_names_3d
+        from repro.core.base import MESH_3D
+        from repro.core.registry import allocator_names
 
-        assert {c.coords["allocator"] for c in torus_cells} <= set(allocator_names_3d())
+        assert {c.coords["allocator"] for c in torus_cells} <= set(allocator_names(MESH_3D))
         # the exclude trimmed +ss variants from the random pattern
         assert not expansion.select(pattern="random", allocator="hilbert+ss")
         assert expansion.select(pattern="all-to-all", allocator="hilbert+ss")

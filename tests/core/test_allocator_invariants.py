@@ -7,9 +7,11 @@ of ``nodes`` -- and the allocator must never mutate the machine (the
 paper's separation of policy from mechanism: "the allocator is a separate
 module from the scheduler", Section 1).
 
-The same invariants hold on 3-D tori for every 3-D-capable strategy
-(``allocator_names_3d``); everything else must refuse a 3-D machine with
-a :class:`ValueError` rather than emit garbage placements.
+The same invariants hold on 3-D tori for every strategy declaring 3-D
+meshes (``allocator_names(MESH_3D)``); everything else must refuse a 3-D
+machine with a :class:`ValueError` rather than emit garbage placements.
+The capability matrix at the end checks every name on every kind of
+machine against its declaration.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import Request
-from repro.core.registry import (
-    allocator_names,
-    allocator_names_3d,
-    make_allocator,
-)
+from repro.core.base import MESH_2D, MESH_3D, Request, machine_kind
+from repro.core.paging import PagingAllocator
+from repro.core.registry import allocator_names, make_allocator
+from repro.mesh.clos import build_topology
 from repro.mesh.machine import Machine
 from repro.mesh.topology import Mesh
 
@@ -51,7 +51,7 @@ def _random_machine(occupancy_seed: int, busy_fraction: float) -> Machine:
     return _random_machine_on(MESH, occupancy_seed, busy_fraction)
 
 
-@pytest.mark.parametrize("name", allocator_names())
+@pytest.mark.parametrize("name", allocator_names(MESH_2D))
 @settings(max_examples=20, deadline=None)
 @given(
     occupancy_seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -93,7 +93,7 @@ def test_allocation_invariants(
 
 
 @pytest.mark.parametrize("mesh", MESHES_3D, ids=lambda m: "x".join(map(str, m.shape)))
-@pytest.mark.parametrize("name", allocator_names_3d())
+@pytest.mark.parametrize("name", allocator_names(MESH_3D))
 @settings(max_examples=10, deadline=None)
 @given(
     occupancy_seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -126,7 +126,7 @@ def test_allocation_invariants_3d(
 
 
 @pytest.mark.parametrize(
-    "name", sorted(set(allocator_names()) - set(allocator_names_3d()))
+    "name", sorted(set(allocator_names(MESH_2D)) - set(allocator_names(MESH_3D)))
 )
 def test_2d_only_allocators_raise_on_3d_mesh(name):
     """2-D-only strategies must refuse a 3-D machine, not emit garbage."""
@@ -135,7 +135,7 @@ def test_2d_only_allocators_raise_on_3d_mesh(name):
         make_allocator(name).allocate(Request(size=4, job_id=1), machine)
 
 
-@pytest.mark.parametrize("name", allocator_names())
+@pytest.mark.parametrize("name", allocator_names(MESH_2D))
 def test_infeasible_request_returns_none_without_mutation(name):
     """More processors than exist can never be satisfied."""
     machine = _random_machine(occupancy_seed=5, busy_fraction=0.5)
@@ -147,7 +147,7 @@ def test_infeasible_request_returns_none_without_mutation(name):
     assert np.array_equal(machine.snapshot(), free_before)
 
 
-@pytest.mark.parametrize("name", allocator_names())
+@pytest.mark.parametrize("name", allocator_names(MESH_2D))
 def test_allocation_applies_cleanly(name):
     """A returned allocation must be acceptable to Machine.allocate."""
     machine = _random_machine(occupancy_seed=11, busy_fraction=0.4)
@@ -156,3 +156,55 @@ def test_allocation_applies_cleanly(name):
         return
     machine.allocate(allocation.held, job_id=3)  # raises on any violation
     machine.release(allocation.held)
+
+
+#: One machine of each kind the allocators declare, tori included.
+MATRIX_MACHINES = ("8x8", "8x8t", "4x4x4t", "fattree:k=4", "leafspine:8x4", "dragonfly:3x2x2")
+
+
+@pytest.mark.parametrize("machine_text", MATRIX_MACHINES)
+@pytest.mark.parametrize("name", allocator_names())
+def test_capability_matrix(name, machine_text):
+    """``allocate`` places validly exactly on the declared kinds of machine
+    and raises :class:`ValueError` on every other kind."""
+    topology = build_topology(machine_text)
+    machine = Machine(topology)
+    machine.allocate(np.arange(0, topology.n_nodes, 3), job_id=777)
+    allocator = make_allocator(name)
+    request = Request(size=5, job_id=1, pattern_hint="all-to-all")
+    if machine_kind(topology) not in allocator.places_on:
+        with pytest.raises(ValueError, match="cannot place on the"):
+            allocator.allocate(request, machine)
+        return
+    free_before = machine.snapshot()
+    allocation = allocator.allocate(request, machine)
+    assert np.array_equal(machine.snapshot(), free_before)
+    if name == "contiguous":  # a 5-processor rectangle may not fit
+        assert allocation is None or len(allocation.nodes) == 5
+    else:
+        assert allocation is not None
+        assert len(allocation.nodes) == 5
+    if allocation is not None:
+        machine.allocate(allocation.held, job_id=1)  # raises on any violation
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in allocator_names() if isinstance(make_allocator(n), PagingAllocator)]
+)
+def test_curve_allocator_cell_on_fattree_raises(name):
+    """A curve strategy on a fabric fails the cell instead of quietly
+    placing in host-id order."""
+    from repro.runner import ExperimentSpec, run_cell
+
+    spec = ExperimentSpec(
+        mesh_shape=(),
+        topology="fattree:k=4",
+        pattern="all-to-all",
+        allocator=name,
+        load=1.0,
+        seed=1,
+        n_jobs=20,
+        runtime_scale=0.01,
+    )
+    with pytest.raises(ValueError, match="cannot place on the switched fabric"):
+        run_cell(spec)

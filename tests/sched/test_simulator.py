@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.loop_engine import ENGINES, run_engine
 
-from repro.core.base import Allocation, Allocator
+from repro.core.base import MACHINE_KINDS, Allocation, Allocator
 from repro.core.metrics import average_pairwise_hops
 from repro.core.registry import make_allocator
-from repro.mesh.clos import FatTree
+from repro.mesh.clos import Dragonfly, FatTree, LeafSpine
 from repro.mesh.machine import AllocationError
 from repro.mesh.topology import Mesh
 from repro.network.fluid import NetworkParams
@@ -117,8 +117,9 @@ class TestBasicRuns:
 
         class Repeating(Allocator):
             name = "repeating"
+            places_on = frozenset(MACHINE_KINDS)
 
-            def allocate(self, request, machine):
+            def _place(self, request, machine):
                 node = int(machine.free_nodes()[0])
                 return Allocation(request.job_id, [node] * request.size)
 
@@ -254,9 +255,10 @@ class _RecordingAllocator(Allocator):
     def __init__(self, name):
         self.inner = make_allocator(name)
         self.name = self.inner.name
+        self.places_on = self.inner.places_on
         self.nodes = {}
 
-    def allocate(self, request, machine):
+    def _place(self, request, machine):
         allocation = self.inner.allocate(request, machine)
         if allocation is not None:
             self.nodes[request.job_id] = allocation.nodes
@@ -265,7 +267,8 @@ class _RecordingAllocator(Allocator):
 
 class TestPairwiseHopsRecord:
     """``JobResult.pairwise_hops`` is ``average_pairwise_hops`` bit for bit,
-    also where the all-pairs census mean is reused for it."""
+    also where the flow profile's mean hops is reused for it (every
+    uniform all-pairs pattern, on every topology)."""
 
     @pytest.mark.parametrize(
         "mesh, allocator",
@@ -273,6 +276,8 @@ class TestPairwiseHopsRecord:
             pytest.param(Mesh(8, 8), "mc1x1", id="mesh"),
             pytest.param(Mesh(8, 8, torus=True), "hilbert+bf", id="torus"),
             pytest.param(FatTree(4), "rack-aware", id="fattree"),
+            pytest.param(LeafSpine(8, 4), "random", id="leafspine"),
+            pytest.param(Dragonfly(3, 2, 2), "pod-local", id="dragonfly"),
         ],
     )
     @pytest.mark.parametrize("pattern", ["all-to-all", "all-to-all-broadcast"])
