@@ -1,5 +1,4 @@
-"""Analysis utilities: correlations (Figs 1/9/10), table formatting, and
-cached-sweep loading from the :mod:`repro.runner` artifact store, and
+"""Analysis utilities: correlations (Figs 1/9/10), table formatting and
 per-tenant fairness metrics (:mod:`repro.analysis.fairness`)."""
 
 from repro.analysis.correlation import linear_fit, pearson_r, spearman_r
@@ -11,15 +10,13 @@ from repro.analysis.fairness import (
     max_min_ratio,
     tenant_slowdowns,
 )
-from repro.analysis.tables import format_cached_sweep, format_table, load_cached_sweep
+from repro.analysis.tables import format_table
 
 __all__ = [
     "pearson_r",
     "spearman_r",
     "linear_fit",
     "format_table",
-    "load_cached_sweep",
-    "format_cached_sweep",
     "jains_index",
     "max_min_ratio",
     "tenant_slowdowns",

@@ -1,15 +1,12 @@
-"""Plain-text table rendering and cached-sweep loading for reports."""
+"""Plain-text table rendering for reports."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from pathlib import Path
 
 __all__ = [
     "format_table",
     "format_pivot",
-    "load_cached_sweep",
-    "format_cached_sweep",
     "format_mesh_comparison",
 ]
 
@@ -170,65 +167,3 @@ def format_mesh_comparison(
             )
         )
     return "\n\n".join(blocks)
-
-
-def load_cached_sweep(
-    root: str | Path | None = None,
-    pattern: str | None = None,
-    mesh_shape: tuple[int, ...] | None = None,
-    allocator: str | None = None,
-) -> list[dict]:
-    """Summary rows of every cached experiment cell, optionally filtered.
-
-    Reads the :mod:`repro.runner` artifact cache (``root`` defaults to
-    ``$REPRO_CACHE_DIR`` or ``.repro-cache``) so analyses and notebooks
-    can consume completed sweeps without re-running anything.  Cells whose
-    spec references an interned trace (``trace_ref``) resolve
-    transparently: the summary rows never need the rows hydrated, and the
-    cache key is read off the artifact name, so listing a cache works even
-    without its workload store.  Each row is
-    :meth:`~repro.sched.stats.RunSummary.row` plus the cell's cache key;
-    rows sort by (pattern, load descending, allocator).  (Compute wall
-    time is no longer stored in artifacts -- they are content-pure since
-    the tier refactor; per-cell timings live in campaign manifests.)
-    """
-    from repro.runner.cache import ResultCache
-
-    cache = ResultCache(root)
-    rows = []
-    for path, cell in cache.iter_entries(load_jobs=False):
-        spec = cell.spec
-        if pattern is not None and spec.pattern != pattern:
-            continue
-        if mesh_shape is not None and spec.mesh_shape != tuple(mesh_shape):
-            continue
-        if allocator is not None and spec.allocator != allocator:
-            continue
-        row = cell.summary.row()
-        row["cache_key"] = path.name.partition(".")[0]
-        rows.append(row)
-    rows.sort(key=lambda r: (r["pattern"], -r["load"], r["allocator"]))
-    return rows
-
-
-def format_cached_sweep(
-    root: str | Path | None = None,
-    metric: str = "mean_response",
-    **filters,
-) -> str:
-    """Table of cached cells (``metric`` column plus cell coordinates)."""
-    rows = load_cached_sweep(root, **filters)
-    return format_table(
-        [
-            {
-                "pattern": r["pattern"],
-                "mesh": r["mesh"],
-                "allocator": r["allocator"],
-                "load": r["load"],
-                metric: r[metric],
-            }
-            for r in rows
-        ],
-        float_fmt=".2f",
-        title=f"cached sweep cells ({len(rows)} artifacts)",
-    )

@@ -50,7 +50,6 @@ from repro.campaign.report import (
     format_expansion,
 )
 from repro.campaign.runner import (
-    CampaignDrain,
     CampaignRun,
     drain_campaign,
     prune_campaign,
@@ -60,7 +59,6 @@ from repro.campaign.runner import (
 __all__ = [
     "Campaign",
     "CampaignCell",
-    "CampaignDrain",
     "CampaignError",
     "CampaignManifest",
     "CampaignRun",

@@ -16,10 +16,12 @@ per-source accounting (:class:`SourceInfo`) rides along in the
 :class:`Expansion` so drivers and reports can show exactly what was
 ingested.
 
-Every cell carries a **cell digest**: the SHA-256 of the canonical JSON
-of its spec.  It is pure -- no store access, since an explicit trace
-enters it as its content address -- and is what the campaign manifest
-keys completion status by.
+Every cell carries a **cell digest**
+(:func:`repro.runner.spec.cell_digest`, re-exported here): the SHA-256
+of the canonical JSON of its spec.  It is pure -- no store access, since
+an explicit trace enters it as its content address -- and is both the
+key the campaign manifest records completion by and the name of the
+cell's cache artifact.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.campaign.model import (
     MeshAxis,
     TraceSource,
 )
-from repro.runner.spec import ExperimentSpec
+from repro.runner.spec import ExperimentSpec, cell_digest
 from repro.trace.store import TraceStore
 
 __all__ = [
@@ -47,18 +49,6 @@ __all__ = [
     "expand",
     "cell_digest",
 ]
-
-
-def cell_digest(spec: ExperimentSpec) -> str:
-    """Pure content digest of a cell (no store access).
-
-    >>> spec = ExperimentSpec(mesh_shape=(8, 8), pattern="ring",
-    ...                       allocator="mc", load=1.0, seed=1, n_jobs=10)
-    >>> cell_digest(spec)[:12]
-    'f86d22745a54'
-    """
-    canonical = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -128,10 +128,7 @@ def _completed(expansion: Expansion, read, part: str) -> tuple[list, int]:
     pairs = []
     missing = 0
     for cell in expansion.cells:
-        try:
-            result = read(cell.spec)
-        except KeyError:  # ref spec whose trace never reached this store
-            result = None
+        result = read(cell.spec)
         if result is None:
             missing += 1
             continue

@@ -41,7 +41,6 @@ from repro.runner import CellResult, ResultCache, TierDecision, run_many
 
 __all__ = [
     "CampaignRun",
-    "CampaignDrain",
     "run_campaign",
     "drain_campaign",
     "group_sweep_results",
@@ -132,9 +131,6 @@ class CampaignRun:
         )
 
 
-#: The name :class:`CampaignRun` had as a ``drain`` outcome.
-CampaignDrain = CampaignRun
-
 #: Least seconds between two manifest flushes while cells complete.
 #: Completion is durable in the content-addressed cache as soon as a
 #: cell's artifact lands, so a flush lost to a crash only turns the
@@ -170,22 +166,16 @@ def _execute(
     expansion = expand(campaign, store=cache.traces)
     path = manifest_path(cache.root, campaign.name, expansion.digest)
     manifest = CampaignManifest.open(path, campaign.name, expansion.digest)
-    keys: dict[str, str | None] = {}
-
-    def exists(cell: CampaignCell) -> bool:
-        """Whether the cell's artifact is on disk: no decode, and each
-        cell's cache key (a canonical-JSON hash) computed only once."""
-        if cell.digest not in keys:
-            keys[cell.digest] = cache.key_or_none(cell.spec)
-        return keys[cell.digest] is not None and cache.artifact_exists(keys[cell.digest])
-
     want = list(expansion.cells)
     if limit is not None:
         # A cell only counts as done if its artifact still exists -- the
         # manifest can outlive artifacts (prune/vacuum), and a limited
         # run must not skip cells it would have to recompute.
         done = manifest.done_digests()
-        want = [c for c in want if c.digest not in done or not exists(c)][:limit]
+        want = [
+            c for c in want
+            if c.digest not in done or not cache.artifact_exists(c.digest)
+        ][:limit]
     by_digest = {c.digest: c for c in want}
     batch = batch or max(1, len(want))
     if private:
@@ -242,7 +232,10 @@ def _execute(
             done = manifest.done_digests()
             todo = [c for c in want if c.digest not in resolved]
             if runner is not None:
-                todo = [c for c in todo if c.digest not in done or not exists(c)]
+                todo = [
+                    c for c in todo
+                    if c.digest not in done or not cache.artifact_exists(c.digest)
+                ]
                 done = set()
             if not todo:
                 break
@@ -493,7 +486,7 @@ def prune_campaign(
     """Retire one campaign: its cached artifacts plus its manifest.
 
     Expands the campaign to recover the exact cell set, removes the
-    artifacts whose cache keys belong to it (via
+    artifacts named by its cell digests (via
     :meth:`ResultCache.prune` with the ``keys`` criterion -- cells
     shared with *other* sweeps are removed too, but re-running those
     sweeps simply recomputes them), and deletes the manifest file.
@@ -502,7 +495,7 @@ def prune_campaign(
     nothing references any more.
     """
     expansion = expand(campaign, store=cache.traces)
-    keys = {cache.key_or_none(cell.spec) for cell in expansion.cells} - {None}
+    keys = {cell.digest for cell in expansion.cells}
     removed = cache.prune(keys=keys, dry_run=dry_run) if keys else []
     path = manifest_path(cache.root, campaign.name, expansion.digest)
     manifest_file: Path | None = None

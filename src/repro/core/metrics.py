@@ -7,8 +7,6 @@
   contiguity metrics of Fig 11: processors form a component when a
   rectilinear path connects them *through processors assigned to the same
   job*; a job is contiguous when it forms a single component.
-* :func:`bounding_box` and :func:`rank_span` -- auxiliary dispersal
-  measures used by the ablation benches.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.mesh.topology import Mesh, Topology
+from repro.mesh.topology import Topology
 
 __all__ = [
     "average_pairwise_hops",
@@ -25,8 +23,6 @@ __all__ = [
     "components",
     "n_components",
     "is_contiguous",
-    "bounding_box",
-    "rank_span",
 ]
 
 AnyMesh = Topology
@@ -235,25 +231,3 @@ def is_contiguous(mesh: AnyMesh, nodes) -> bool:
     "% contiguous").  Note the paper's caveat: a contiguous job may still
     interfere with others because messages are x-y routed."""
     return n_components(mesh, nodes) == 1
-
-
-def bounding_box(mesh: Mesh, nodes) -> tuple[int, int, int, int]:
-    """``(x_min, y_min, x_max, y_max)`` of the allocation (2-D meshes)."""
-    if mesh.n_dims != 2:
-        raise ValueError(
-            f"bounding_box is a 2-D measure, got a {mesh.n_dims}-D mesh"
-        )
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if len(nodes) == 0:
-        raise ValueError("empty allocation has no bounding box")
-    xs, ys = mesh.axis_coords(nodes)
-    return int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
-
-
-def rank_span(curve, nodes) -> int:
-    """Difference between max and min curve rank of the allocation."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if len(nodes) == 0:
-        raise ValueError("empty allocation has no rank span")
-    ranks = curve.rank[nodes]
-    return int(ranks.max() - ranks.min())

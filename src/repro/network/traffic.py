@@ -34,7 +34,6 @@ __all__ = [
     "pairs_to_nodes",
     "build_load_vector",
     "mean_message_hops",
-    "total_message_hops",
     "all_pairs_load_vector",
     "all_pairs_mean_hops",
     "pattern_flow_profile",
@@ -118,14 +117,6 @@ def mean_message_hops(mesh: Topology, nodes: np.ndarray, pairs: np.ndarray) -> f
     if src.size == 0:
         return 0.0
     return float(np.mean(mesh.distance(src, dst)))
-
-
-def total_message_hops(mesh: Topology, nodes: np.ndarray, pairs: np.ndarray) -> int:
-    """Total hops summed over one pattern cycle."""
-    src, dst = pairs_to_nodes(nodes, pairs)
-    if src.size == 0:
-        return 0
-    return int(np.sum(mesh.distance(src, dst)))
 
 
 def all_pairs_load_vector(

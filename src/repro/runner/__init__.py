@@ -18,7 +18,7 @@ JSON-serializable -- and provides:
   Tiers are a transport choice only: results, artifacts and cache
   keys are byte-identical across all of them,
 * :class:`ResultCache`: a compressed artifact store under
-  ``.repro-cache/`` keyed by spec hash, so repeated sweeps and the
+  ``.repro-cache/`` keyed by :func:`cell_digest` (the spec's hash), so repeated sweeps and the
   benchmark suite skip already-computed cells; explicit traces are
   stored once under ``.repro-cache/traces/`` and referenced by digest.
 
@@ -41,11 +41,12 @@ from repro.runner.engine import (
     run_many,
     sweep_specs,
 )
-from repro.runner.spec import CellResult, ExperimentSpec
+from repro.runner.spec import CellResult, ExperimentSpec, cell_digest
 
 __all__ = [
     "ExperimentSpec",
     "CellResult",
+    "cell_digest",
     "ResultCache",
     "VacuumReport",
     "CACHE_FORMAT",

@@ -161,8 +161,7 @@ def _resolve_export(cache: ResultCache, target: str, export_all: bool):
         ]
         return paths, [], "repro-bundle.tgz"
     expansion = expand(campaign, store=cache.traces)
-    keys = (cache.key_or_none(cell.spec) for cell in expansion.cells)
-    paths = [cache._key_path(k) for k in keys if k]
+    paths = [cache._key_path(cell.digest) for cell in expansion.cells]
     paths = [p for p in paths if p.is_file()]
     mpath = manifest_path(cache.root, campaign.name, expansion.digest)
     manifests = [mpath] if mpath.is_file() else []

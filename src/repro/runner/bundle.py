@@ -29,10 +29,12 @@ import io
 import json
 import re
 import tarfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.runner.cache import ResultCache
+from repro.runner.spec import ExperimentSpec, cell_digest
 
 __all__ = [
     "BUNDLE_FORMAT",
@@ -122,8 +124,9 @@ def export_bundle(
     """Pack artifacts (+ referenced traces + campaign manifests) into ``out``.
 
     ``artifact_paths`` are ``<key>.json.gz`` files inside ``cache``;
-    unreadable ones (a pre-format-2 ``<key>.json`` among them) are
-    skipped, matching ``vacuum`` semantics.  Every trace any packed
+    the ones ``vacuum`` would remove -- unreadable (a pre-format-2
+    ``<key>.json`` among them) or misfiled under a name other than their
+    cell digest -- are skipped.  Every trace any packed
     artifact references is bundled from the cache's workload store.
     ``campaign_manifests`` are manifest file paths to include verbatim
     (imports *merge* them, so concurrent exporters cannot clobber each
@@ -139,8 +142,8 @@ def export_bundle(
     }
     digests: set[str] = set()
     for path in sorted(Path(p) for p in artifact_paths):
-        data = cache._read_payload(path)
-        if data is None:
+        result = cache._filed(path)
+        if result is None:
             continue
         raw = path.read_bytes()
         members[f"artifacts/{path.name}"] = raw
@@ -148,15 +151,14 @@ def export_bundle(
             "file": path.name,
             "sha256": _sha256(raw),
         }
-        ref = (data.get("spec") or {}).get("trace_ref")
-        if ref:
-            digests.add(ref)
+        if result.spec.trace_ref is not None:
+            digests.add(result.spec.trace_ref)
     for digest in sorted(digests):
         trace_path = cache.traces.path_for(digest)
         try:
             raw = trace_path.read_bytes()
         except OSError:
-            continue  # dangling ref; importers fall back like the engine does
+            continue  # removed since the artifact was read
         members[f"traces/{trace_path.name}"] = raw
         index["traces"][digest] = {
             "file": trace_path.name,
@@ -260,14 +262,26 @@ def _verified(members: dict, entry: dict, section: str, key: str, prefix: str) -
     return raw
 
 
+def _artifact_digest(raw: bytes) -> str | None:
+    """Cell digest of the spec embedded in artifact bytes (``None`` when
+    the bytes are no readable artifact)."""
+    try:
+        spec = ExperimentSpec.from_dict(json.loads(gzip.decompress(raw))["spec"])
+    except (OSError, EOFError, zlib.error, ValueError, KeyError, TypeError):
+        return None
+    return cell_digest(spec)
+
+
 def import_bundle(cache: ResultCache, path: str | Path) -> ImportReport:
     """Unpack a bundle into ``cache`` with per-member digest verification.
 
     Every member's bytes are checked against the sha256 recorded in the
-    bundle manifest *before* anything is written; any mismatch, or an
+    bundle manifest *before* anything is written; any mismatch, an
     artifact that is not a ``<key>.json.gz`` file (an older bundle can
-    carry ``<key>.json``), raises :class:`BundleError` and the cache is
-    left untouched.  Traces are additionally verified against their
+    carry ``<key>.json``), or one whose key is not the
+    :func:`~repro.runner.spec.cell_digest` of the spec it embeds (it
+    could never be looked up), raises :class:`BundleError` and the cache
+    is left untouched.  Traces are additionally verified against their
     content address (the store re-derives the digest from the canonical
     rows).  Artifacts and traces already present are skipped -- content
     addressing makes the existing copy equivalent by construction -- and
@@ -290,7 +304,16 @@ def import_bundle(cache: ResultCache, path: str | Path) -> ImportReport:
                 f"artifact {key[:12]} in bundle is {entry.get('file')!r}, not "
                 "<key>.json.gz: only cache-format-2 artifacts can be imported"
             )
-        artifacts.append((key, _verified(members, entry, "artifact", key, "artifacts")))
+        raw = _verified(members, entry, "artifact", key, "artifacts")
+        digest = _artifact_digest(raw)
+        if digest is None:
+            raise BundleError(f"artifact {key[:12]} in bundle is unreadable")
+        if digest != key:
+            raise BundleError(
+                f"artifact {key[:12]} in bundle holds cell {digest[:12]}: "
+                "filed under another key, no lookup could ever reach it"
+            )
+        artifacts.append((key, raw))
         report.verified += 1
     traces: list[tuple[str, bytes]] = []
     for digest, entry in sorted(index["traces"].items()):

@@ -2,7 +2,10 @@
 
 One artifact per cell under the cache root (default ``.repro-cache/``,
 overridable via the ``REPRO_CACHE_DIR`` environment variable), named by
-the spec's SHA-256 cache key.  The stored artifact embeds the cell's spec,
+the cell digest (:func:`~repro.runner.spec.cell_digest`, the SHA-256 of
+the spec's canonical JSON).  The key is pure: an explicit trace enters
+it as its ``trace_ref`` content address, so naming an artifact never
+reads the workload store.  The stored artifact embeds the cell's spec,
 so a hit is validated against the requesting spec -- a stale or colliding
 file degrades to a miss instead of returning wrong numbers.  Writes go
 through a temp file + :func:`os.replace` so concurrent runs never observe
@@ -54,6 +57,7 @@ from repro.runner.spec import (
     ExperimentSpec,
     _job_from_list,
     _job_to_list,
+    cell_digest,
     summary_from_dict,
     summary_to_dict,
 )
@@ -229,22 +233,9 @@ class ResultCache:
         )
 
     # -- key/path ------------------------------------------------------
-    def key_for(self, spec: ExperimentSpec) -> str:
-        """Cache key of ``spec`` (refs resolved through this cache's store)."""
-        return spec.cache_key(self.traces)
-
-    def key_or_none(self, spec: ExperimentSpec) -> str | None:
-        """:meth:`key_for`, or ``None`` for a ref spec whose trace already
-        left the store: its key cannot be recomputed, so nothing
-        addressable is left of its artifact (vacuum handles leftovers)."""
-        try:
-            return self.key_for(spec)
-        except KeyError:
-            return None
-
     def path_for(self, spec: ExperimentSpec) -> Path:
         """Artifact path ``put`` would write for ``spec``."""
-        return self._key_path(self.key_for(spec))
+        return self._key_path(cell_digest(spec))
 
     def _key_path(self, key: str) -> Path:
         return self.root / f"{key}.json.gz"
@@ -279,6 +270,8 @@ class ResultCache:
             result = entry[1]
             if result.spec != spec:
                 return None
+            if not self._hydratable(spec):  # as a fresh decode would find
+                return None
         else:
             result = self._load(path, expect=spec)
             if result is None:
@@ -308,10 +301,17 @@ class ResultCache:
             return None
         return data
 
+    def _hydratable(self, spec: ExperimentSpec) -> bool:
+        """Whether :attr:`traces` holds what ``spec``'s jobs are built from."""
+        return spec.trace_ref is None or spec.trace_ref in self.traces
+
     def _decode(self, data: dict, load_jobs: bool = True) -> CellResult | None:
-        """Artifact dict -> CellResult (``None`` when undecodable)."""
+        """Artifact dict -> CellResult (``None`` when undecodable, a ref
+        cell whose trace left the store among them)."""
         try:
             spec = ExperimentSpec.from_dict(data["spec"])
+            if not self._hydratable(spec):
+                return None
             summary = summary_from_dict(data["summary"])
             if not load_jobs:
                 jobs: list[JobResult] = []
@@ -328,6 +328,17 @@ class ResultCache:
             jobs=jobs,
             cached=True,
         )
+
+    def _filed(self, path: Path) -> CellResult | None:
+        """The summary-level artifact at ``path``, or ``None`` when it is
+        dead weight: undecodable, or misfiled -- not named by the
+        :func:`~repro.runner.spec.cell_digest` of the spec it embeds, so
+        no lookup can ever reach it."""
+        data = self._read_payload(path)
+        result = None if data is None else self._decode(data, load_jobs=False)
+        if result is None or path != self.path_for(result.spec):
+            return None
+        return result
 
     def _load(
         self,
@@ -381,7 +392,7 @@ class ResultCache:
             payload["jobs_packed"] = packed
         else:
             payload["jobs"] = [_job_to_list(j) for j in result.jobs]
-        path = self._key_path(spec.cache_key(self.traces))
+        path = self.path_for(spec)
         self._decoded.pop(path, None)
         tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
         with open(tmp, "wb") as raw:
@@ -524,27 +535,26 @@ class ResultCache:
 
         An artifact is corrupt when its payload cannot be decoded (bad
         JSON/format, unparseable spec, or a trace ref missing from the
-        workload store); a trace is orphaned when no remaining readable
-        artifact references it *and* it is older than
-        ``orphan_grace_days``.  The grace window protects traces interned
-        ahead of their artifacts -- a staged ingest, or a sweep still in
-        flight whose cells haven't landed yet.
+        workload store) or when it is misfiled: its file stem is not the
+        :func:`~repro.runner.spec.cell_digest` of the spec it embeds, so
+        no lookup can ever reach it (a ref cell's artifact written when
+        ref keys hashed the trace rows is one).  A trace is orphaned
+        when no remaining readable artifact references it *and* it is
+        older than ``orphan_grace_days``.  The grace window protects
+        traces interned ahead of their artifacts -- a staged ingest, or a
+        sweep still in flight whose cells haven't landed yet.
         """
         report = VacuumReport()
         referenced: set[str] = set()
         for path in list(self._artifact_paths()):
-            data = self._read_payload(path)
-            ok = data is not None and self._decode(data, load_jobs=False) is not None
-            digest = (data.get("spec") or {}).get("trace_ref") if ok else None
-            if digest is not None and digest not in self.traces:
-                ok = False
-            if not ok:
+            result = self._filed(path)
+            if result is None:
                 report.corrupt_artifacts += 1
                 if not dry_run:
                     path.unlink(missing_ok=True)
                 continue
-            if digest is not None:
-                referenced.add(digest)
+            if result.spec.trace_ref is not None:
+                referenced.add(result.spec.trace_ref)
         if self.root.is_dir():
             for tmp in list(self.root.glob("*.tmp*")) + list(
                 self.traces.root.glob("*.tmp*") if self.traces.root.is_dir() else []

@@ -7,14 +7,14 @@ digest of an explicit base trace).  Specs are frozen, hashable (usable
 as dict keys and dedup keys) and round-trip through JSON, which is what
 makes both the multiprocessing fan-out and the on-disk cache possible:
 workers rebuild the whole cell from the spec alone, and the cache keys
-artifacts by the SHA-256 of the spec's canonical JSON form.
+artifacts by :func:`cell_digest`, the SHA-256 of the spec's canonical
+JSON form.
 
 An explicit trace is always a content address into the workload store
 (``trace_ref``, see :mod:`repro.trace.store`): the rows live once in the
-store, and a spec carries only their 64-character digest.
-:meth:`ExperimentSpec.cache_key` hashes the store's rows in place of the
-digest, so every cache key is byte-identical to the one the same cell
-had when specs still carried their rows inline.
+store, and a spec carries only their 64-character digest.  That digest
+enters the cell digest as it is, so a cell's identity -- its cache key,
+campaign-manifest entry and bundle key alike -- needs no store.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.trace.store import TraceStore, default_store
 __all__ = [
     "ExperimentSpec",
     "CellResult",
+    "cell_digest",
     "summary_to_dict",
     "summary_from_dict",
 ]
@@ -297,7 +298,7 @@ class ExperimentSpec:
         defaults are omitted so 2-D specs -- and therefore their cache
         keys -- are unchanged by the N-D and trace-store refactors.
         ``"trace"`` is always ``None``: specs no longer carry inline rows,
-        but the key stays in every cache key, cell digest and artifact.
+        but the key stays in every cell digest and artifact.
         """
         out = {
             "mesh_shape": list(self.mesh_shape),
@@ -352,26 +353,23 @@ class ExperimentSpec:
             n_users=data.get("n_users", 0),
         )
 
-    def cache_key(self, store: TraceStore | None = None) -> str:
-        """SHA-256 hex digest of the spec's canonical JSON form.
 
-        Ref specs hash the store's canonical rows (``store`` defaults to
-        the workload store) in place of their digest, so every key is
-        byte-identical to the one the cell had when specs carried their
-        rows inline.
+def cell_digest(spec: ExperimentSpec) -> str:
+    """The cell's identity: SHA-256 hex digest of its canonical JSON form.
 
-        >>> spec = ExperimentSpec(mesh_shape=(8, 8), pattern="ring",
-        ...                       allocator="mc", load=1.0, seed=1, n_jobs=10)
-        >>> spec.cache_key()[:12]
-        'f86d22745a54'
-        >>> ExperimentSpec.from_dict(spec.to_dict()) == spec
-        True
-        """
-        data = self.to_dict()
-        if data.pop("trace_ref", None) is not None:
-            data["trace"] = [list(row) for row in self.base_trace(store)]
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+    Pure -- an explicit trace enters as its ``trace_ref`` content
+    address, so no store is read.  It names the cell's cache artifact,
+    its campaign-manifest entry and its key in result bundles.
+
+    >>> spec = ExperimentSpec(mesh_shape=(8, 8), pattern="ring",
+    ...                       allocator="mc", load=1.0, seed=1, n_jobs=10)
+    >>> cell_digest(spec)[:12]
+    'f86d22745a54'
+    >>> ExperimentSpec.from_dict(spec.to_dict()) == spec
+    True
+    """
+    canonical = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,11 @@ under ``<cache-root>/traces/<digest>.json``; everything else (every
 :class:`~repro.runner.spec.ExperimentSpec`, artifact and worker payload)
 carries only the 64-character digest, its ``trace_ref``.
 
-A spec's cache key hashes its trace's rows in place of the digest (see
-:meth:`~repro.runner.spec.ExperimentSpec.cache_key`), so the keys are
-byte-identical to the ones the same cells had when specs embedded their
-rows inline.
+The digest is also what a cell's identity hashes: a spec's
+:func:`~repro.runner.spec.cell_digest` -- its cache key -- carries
+``trace_ref`` as it is, so naming a cell never reads the store.  The
+store file holds exactly the bytes the digest hashes (one definition,
+:func:`_content`), so every read can re-check them.
 
 Store files are immutable once written (same digest == same bytes), which
 makes concurrent writers trivially safe: writes go through a temp file and
@@ -87,20 +88,31 @@ def canonical_trace(rows) -> tuple[TraceRow, ...]:
     return tuple(tuple(row) for row in _canonical_rows(rows))
 
 
+def _content(rows) -> tuple[list[list], str, str]:
+    """``(canonical rows, canonical JSON, digest)`` of a trace.
+
+    The one definition of the content address: the JSON text is what a
+    store file holds and the digest is its SHA-256, so the two cannot
+    drift apart.
+    """
+    canon = _canonical_rows(rows)
+    payload = json.dumps(canon, separators=(",", ":"))
+    return canon, payload, hashlib.sha256(payload.encode()).hexdigest()
+
+
 def trace_digest(rows) -> str:
     """SHA-256 hex digest of the canonical JSON form of a base trace.
 
     This is the content address: two traces share a digest iff their
-    normalised rows serialize to the same bytes.  A spec's cache key
-    hashes the same normalised rows in place of the digest.
+    normalised rows serialize to the same bytes.  A spec carries it as
+    its ``trace_ref``, and the spec's cell digest hashes it as it is.
 
     >>> trace_digest([(0, 0.0, 4, 10.0)])[:12]
     '83eb952851e7'
     >>> trace_digest(((0, 0, 4, 10),)) == trace_digest([(0, 0.0, 4, 10.0)])
     True
     """
-    payload = json.dumps(_canonical_rows(rows), separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return _content(rows)[2]
 
 
 #: Small cross-instance memo so a worker hydrating one trace for many cells
@@ -136,16 +148,14 @@ class TraceStore:
         Idempotent: a trace already present is not rewritten (the content
         address guarantees the existing bytes are equivalent).
         """
-        rows = _canonical_rows(rows)
-        payload = json.dumps(rows, separators=(",", ":"))
-        digest = hashlib.sha256(payload.encode()).hexdigest()
+        canon, payload, digest = _content(rows)
         path = self.path_for(digest)
         if not path.is_file():
             self.root.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(f".tmp.{os.getpid()}")
             tmp.write_text(payload)
             os.replace(tmp, path)
-        _memo_put(self.root, digest, canonical_trace(rows))
+        _memo_put(self.root, digest, tuple(tuple(row) for row in canon))
         return digest
 
     # -- read ----------------------------------------------------------

@@ -1,11 +1,6 @@
 """Tests for repro.analysis.tables."""
 
-from repro.analysis.tables import (
-    format_cached_sweep,
-    format_mesh_comparison,
-    format_table,
-    load_cached_sweep,
-)
+from repro.analysis.tables import format_mesh_comparison, format_table
 
 
 class TestFormatMeshComparison:
@@ -96,55 +91,6 @@ class TestFormatTable:
         lines = out.splitlines()
         # all rows equal width
         assert len({len(line) for line in lines[2:]}) == 1
-
-
-class TestLoadCachedSweep:
-    @staticmethod
-    def _warm_cache(tmp_path):
-        from repro.runner import ResultCache, run_many, sweep_specs
-
-        cache = ResultCache(tmp_path / "cache")
-        specs = sweep_specs(
-            (8, 8),
-            ("ring", "all-to-all"),
-            (1.0, 0.4),
-            ("hilbert+bf",),
-            seed=2,
-            n_jobs=15,
-            runtime_scale=0.01,
-        )
-        run_many(specs, cache=cache)
-        return cache
-
-    def test_rows_from_cache(self, tmp_path):
-        cache = self._warm_cache(tmp_path)
-        rows = load_cached_sweep(cache.root)
-        assert len(rows) == 4
-        # sorted by (pattern, load desc, allocator)
-        assert [(r["pattern"], r["load"]) for r in rows] == [
-            ("all-to-all", 1.0),
-            ("all-to-all", 0.4),
-            ("ring", 1.0),
-            ("ring", 0.4),
-        ]
-        assert all("mean_response" in r and "cache_key" in r for r in rows)
-
-    def test_filters(self, tmp_path):
-        cache = self._warm_cache(tmp_path)
-        assert len(load_cached_sweep(cache.root, pattern="ring")) == 2
-        assert len(load_cached_sweep(cache.root, allocator="mc")) == 0
-        assert len(load_cached_sweep(cache.root, mesh_shape=(8, 8))) == 4
-        assert len(load_cached_sweep(cache.root, mesh_shape=(16, 16))) == 0
-
-    def test_empty_cache(self, tmp_path):
-        assert load_cached_sweep(tmp_path / "nowhere") == []
-        assert "(no rows)" in format_cached_sweep(tmp_path / "nowhere")
-
-    def test_format_cached_sweep(self, tmp_path):
-        cache = self._warm_cache(tmp_path)
-        out = format_cached_sweep(cache.root, pattern="ring")
-        assert "2 artifacts" in out
-        assert "hilbert+bf" in out and "mean_response" in out
 
 
 class TestFormatPivot:

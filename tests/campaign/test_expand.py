@@ -105,6 +105,13 @@ def test_cell_digest_pins_the_mini_swf_cells(tmp_path):
     )
 
 
+def test_cell_digest_is_defined_once():
+    import repro.runner
+    from repro.runner import spec
+
+    assert cell_digest is spec.cell_digest is repro.runner.cell_digest
+
+
 def test_swf_source_needs_a_store():
     with pytest.raises(CampaignError, match="'swf:bundled:sdsc-mini'.*given none"):
         expand(loads_campaign(MINI_SWF))

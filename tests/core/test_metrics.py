@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from repro.core.curves import get_curve
 from repro.core.metrics import (
     average_pairwise_hops,
-    bounding_box,
     components,
     is_contiguous,
     n_components,
-    rank_span,
     total_pairwise_hops,
 )
 from repro.mesh.topology import Mesh
@@ -116,22 +114,3 @@ class TestComponents:
         lo = int(rng.integers(0, 60))
         hi = int(rng.integers(lo + 1, 65))
         assert is_contiguous(mesh, curve.order[lo:hi])
-
-
-class TestAuxMetrics:
-    def test_bounding_box(self, mesh8):
-        nodes = [mesh8.node_id(1, 2), mesh8.node_id(5, 3)]
-        assert bounding_box(mesh8, nodes) == (1, 2, 5, 3)
-
-    def test_bounding_box_empty(self, mesh8):
-        with pytest.raises(ValueError):
-            bounding_box(mesh8, [])
-
-    def test_rank_span(self, mesh8):
-        curve = get_curve("hilbert", mesh8)
-        nodes = curve.order[[3, 4, 10]]
-        assert rank_span(curve, nodes) == 7
-
-    def test_rank_span_single(self, mesh8):
-        curve = get_curve("hilbert", mesh8)
-        assert rank_span(curve, curve.order[[5]]) == 0

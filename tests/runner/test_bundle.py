@@ -207,6 +207,34 @@ class TestVerification:
         with pytest.raises(BundleError, match="unreadable"):
             import_bundle(ResultCache(tmp_path / "f3"), not_tar)
 
+    def test_renamed_artifact_is_rejected_before_write(self, tmp_path):
+        """An artifact filed under a key that is not the cell digest of
+        its own spec would import and then never hit; the import refuses
+        it even when the index is self-consistent."""
+        cache = _populated(tmp_path)
+        report = _export(cache, tmp_path)
+        members = _members(report.path)
+        index = json.loads(members[BUNDLE_MANIFEST])
+        key = sorted(index["artifacts"])[0]
+        wrong = "0" * 64
+        members[f"artifacts/{wrong}.json.gz"] = members.pop(f"artifacts/{key}.json.gz")
+        index["artifacts"][wrong] = {**index["artifacts"].pop(key), "file": f"{wrong}.json.gz"}
+        members[BUNDLE_MANIFEST] = json.dumps(index).encode()
+        _repack(report.path, members)
+
+        fresh = ResultCache(tmp_path / "fresh")
+        with pytest.raises(BundleError, match="filed under another key"):
+            import_bundle(fresh, report.path)
+        assert not fresh.root.exists()  # nothing written, traces included
+
+    def test_export_skips_misfiled_artifacts(self, tmp_path):
+        cache = _populated(tmp_path)
+        original = next(iter(cache._artifact_paths()))
+        (cache.root / f"{'0' * 64}.json.gz").write_bytes(original.read_bytes())
+        report = _export(cache, tmp_path)
+        assert report.n_artifacts == N_CELLS
+        assert "0" * 64 not in read_bundle_manifest(report.path)["artifacts"]
+
     def test_read_bundle_manifest(self, tmp_path):
         cache = _populated(tmp_path)
         report = _export(cache, tmp_path)

@@ -3,7 +3,7 @@
 import gzip
 import json
 
-from repro.runner import ExperimentSpec, ResultCache, run_cell
+from repro.runner import ExperimentSpec, ResultCache, cell_digest, run_cell
 from repro.runner.cache import CACHE_FORMAT, default_cache_root
 from repro.runner.spec import summary_to_dict
 
@@ -209,7 +209,7 @@ class TestArtifactFormat:
         cache = ResultCache(tmp_path / "c")
         spec = _spec()
         cell = run_cell(spec)
-        old = cache.root / f"{spec.cache_key()}.json"
+        old = cache.root / f"{cell_digest(spec)}.json"
         cache.root.mkdir(parents=True)
         old.write_text(
             json.dumps(
@@ -222,7 +222,7 @@ class TestArtifactFormat:
                 }
             )
         )
-        assert not cache.artifact_exists(spec.cache_key())
+        assert not cache.artifact_exists(cell_digest(spec))
         assert cache.get(spec) is None and cache.peek(spec) is None
         assert (cache.hits, cache.misses) == (0, 1)
         assert len(cache) == 1 and list(cache.iter_entries()) == []
@@ -291,7 +291,7 @@ class TestPruneFilters:
     def test_keys_alone(self, tmp_path):
         """The campaign-prune criterion: remove exactly the named keys."""
         cache = self._warm(tmp_path)
-        keys = {cache.key_for(_spec()), cache.key_for(_spec(allocator="mc"))}
+        keys = {cell_digest(_spec()), cell_digest(_spec(allocator="mc"))}
         removed = cache.prune(keys=keys)
         assert len(removed) == 2
         assert {p.name.partition(".")[0] for p in removed} == keys
@@ -299,14 +299,14 @@ class TestPruneFilters:
 
     def test_keys_combine_with_spec_substr(self, tmp_path):
         cache = self._warm(tmp_path)
-        keys = {cache.key_for(_spec()), cache.key_for(_spec(allocator="mc"))}
+        keys = {cell_digest(_spec()), cell_digest(_spec(allocator="mc"))}
         removed = cache.prune(keys=keys, spec_substr='"allocator":"mc"')
         assert len(removed) == 1
         assert len(cache) == 2
 
     def test_keys_dry_run(self, tmp_path):
         cache = self._warm(tmp_path)
-        removed = cache.prune(keys={cache.key_for(_spec())}, dry_run=True)
+        removed = cache.prune(keys={cell_digest(_spec())}, dry_run=True)
         assert len(removed) == 1 and len(cache) == 3
 
     def test_prune_to_size_oldest_first(self, tmp_path):

@@ -190,6 +190,23 @@ class TestVacuum:
         assert "removed 1 corrupt artifacts" in out
         assert len(warm_cache) == 2
 
+    def test_misfiled_artifact_is_corrupt(self, warm_cache, capsys):
+        """A copy under a name that is not its cell digest (how a ref
+        cell's artifact from before keys were pure digests is filed) can
+        never be looked up: vacuum removes the copy, keeps the original."""
+        original = next(
+            p for p, c in warm_cache.iter_entries(load_jobs=False) if c.spec.trace_ref
+        )
+        misfiled = warm_cache.root / f"{'0' * 64}.json.gz"
+        misfiled.write_bytes(original.read_bytes())
+        assert main(["--cache-dir", str(warm_cache.root), "vacuum", "--dry-run"]) == 0
+        assert "would remove 1 corrupt artifacts" in capsys.readouterr().out
+        assert main(["--cache-dir", str(warm_cache.root), "vacuum"]) == 0
+        out = capsys.readouterr().out
+        assert "removed 1 corrupt artifacts" in out and "0 orphan traces" in out
+        assert not misfiled.exists() and original.exists()
+        assert len(warm_cache) == 3
+
     def test_vacuum_dry_run(self, warm_cache, capsys):
         (warm_cache.root / "junk.json").write_text("nope")
         assert main(["--cache-dir", str(warm_cache.root), "vacuum", "--dry-run"]) == 0

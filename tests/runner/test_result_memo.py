@@ -12,7 +12,7 @@ import gzip
 import pytest
 
 from repro.campaign import bundled_campaign_path, expand, load_campaign
-from repro.runner import ExperimentSpec, ResultCache, run_cell
+from repro.runner import ExperimentSpec, ResultCache, cell_digest, run_cell, run_many
 from repro.runner import spec as spec_module
 from repro.trace.store import TraceStore
 
@@ -103,7 +103,7 @@ class TestDecodedMemo:
         cache = ResultCache(tmp_path / "c")
         cache.put(run_cell(SPEC))
         assert cache.get(SPEC) is not None
-        assert cache.prune(keys={cache.key_for(SPEC)})
+        assert cache.prune(keys={cell_digest(SPEC)})
         assert cache.get(SPEC) is None
         assert (cache.hits, cache.misses) == (1, 1)
 
@@ -127,11 +127,56 @@ class TestDecodedMemo:
 
     def test_artifact_exists_needs_no_decode(self, tmp_path, reads):
         cache = ResultCache(tmp_path / "c")
-        key = cache.key_for(SPEC)
+        key = cell_digest(SPEC)
         assert not cache.artifact_exists(key)
         cache.put(run_cell(SPEC))
         assert cache.artifact_exists(key)
         assert reads == []
+
+
+class TestRefCells:
+    """A ref cell's key is its cell digest, so serving it warm reads no
+    trace rows, and a trace that left the store still means a miss."""
+
+    @staticmethod
+    def _ref_cache(tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        ref = dataclasses.replace(
+            SPEC,
+            n_jobs=0,
+            trace_ref=cache.traces.put(((0, 0.0, 4, 10.0), (1, 1.0, 8, 5.0))),
+        )
+        cache.put(run_cell(ref, store=cache.traces))
+        return cache, ref
+
+    def test_memoised_get_reads_no_trace(self, tmp_path, monkeypatch):
+        cache, ref = self._ref_cache(tmp_path)
+        assert cache.get(ref) is not None  # decoded once, now memoised
+        calls = []
+        original = TraceStore.get
+
+        def counting(self, digest):
+            calls.append(digest)
+            return original(self, digest)
+
+        monkeypatch.setattr(TraceStore, "get", counting)
+        for _ in range(3):
+            assert cache.get(ref) is not None
+        assert calls == []
+
+    def test_trace_gone_is_a_miss(self, tmp_path):
+        cache, ref = self._ref_cache(tmp_path)
+        assert cache.get(ref) is not None  # memoised
+        cache.traces.remove(ref.trace_ref)
+        assert cache.get(ref) is None
+        assert ResultCache(cache.root).get(ref) is None
+        assert cache.peek(ref) is None
+
+    def test_computing_a_cell_whose_trace_left_raises(self, tmp_path):
+        cache, ref = self._ref_cache(tmp_path)
+        cache.traces.remove(ref.trace_ref)
+        with pytest.raises(KeyError, match="not in store"):
+            run_many([ref], cache=cache)
 
 
 @pytest.fixture

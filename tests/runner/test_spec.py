@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.runner import ExperimentSpec, ResultCache, run_cell
+from repro.runner import ExperimentSpec, ResultCache, cell_digest, run_cell
 from repro.runner.spec import (
     _job_from_list,
     _job_to_list,
@@ -44,8 +44,9 @@ PINNED_TRACE = ((0, 0.0, 4, 30.0), (1, 5.0, 8, 12.5))
 #: refactor.  These must never change: they are what keeps pre-existing
 #: ``.repro-cache/`` artifacts valid.  If one of these fails, the spec
 #: serialization changed in a cache-invalidating way.  The explicit-trace
-#: cell's key was recorded with its rows inline; its ref form, resolved
-#: through a store holding ``PINNED_TRACE``, must hash to the same key.
+#: cell is the exception: its key was first recorded with its rows hashed
+#: in, and is pinned here as the cell digest of its ``trace_ref`` form,
+#: the key ever since ref cells were keyed without reading the store.
 PRE_REFACTOR_KEYS = {
     ExperimentSpec(
         mesh_shape=(8, 8),
@@ -72,7 +73,7 @@ PRE_REFACTOR_KEYS = {
         load=0.4,
         seed=2,
         trace_ref=trace_digest(PINNED_TRACE),
-    ): "6fe29b7ce280438ab0523f290a72af45eff649b3b94e604c359577c4bf86a5d0",
+    ): "595ce5021d197e0988be9559941ff884dd25635c822509c46fca8acc5576a7be",
     ExperimentSpec(
         mesh_shape=(16, 16),
         pattern="random",
@@ -112,14 +113,14 @@ class TestExperimentSpec:
         assert ExperimentSpec.from_dict(data) == SPEC
 
     def test_cache_key_stable_and_sensitive(self):
-        assert SPEC.cache_key() == ExperimentSpec.from_dict(SPEC.to_dict()).cache_key()
+        assert cell_digest(SPEC) == cell_digest(ExperimentSpec.from_dict(SPEC.to_dict()))
         for changed in (
             ExperimentSpec.from_dict({**SPEC.to_dict(), "mesh_shape": (8, 9)}),
             ExperimentSpec.from_dict({**SPEC.to_dict(), "allocator": "mc"}),
             ExperimentSpec.from_dict({**SPEC.to_dict(), "load": 0.4}),
             ExperimentSpec.from_dict({**SPEC.to_dict(), "seed": 4}),
         ):
-            assert changed.cache_key() != SPEC.cache_key()
+            assert cell_digest(changed) != cell_digest(SPEC)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -174,7 +175,7 @@ class TestExperimentSpec:
             {**SPEC.to_dict(), "network": ExperimentSpec.from_network_params(custom)}
         )
         assert spec.network_params() == custom
-        assert spec.cache_key() != SPEC.cache_key()
+        assert cell_digest(spec) != cell_digest(SPEC)
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec and clone.network_params() == custom
 
@@ -183,7 +184,7 @@ class TestExperimentSpec:
         store = TraceStore(tmp_path / "traces")
         assert store.put(PINNED_TRACE) == trace_digest(PINNED_TRACE)
         for spec, key in PRE_REFACTOR_KEYS.items():
-            assert spec.cache_key(store) == key, spec
+            assert cell_digest(spec) == key, spec
 
     def test_2d_spec_dict_omits_torus_default(self):
         """The torus flag must not leak into legacy serialized forms."""
@@ -211,13 +212,13 @@ class TestExperimentSpec3D:
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(SPEC_3D.to_dict())))
         assert clone == SPEC_3D
         assert hash(clone) == hash(SPEC_3D)
-        assert clone.cache_key() == SPEC_3D.cache_key()
+        assert cell_digest(clone) == cell_digest(SPEC_3D)
 
     def test_cache_key_sensitive_to_new_dimension(self):
         flat = ExperimentSpec.from_dict({**SPEC_3D.to_dict(), "mesh_shape": (8, 64)})
         mesh = ExperimentSpec.from_dict({**SPEC_3D.to_dict(), "torus": False})
         deeper = ExperimentSpec.from_dict({**SPEC_3D.to_dict(), "mesh_shape": (8, 8, 9)})
-        keys = {s.cache_key() for s in (SPEC_3D, flat, mesh, deeper)}
+        keys = {cell_digest(s) for s in (SPEC_3D, flat, mesh, deeper)}
         assert len(keys) == 4
 
     def test_validation_rejects_other_ranks(self):
@@ -279,11 +280,15 @@ class TestTraceRefSpecs:
         assert ref.trace_ref == trace_digest(self.TRACE)
         assert ref.base_trace(store) == self.TRACE
 
-    def test_cache_key_hashes_the_stored_rows(self, tmp_path):
-        """The key of the ref form is the pinned pre-refactor inline key."""
-        store = TraceStore(tmp_path / "traces")
-        assert self._ref(store).cache_key(store) == (
-            "6fe29b7ce280438ab0523f290a72af45eff649b3b94e604c359577c4bf86a5d0"
+    def test_key_needs_no_store(self, tmp_path):
+        """A ref cell's artifact is named by its cell digest even where
+        no store holds its trace: the key never reads the rows."""
+        ref = self._ref(TraceStore(tmp_path / "traces"))
+        cache = ResultCache(tmp_path / "empty")
+        assert ref.trace_ref not in cache.traces
+        assert cache.path_for(ref).name == f"{cell_digest(ref)}.json.gz"
+        assert cell_digest(ref) == (
+            "595ce5021d197e0988be9559941ff884dd25635c822509c46fca8acc5576a7be"
         )  # pinned in PRE_REFACTOR_KEYS above
 
     def test_json_round_trip_preserves_ref(self, tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from repro.mesh.clos import FatTree, LeafSpine
 from repro.mesh.topology import Mesh
 from repro.runner.engine import run_cell
-from repro.runner.spec import ExperimentSpec
+from repro.runner.spec import ExperimentSpec, cell_digest
 
 CLOS = ExperimentSpec(
     mesh_shape=(128,),
@@ -37,8 +37,6 @@ class TestLegacySpecsUntouched:
 
     def test_pinned_2d_cache_key(self):
         # The doctest-pinned digest from before the topology field landed.
-        from repro.campaign.expand import cell_digest
-
         spec = ExperimentSpec(
             mesh_shape=(8, 8), pattern="ring", allocator="mc",
             load=1.0, seed=1, n_jobs=10,
@@ -55,7 +53,7 @@ class TestLegacySpecsUntouched:
             load=1.0, seed=1, n_jobs=10,
         )
         assert via_topology == plain
-        assert via_topology.cache_key() == plain.cache_key()
+        assert cell_digest(via_topology) == cell_digest(plain)
         assert via_topology.topology is None
 
     def test_torus_string_topology_canonicalises_away(self):
@@ -81,7 +79,7 @@ class TestClosSpecs:
     def test_json_round_trip(self):
         clone = ExperimentSpec.from_dict(CLOS.to_dict())
         assert clone == CLOS
-        assert clone.cache_key() == CLOS.cache_key()
+        assert cell_digest(clone) == cell_digest(CLOS)
         assert CLOS.to_dict()["topology"] == "fattree:k=8"
 
     def test_cache_key_distinguishes_fabrics(self):
@@ -90,7 +88,7 @@ class TestClosSpecs:
             load=1.0, seed=1, n_jobs=10, topology="leafspine:8x16",
         )
         assert leafspine.mesh_shape == CLOS.mesh_shape  # same host count
-        assert leafspine.cache_key() != CLOS.cache_key()
+        assert cell_digest(leafspine) != cell_digest(CLOS)
 
     def test_build_machine_topology(self):
         assert CLOS.build_machine_topology() == FatTree(8)

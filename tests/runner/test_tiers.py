@@ -15,6 +15,7 @@ from repro.runner import (
     TIERS,
     TierDecision,
     auto_jobs,
+    cell_digest,
     choose_tier,
     run_many,
     sweep_specs,
@@ -57,7 +58,7 @@ class TestCrossTierDeterminism:
             }
         names = {tier: sorted(files) for tier, files in artifacts.items()}
         assert names["inline"] == names["process"]
-        assert len(names["inline"]) == len(set(s.cache_key() for s in _grid()))
+        assert len(names["inline"]) == len(set(cell_digest(s) for s in _grid()))
         for name in names["inline"]:
             assert (
                 artifacts["inline"][name] == artifacts["process"][name]

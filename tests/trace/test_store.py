@@ -1,5 +1,6 @@
 """Tests for the content-addressed workload store (repro.trace.store)."""
 
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,20 @@ class TestTraceStore:
         assert digest == trace_digest(ROWS)
         assert digest in store
         assert store.get(digest) == canonical_trace(ROWS)
+
+    def test_file_bytes_hash_to_the_digest(self, tmp_path):
+        """The stored bytes are the canonical JSON the digest hashes, and
+        the memo put leaves behind equals a fresh read of the file."""
+        from repro.trace import store as store_mod
+
+        store = TraceStore(tmp_path / "traces")
+        messy = ((0, 0, 4.0, 30), (1, 5.5, 8, 12.25, 3), (2, 9, 16.0, 3600, -1, 2))
+        digest = store.put(messy)
+        raw = store.path_for(digest).read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == digest == trace_digest(messy)
+        memoised = store.get(digest)
+        store_mod._MEMO.clear()
+        assert store.get(digest) == memoised == canonical_trace(messy)
 
     def test_put_is_idempotent(self, tmp_path):
         store = TraceStore(tmp_path / "traces")
