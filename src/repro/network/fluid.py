@@ -47,7 +47,9 @@ link ``l`` per message sent (averaged over one pattern cycle, x-y routed; see
 
 Because utilisations depend on rates and vice versa,
 :meth:`FluidNetwork.rates_vector` resolves the coupled system with a damped
-fixed point (deterministic, a fixed number of dense NumPy iterations).
+fixed point (deterministic: at most ``fixed_point_iterations`` dense NumPy
+iterations, ending early only once an iteration returns its input bit for
+bit, after which every further one would too).
 Rates are piecewise-constant between scheduler events; the simulator
 drains each job's remaining quota at its current rate.
 """
@@ -99,7 +101,10 @@ class NetworkParams:
         ``1 / (1 - rho)`` (numerical guard; caps the blocking stretch at
         ``1 / (1 - max_utilisation)``).
     fixed_point_iterations:
-        Damped iterations coupling rates and utilisations.
+        Maximum number of damped iterations coupling rates and
+        utilisations; a congested refresh stops sooner once an iteration
+        leaves the rates bitwise unchanged (the remaining ones would
+        repeat it).
     """
 
     message_flits: float = 64.0
@@ -156,7 +161,8 @@ def max_min_rates(
         row-major order, as ``np.nonzero(weights > 0)`` and the weights
         there.  ``None`` (default) derives it from ``weights``; a caller
         that keeps it (:class:`FluidNetwork`) has already rejected
-        negative weights, and ``weights`` is then not read.
+        negative weights, and ``weights`` is then not read.  The arrays
+        passed are not modified.
 
     Returns
     -------
@@ -174,7 +180,11 @@ def max_min_rates(
       which adds the active flows' weights in row order -- the order of
       an axis-0 sum of the dense rows (skipped zeros change nothing,
       since ``x + 0.0 == x``);
-    * a frozen flow's entries weigh ``+0.0`` from then on;
+    * a frozen flow's entries are dropped from the incidence: in the
+      dense sweep they weigh ``+0.0``, and ``np.bincount`` adds a bin's
+      entries in input order onto partial sums that are already
+      ``>= +0.0``, so removing them changes no bin (and the
+      saturated-link mark then reaches only active flows);
     * every active flow has the same rate, ``level``, since all start at
       0.0 and take the same ``+= dt`` steps, so the smallest cap
       headroom is ``min(caps[active]) - level`` (rounding is monotone).
@@ -213,16 +223,13 @@ def max_min_rates(
     ratio = np.empty(n_loaded, dtype=np.float64)
 
     # Flows that use no links are limited only by their caps.
-    counts = np.bincount(rows, minlength=n_flows)
-    offsets = [0, *np.cumsum(counts).tolist()]
-    active = counts > 0
+    active = np.bincount(rows, minlength=n_flows) > 0
     rates = np.where(active, 0.0, caps)
     n_active = int(np.count_nonzero(active))
-    live = values.copy()
     level = 0.0
     cap_min = caps[active].min() if n_active else 0.0
     while n_active:
-        demand = np.bincount(cols, weights=live, minlength=n_loaded)
+        demand = np.bincount(cols, weights=values, minlength=n_loaded)
         # Common rate increment until the tightest link saturates
         # (inf when no link carries demand) ...
         ratio.fill(np.inf)
@@ -245,21 +252,24 @@ def max_min_rates(
         else:
             frozen = np.zeros(n_flows, dtype=bool)
         if dt_link <= dt_cap:
-            # Freeze flows crossing any saturated link.
+            # Freeze flows crossing any saturated link (the entries left
+            # are all active flows').
             saturated = residual <= saturation
             if saturated.any():
                 frozen[rows[saturated[cols]]] = True
-                frozen &= active
-        done = np.flatnonzero(frozen).tolist()
-        if not done:
+        n_frozen = int(np.count_nonzero(frozen))
+        if not n_frozen:
             continue
-        for row in done:
-            live[offsets[row] : offsets[row + 1]] = 0.0
         rates[frozen] = level
         active[frozen] = False
-        n_active -= len(done)
+        n_active -= n_frozen
         if n_active:
             cap_min = caps[active].min()
+            # Drop the frozen flows' entries (they would weigh +0.0).
+            keep = active[rows]
+            rows = rows[keep]
+            cols = cols[keep]
+            values = values[keep]
     return rates
 
 
@@ -357,6 +367,8 @@ class FluidNetwork:
         load_vector = np.asarray(load_vector, dtype=np.float64)
         if load_vector.shape != (self.space.n_links,):
             raise ValueError("load vector has wrong length for this mesh")
+        if not (load_vector >= 0).all():
+            raise ValueError("negative or NaN link loads")
         p = self.params
         row = self._n
         if row == self._weights.shape[0]:
@@ -406,17 +418,15 @@ class FluidNetwork:
         weights and the loads there, as ``max_min_rates`` takes it
         (``n_flows >= 1``).
 
-        A row's ``(links, values)`` are built from its dense load the
-        first time a waterfill needs them (rejecting negative loads
-        there) and kept until the flow is removed, so a run whose
+        A row's ``(links, values)`` are built from its dense load (checked
+        non-negative by :meth:`add_flow`) the first time a waterfill needs
+        them and kept until the flow is removed, so a run whose
         uncongested gate skips every waterfill never builds any.
         """
         entries = self._entries
         for row, entry in enumerate(entries):
             if entry is None:
                 load = self._weights[row]
-                if np.any(load < 0):
-                    raise ValueError("negative link weights")
                 links = np.flatnonzero(load > 0)
                 entries[row] = (links, load[links])
         row_links = [links for links, _ in entries]
@@ -432,7 +442,10 @@ class FluidNetwork:
         Resolves the rate/utilisation fixed point of the module docstring:
         rates start at the idle-network bound, utilisations are computed,
         congestion stretches per-hop latency, and the two relax together
-        under 0.5 damping for a fixed iteration count (deterministic).
+        under 0.5 damping for at most ``fixed_point_iterations`` rounds.
+        When the waterfill ran, the loop returns as soon as a round leaves
+        the rates bitwise unchanged: a round is a pure function of the
+        rates, so every remaining round would return the same bits.
         """
         n = self._n
         if n == 0:
@@ -443,7 +456,8 @@ class FluidNetwork:
         issue = 1.0 / p.issue_rate
         caps = np.full(n, p.issue_rate)
 
-        if (self._colsum <= self._gate_cap).all():
+        gated = (self._colsum <= self._gate_cap).all()
+        if gated:
             # No link can fill even at full issue rate: progressive filling
             # caps every flow immediately, so its output is exactly `caps`.
             feasible = caps
@@ -455,16 +469,23 @@ class FluidNetwork:
         if p.contention_factor == 0 or p.hop_latency == 0:
             return r
         # Path-holding utilisation couples rates and latencies; relax the
-        # fixed point under 0.5 damping (deterministic iteration count).
+        # fixed point under 0.5 damping for at most the configured rounds.
         hold = self._hold[:n]
         hop_latency = p.hop_latency
         max_util = p.max_utilisation
         # np.minimum/np.maximum spell out np.clip's own definition; the
         # floats are identical but the fromnumeric wrapper overhead is not,
-        # and this loop runs six times per rate refresh.
+        # and this loop runs up to six times per rate refresh.
         for _ in range(p.fixed_point_iterations):
             rho = np.minimum(np.maximum((r * hold) @ hop_shares, 0.0), max_util)
             stretch = 1.0 / (1.0 - rho)
             t = issue + hop_latency * (hop_shares @ stretch)
-            r = 0.5 * r + 0.5 * np.minimum(feasible, 1.0 / t)
+            r_next = 0.5 * r + 0.5 * np.minimum(feasible, 1.0 / t)
+            # Exact exit, byte for byte (signed zeros and NaNs count).  The
+            # rates settle once every flow is held at its waterfill share;
+            # gated refreshes, held by latency alone, were not seen to
+            # settle within the rounds, so they skip the check.
+            if not gated and r_next.tobytes() == r.tobytes():
+                return r_next
+            r = r_next
         return r

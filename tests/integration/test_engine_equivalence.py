@@ -16,6 +16,8 @@ from oracles.loop_engine import run_engine
 from repro.core.registry import make_allocator
 from repro.mesh.clos import Dragonfly, FatTree, LeafSpine
 from repro.mesh.topology import Mesh
+from repro.network import fluid
+from repro.network.fluid import NetworkParams, max_min_rates
 from repro.patterns.base import get_pattern
 from repro.sched.job import Job
 from repro.sched.registry import apply_priority
@@ -35,12 +37,13 @@ def _jobs_for(mesh, n_jobs=60, seed=3, runtime_scale=0.02):
     )
 
 
-def _run(mesh, allocator, pattern, scheduler, engine, jobs, seed=7):
+def _run(mesh, allocator, pattern, scheduler, engine, jobs, seed=7, params=None):
     sim = Simulation(
         mesh,
         make_allocator(allocator),
         get_pattern(pattern),
         jobs,
+        params,
         seed=seed,
         scheduler=scheduler,
     )
@@ -81,19 +84,60 @@ COMBOS = [
 ]
 
 
+#: Links of 2 flits/s: the uncongested gate fails on most rate refreshes,
+#: so these runs reach the waterfill and the congested fixed point, which
+#: the default capacity never does.
+CONGESTED = NetworkParams(link_capacity=2.0)
+
+CONGESTED_COMBOS = [
+    pytest.param(Mesh(8, 8), "hilbert+bf", "all-to-all", "fcfs", id="2d-a2a-fcfs"),
+    pytest.param(Mesh(8, 8), "mc", "random", "easy", id="2d-mc-random-easy"),
+    pytest.param(
+        Mesh(8, 8, torus=True), "s-curve+ff", "ring", "wfq", id="2d-torus-ring-wfq"
+    ),
+    pytest.param(FatTree(4), "rack-aware", "all-to-all", "fcfs", id="fattree-rack"),
+]
+
+
+def _assert_identical(vector, loop, jobs):
+    assert vector.makespan == loop.makespan
+    assert len(vector.jobs) == len(jobs)
+    # Dataclass equality covers every recorded field, including the
+    # new held count and both exact-ratio hop metrics.
+    assert vector.jobs == loop.jobs
+    assert vector.scheduler == loop.scheduler
+    assert vector.allocator == loop.allocator
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("mesh, allocator, pattern, scheduler", COMBOS)
     def test_engines_bit_identical(self, mesh, allocator, pattern, scheduler):
         jobs = _jobs_for(mesh)
         vector = _run(mesh, allocator, pattern, scheduler, "vector", jobs)
         loop = _run(mesh, allocator, pattern, scheduler, "loop", jobs)
-        assert vector.makespan == loop.makespan
-        assert len(vector.jobs) == len(jobs)
-        # Dataclass equality covers every recorded field, including the
-        # new held count and both exact-ratio hop metrics.
-        assert vector.jobs == loop.jobs
-        assert vector.scheduler == loop.scheduler
-        assert vector.allocator == loop.allocator
+        _assert_identical(vector, loop, jobs)
+
+    @pytest.mark.parametrize("mesh, allocator, pattern, scheduler", CONGESTED_COMBOS)
+    def test_congested_engines_bit_identical(
+        self, mesh, allocator, pattern, scheduler, monkeypatch
+    ):
+        """Congested links: the vector engine's sparse waterfill and
+        early-exit fixed point against the loop engine's dense solve and
+        full-length loop."""
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return max_min_rates(*args, **kwargs)
+
+        monkeypatch.setattr(fluid, "max_min_rates", counted)
+        jobs = _jobs_for(mesh)
+        vector = _run(
+            mesh, allocator, pattern, scheduler, "vector", jobs, params=CONGESTED
+        )
+        assert solves, "the congested run never reached the waterfill"
+        loop = _run(mesh, allocator, pattern, scheduler, "loop", jobs, params=CONGESTED)
+        _assert_identical(vector, loop, jobs)
 
     def test_stochastic_pattern_same_per_job_seeds(self):
         """The random pattern draws per-job cycles from the same seeds in

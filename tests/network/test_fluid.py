@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.loop_engine import _LoopFluidNetwork
 from oracles.maxmin import assert_max_min_certificate, dense_max_min_rates
 
 from repro.campaign import expand, loads_campaign
@@ -11,7 +12,7 @@ from repro.core.registry import make_allocator
 from repro.mesh.topology import Mesh
 from repro.network import fluid
 from repro.network.fluid import FluidNetwork, NetworkParams, max_min_rates
-from repro.network.traffic import build_load_vector
+from repro.network.traffic import build_load_vector, mean_message_hops
 from repro.patterns import AllToAll
 from repro.runner import run_cell
 from repro.sched.simulator import Simulation
@@ -134,6 +135,39 @@ class TestMaxMinRates:
         rates = max_min_rates(w, capacities, caps)
         assert_max_min_certificate(w, capacities, caps, rates)
         np.testing.assert_allclose(rates, dense_max_min_rates(w, capacities, caps), rtol=1e-12)
+
+    def test_incidence_left_unmodified(self):
+        """Frozen flows' entries are dropped from the solver's own arrays,
+        never written into the caller's."""
+        rng = np.random.default_rng(4)
+        w = rng.random((12, 9)) * (rng.random((12, 9)) < 0.5)
+        capacities = np.full(9, 0.8)
+        caps = rng.random(12) + 0.1
+        rows, links = np.nonzero(w > 0)
+        incidence = (rows, links, w[rows, links])
+        before = tuple(a.copy() for a in incidence)
+        rates = max_min_rates(w, capacities, caps, incidence=incidence)
+        for kept, original in zip(incidence, before):
+            assert np.array_equal(kept, original)
+        assert np.array_equal(rates, dense_max_min_rates(w, capacities, caps))
+
+    def test_cap_and_link_freeze_in_one_round(self):
+        """``dt_cap == dt_link``: flows 0 and 1 fill link 0 at 0.5 exactly
+        when flow 2 reaches its 0.5 cap; all three freeze in the first
+        round, and flow 3 goes on alone to its cap of 2.0."""
+        w = np.array(
+            [
+                [1.0, 0.0],
+                [1.0, 0.0],
+                [0.0, 1.0],
+                [0.0, 1.0],
+            ]
+        )
+        capacities = np.array([1.0, 10.0])
+        caps = np.array([1.0, 1.0, 0.5, 2.0])
+        rates = max_min_rates(w, capacities, caps)
+        assert rates.tolist() == [0.5, 0.5, 0.5, 2.0]
+        assert np.array_equal(rates, dense_max_min_rates(w, capacities, caps))
 
 
 #: fig07's 16x22 machine, patterns, allocators, loads and trace length on
@@ -303,16 +337,22 @@ class TestFluidNetwork:
         net.rates_vector()
         assert net._entries == [None] * 4
 
-    def test_negative_load_raises_at_the_waterfill(self, mesh8):
-        net = FluidNetwork(mesh8, NetworkParams(link_capacity=0.05))
+    @pytest.mark.parametrize("capacity", [None, 2.0], ids=["default", "congested"])
+    @pytest.mark.parametrize("bad", [-32.0, np.nan], ids=["negative", "nan"])
+    def test_bad_load_rejected_at_add_flow(self, capacity, bad):
+        """A negative or NaN load is refused when the flow is added, at any
+        capacity, and leaves the network as it was."""
+        mesh = Mesh(4, 4)
+        net = FluidNetwork(mesh, NetworkParams(link_capacity=capacity))
         good = np.ones(net.space.n_links)
-        bad = good.copy()
-        bad[5] = -0.5
+        bad_load = good.copy()
+        bad_load[5] = bad
         net.add_flow(0, good, mean_hops=2.0)
-        net.rates_vector()
-        net.add_flow(1, bad, mean_hops=2.0)
-        with pytest.raises(ValueError, match="negative link weights"):
-            net.rates_vector()
+        with pytest.raises(ValueError, match="negative or NaN link loads"):
+            net.add_flow(1, bad_load, mean_hops=2.0)
+        assert net.flow_ids() == [0]
+        net.add_flow(1, good, mean_hops=2.0)
+        assert np.all(net.rates_vector() > 0)
 
     def test_wrong_vector_length(self, mesh8):
         net = FluidNetwork(mesh8)
@@ -334,7 +374,6 @@ class TestFluidNetwork:
     def _shuttle_job(mesh, net, params, job_id, row):
         """A ring strung between column 0 and 15 of one row: every message
         crosses the row's central links -- maximal self-contention."""
-        from repro.network.traffic import mean_message_hops
         from repro.patterns import Ring
 
         nodes = np.array(
@@ -370,3 +409,55 @@ class TestFluidNetwork:
         hops = self._shuttle_job(mesh16, net, params, 0, row=4)
         expected = 1.0 / (1.0 + params.hop_latency * hops)
         assert net.rates_vector()[0] == pytest.approx(expected)
+
+
+def _all_to_all_flows(mesh, n_flows=16, size=8, seed=5):
+    """``n_flows`` all-to-all jobs on disjoint random node sets:
+    ``(load_vector, mean_hops)`` pairs."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.n_nodes)
+    pairs = AllToAll().cycle(size)
+    flows = []
+    for j in range(n_flows):
+        nodes = np.sort(perm[j * size : (j + 1) * size])
+        flows.append(
+            (build_load_vector(mesh, nodes, pairs, 64.0), mean_message_hops(mesh, nodes, pairs))
+        )
+    return flows
+
+
+class TestFixedPointExit:
+    """The congested fixed point stops at a bitwise fixed point, and only
+    there: its output equals the full-length loop of the loop-engine
+    oracle, which has no early exit."""
+
+    @staticmethod
+    def _rates(mesh, flows, capacity, iterations):
+        params = NetworkParams(link_capacity=capacity, fixed_point_iterations=iterations)
+        net = FluidNetwork(mesh, params)
+        oracle = _LoopFluidNetwork(mesh, params)
+        for flow_id, (load, hops) in enumerate(flows):
+            net.add_flow(flow_id, load, hops)
+            oracle.add_flow(flow_id, load, hops)
+        assert not (net._colsum <= net._gate_cap).all(), "gate passed: not congested"
+        rates = net.rates_vector()
+        expected = np.array(list(oracle.rates().values()))
+        assert rates.tobytes() == expected.tobytes()
+        return rates
+
+    def test_bandwidth_bound_state_settles_after_one_iteration(self, mesh16x22):
+        flows = _all_to_all_flows(mesh16x22)
+        one = self._rates(mesh16x22, flows, 2.0, iterations=1)
+        six = self._rates(mesh16x22, flows, 2.0, iterations=6)
+        assert six.tobytes() == one.tobytes()
+        assert np.all(six < 1.0)
+
+    def test_latency_bound_state_keeps_iterating(self, mesh16x22):
+        """Capacity just above the busiest link's load: the gate fails, no
+        link fills, and the latency stretch moves the rates every round."""
+        flows = _all_to_all_flows(mesh16x22)
+        busiest = np.sum([load for load, _ in flows], axis=0).max()
+        capacity = busiest / 0.95
+        one = self._rates(mesh16x22, flows, capacity, iterations=1)
+        six = self._rates(mesh16x22, flows, capacity, iterations=6)
+        assert not np.array_equal(six, one)
